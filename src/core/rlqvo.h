@@ -24,7 +24,7 @@ namespace rlqvo {
 /// the buffers reach their high-water mark), the graph tensors and static
 /// feature columns are hoisted once per query, and only the two
 /// step-varying feature columns h(6..7) are refreshed between steps. The
-/// scores are numerically equal to the eval-mode autograd forward;
+/// scores are bit-identical to the eval-mode autograd forward;
 /// set_use_inference_path(false) restores the training-grade autograd
 /// forward (kept for A/B benchmarks such as bench_ordering_latency).
 ///

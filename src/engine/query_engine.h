@@ -160,20 +160,23 @@ struct EngineCounters {
 ///
 /// With enum_options.parallel_threads > 0 (engine default or per-query
 /// override) a query additionally parallelizes *within* its enumeration:
-/// Enumerator::RunParallel splits the search tree at the root candidate
-/// set and feeds the chunks into the same engine pool. Because the pool is
-/// shared, batch workers that run out of whole queries donate themselves
-/// to a straggler's chunk queue — one heavy query at the tail of a batch
-/// no longer pins a single core while the rest of the pool idles. The
-/// query's match_limit/deadline stay global across its chunks (see
-/// EnumBudget).
+/// Enumerator::RunParallel seeds the search tree as frontier segments over
+/// the root candidate set and fans one work-stealing worker loop per
+/// requested thread into the same engine pool. A worker that drains its
+/// own segments steals a queued one from another worker, and a worker deep
+/// in a heavy subtree splits its remaining sibling range into a new
+/// stealable segment when others go idle. Because the pool is shared,
+/// batch workers that run out of whole queries pick up a straggler's
+/// worker loops — one heavy query at the tail of a batch no longer pins a
+/// single core while the rest of the pool idles. The query's
+/// match_limit/deadline stay global across its segments (see EnumBudget).
 ///
 /// With a deterministic ordering_factory — every built-in one:
 /// MakeEngineByName's baselines and RLQVOModel::MakeEngine's greedy-argmax
 /// RL-QVO — results are identical to running the same SubgraphMatcher
 /// configuration sequentially, because queries never share mutable state:
 /// the data graph and candidate sets are immutable, and each worker has its
-/// own ordering. Only timing fields vary run to run. Two caveats forfeit
+/// own ordering. Only timing fields vary run to run. Three caveats forfeit
 /// this guarantee: (1) a *stochastic* factory (e.g.
 /// RLQVOModel::MakeOrdering(stochastic=true)) — which worker (and thus
 /// which RNG stream) serves a query depends on scheduling; (2) a finite
@@ -182,9 +185,9 @@ struct EngineCounters {
 /// so partial counts differ between runs and from a sequential run;
 /// (3) intra-query parallelism (parallel_threads > 0) whose finite
 /// match_limit actually fires — the run still emits *exactly* match_limit
-/// matches, but which embeddings fill the quota depends on chunk
-/// scheduling (untruncated parallel runs remain bit-identical to serial;
-/// see Enumerator::RunParallel). On a cache hit the reported
+/// matches, but which embeddings fill the quota depends on the steal and
+/// split schedule (untruncated parallel runs remain bit-identical to
+/// serial; see Enumerator::RunParallel). On a cache hit the reported
 /// filter_time_seconds is the (near-zero) lookup time, which also means
 /// cached queries spend more of their deadline budget in enumeration.
 class QueryEngine {

@@ -13,6 +13,8 @@
 namespace rlqvo {
 namespace simd {
 
+#if RLQVO_SIMD_X86
+
 namespace {
 
 /// Two-pointer merge of the remainders, *appending* to out (the SIMD block
@@ -36,12 +38,6 @@ void MergeTailAppend(std::span<const VertexId> a, size_t i,
   }
   *comparisons += cmp;
 }
-
-}  // namespace
-
-#if RLQVO_SIMD_X86
-
-namespace {
 
 bool DetectSse() { return __builtin_cpu_supports("ssse3"); }
 bool DetectAvx2() { return __builtin_cpu_supports("avx2"); }

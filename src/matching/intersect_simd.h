@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "common/simd.h"
 #include "graph/graph.h"
 
 /// \file SSE/AVX2 sorted-set intersection kernels, runtime-dispatched by
@@ -30,12 +31,6 @@
 /// produces (differential-fuzzed in tests/intersect_fuzz_test.cc) and
 /// charges a deterministic comparison count: one per lane-block step for
 /// the merges, one per probe/search step for the gallops.
-
-#if !defined(RLQVO_SIMD_DISABLED) && (defined(__x86_64__) || defined(__i386__))
-#define RLQVO_SIMD_X86 1
-#else
-#define RLQVO_SIMD_X86 0
-#endif
 
 namespace rlqvo {
 namespace simd {

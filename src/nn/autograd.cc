@@ -216,9 +216,8 @@ Var AddScalar(const Var& a, double s) {
 Var Neg(const Var& a) { return Scale(a, -1.0); }
 
 Var Relu(const Var& a) {
-  return ElementwiseUnary(
-      a, [](double x) { return x > 0.0 ? x : 0.0; },
-      [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
+  return ElementwiseUnary(a, &ReluValue,
+                          [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
 }
 
 Var LeakyRelu(const Var& a, double negative_slope) {

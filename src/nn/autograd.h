@@ -85,6 +85,10 @@ Var Hadamard(const Var& a, const Var& b);
 Var Scale(const Var& a, double s);
 Var AddScalar(const Var& a, double s);
 Var Neg(const Var& a);
+/// ReLU of one value — the single definition the autograd Relu and the
+/// serving kernel nn::ReluInPlace share, so both forward paths agree bit
+/// for bit: NaN propagates (NaN < 0 is false) and -0.0 stays -0.0.
+inline double ReluValue(double x) { return x < 0.0 ? 0.0 : x; }
 Var Relu(const Var& a);
 Var LeakyRelu(const Var& a, double negative_slope = 0.2);
 Var Tanh(const Var& a);

@@ -78,34 +78,44 @@ class InferenceWorkspace {
 /// \name Tape-free kernels.
 /// Each computes the same sum in the same order as the corresponding
 /// autograd op's forward, so results at every row a caller reads equal the
-/// eval-mode autograd forward exactly — not just within tolerance. All
-/// write into caller-owned (workspace) matrices and allocate nothing.
+/// eval-mode autograd forward bit for bit; tests/nn_inference_test.cc
+/// asserts exact equality, no tolerance. All write into caller-owned
+/// (workspace) matrices and allocate nothing.
 ///
 /// One serving-only shortcut the autograd path cannot take keeps the math
-/// smaller than training-grade code: `out_rows`. When non-null, only rows
-/// with out_rows[i] == true are computed; the rest are left zeroed and
-/// their values are unspecified. The policy forward uses this to evaluate
-/// the last GNN layer and the MLP head only on the action space —
-/// masked-out scores are never read, and on most ordering steps the action
-/// space is a small fraction of V(q).
+/// smaller than training-grade code: `out_rows` (`rows` for the in-place
+/// epilogues). When non-null, only rows with out_rows[i] == true are
+/// computed; every kernel leaves the other rows untouched, and callers
+/// treat their values as unspecified. The policy forward uses this to
+/// evaluate the last GNN layer and the MLP head — matmul, bias and ReLU
+/// alike — only on the action space: masked-out scores are never read, and
+/// on most ordering steps the action space is a small fraction of V(q).
 /// @{
 
-/// out = a @ b with the autograd MatMul's loop structure (zero test on the
-/// lhs coefficient outside a branchless, vectorizable inner loop — it
-/// skips both non-edges of propagation matrices and post-ReLU zeros).
-/// `out` must already be shaped (a.rows, b.cols) and zeroed (Scratch/Shape
-/// do both).
+/// out = a @ b, bit-identical to the autograd MatMul (nn/matrix.h): each
+/// element is +0.0 plus a(i,k) * b(k,j) for every k with a(i,k) != 0.0 in
+/// ascending k, each product rounded before its add (never FMA). Zero
+/// coefficients — non-edges of propagation matrices, post-ReLU zeros — are
+/// skipped, so inf/NaN in their rhs rows never reach the output; NaN
+/// coefficients are not zero and propagate. No data-dependent branch sits
+/// in the hot loops: each active row's nonzero coefficients are compacted
+/// once (on the stack), then every output tile accumulates in registers
+/// over that list (32-column AVX2 tiles when the CPU has AVX2, chosen once
+/// per process; a portable loop otherwise). See nn/inference.cc. `out`
+/// must already be shaped (a.rows, b.cols) and zeroed (Scratch/Shape do
+/// both).
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 const std::vector<bool>* out_rows = nullptr);
 
-/// x += bias broadcast over rows; bias is (1, x.cols).
-void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias);
+/// x += bias broadcast over rows; bias is (1, x.cols). Rows outside `rows`
+/// (when non-null) are left untouched.
+void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias,
+                            const std::vector<bool>* rows = nullptr);
 
-/// x = max(x, 0) elementwise.
-void ReluInPlace(Matrix* x);
-
-/// x = x >= 0 ? x : slope * x elementwise.
-void LeakyReluInPlace(Matrix* x, double negative_slope);
+/// x = ReluValue(x) elementwise (nn/autograd.h: NaN propagates), as a
+/// branch-free select. Rows outside `rows` (when non-null) are left
+/// untouched.
+void ReluInPlace(Matrix* x, const std::vector<bool>* rows = nullptr);
 
 /// Masked log-softmax over a column vector; same numerics as the autograd
 /// MaskedLogSoftmax forward (masked-out entries get kMaskedLogProb). `out`

@@ -23,7 +23,7 @@ class Linear {
   /// Tape-free forward into a caller-owned buffer: *out = x W + b. `out`
   /// must be shaped (x.rows, out_features) and zeroed. Rows outside
   /// `out_rows` (when non-null) are not computed and hold unspecified
-  /// values; computed rows are numerically equal to Forward. Implemented in
+  /// values; computed rows are bit-identical to Forward. Implemented in
   /// nn/inference.cc.
   void ForwardInference(const Matrix& x, Matrix* out,
                         const std::vector<bool>* out_rows = nullptr) const;
@@ -58,7 +58,7 @@ class GraphLayer {
   /// intermediates. When `out_rows` is non-null only those output rows are
   /// computed (the rest stay zeroed, values unspecified) — sound for the
   /// network's last graph layer, whose other rows nothing reads. Computed
-  /// rows are numerically equal to the eval-mode Forward. All
+  /// rows are bit-identical to the eval-mode Forward. All
   /// implementations live in nn/inference.cc.
   virtual void ForwardInference(const GraphTensors& g, const Matrix& h,
                                 InferenceWorkspace* ws, Matrix* out,

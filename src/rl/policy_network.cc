@@ -62,17 +62,17 @@ PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
   for (size_t l = 0; l < gnn_layers_.size(); ++l) {
     nn::Matrix* next = into_ping ? workspace->ping(n, hidden_dim)
                                  : workspace->pong(n, hidden_dim);
-    const bool last = l + 1 == gnn_layers_.size();
-    gnn_layers_[l]->ForwardInference(tensors, *h, workspace, next,
-                                     last ? &action_mask : nullptr);
-    nn::ReluInPlace(next);
+    const std::vector<bool>* rows =
+        l + 1 == gnn_layers_.size() ? &action_mask : nullptr;
+    gnn_layers_[l]->ForwardInference(tensors, *h, workspace, next, rows);
+    nn::ReluInPlace(next, rows);
     h = next;
     into_ping = !into_ping;
   }
   // Eq. 4 head: scores = W2 σ(W1 h), then masked log-softmax.
   nn::Matrix* hidden = workspace->hidden(n, hidden_dim);
   mlp_hidden_->ForwardInference(*h, hidden, &action_mask);
-  nn::ReluInPlace(hidden);
+  nn::ReluInPlace(hidden, &action_mask);
   nn::Matrix* scores = workspace->scores(n);
   mlp_out_->ForwardInference(*hidden, scores, &action_mask);
   nn::Matrix* log_probs = workspace->log_probs(n);

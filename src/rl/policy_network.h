@@ -64,8 +64,8 @@ class PolicyNetwork {
     const nn::Matrix* raw_scores = nullptr;
   };
 
-  /// Tape-free serving forward: masked scores/log-probs numerically equal
-  /// to the eval-mode (training=false) Forward, but with no Var tape, no
+  /// Tape-free serving forward: masked scores/log-probs bit-identical to
+  /// the eval-mode (training=false) Forward, but with no Var tape, no
   /// allocation once `workspace` buffers reach their high-water mark, and
   /// the last graph layer + MLP head evaluated only on the action-space
   /// rows. Dropout is off by construction (it only applies when training).
