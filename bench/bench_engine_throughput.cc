@@ -120,7 +120,9 @@ int main(int argc, char** argv) {
                               batch.total_local_candidates,
                               batch.total_local_candidate_sets,
                               batch.total_simd_intersections,
-                              batch.total_bitmap_intersections);
+                              batch.total_steals, batch.total_splits,
+                              batch.max_segment_depth, batch.min_worker_work,
+                              batch.max_worker_work);
         AppendOrderingMetrics(&metrics, "batch", batch.total_order_seconds,
                               batch.order_cache_hits,
                               batch.order_cache_misses);

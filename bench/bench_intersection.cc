@@ -14,9 +14,9 @@
 //      machinery, same candidate sets, same orders). All traverse the
 //      identical recursion tree, so match counts must agree exactly —
 //      checked fatally.
-//   3. Forced-kernel dispatch (scalar/sse/avx2/bitmap/auto) on harvested
-//      hub-slice pairs — the dense SliceView inputs where intersection
-//      time concentrates — with fatal output-equality per kernel.
+//   3. Forced-kernel dispatch (scalar/sse/avx2/auto) on harvested
+//      hub-slice pairs — the dense slices where intersection time
+//      concentrates — with fatal output-equality per kernel.
 //
 // Acceptance bars: >= 2x over the probe loop on the skewed-label
 // configuration at scale >= 1.0 (ISSUE 3), and auto >= 2x over the forced
@@ -245,7 +245,6 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     out.accumulated.local_candidates_total += r.local_candidates_total;
     out.accumulated.local_candidate_sets += r.local_candidate_sets;
     out.accumulated.num_simd_intersections += r.num_simd_intersections;
-    out.accumulated.num_bitmap_intersections += r.num_bitmap_intersections;
   }
   for (uint32_t i = 0; i < num_queries; ++i) {
     RLQVO_CHECK(ws.Prepare(queries[i], data, css[i], orders[i]).ok());
@@ -326,24 +325,25 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
 
 /// Harvests the slice pairs where enumeration time concentrates: for the
 /// highest-degree vertices, every label-aligned pair of their adjacency
-/// slices (the exact inputs Extend feeds IntersectDispatch, bitmap sidecars
-/// included). Sorted by min slice size descending, capped.
-std::vector<std::pair<Graph::SliceView, Graph::SliceView>> HarvestHubPairs(
-    const Graph& g, size_t max_pairs) {
+/// slices (the exact inputs Extend feeds IntersectDispatch). Sorted by min
+/// slice size descending, capped.
+using SlicePair =
+    std::pair<std::span<const VertexId>, std::span<const VertexId>>;
+std::vector<SlicePair> HarvestHubPairs(const Graph& g, size_t max_pairs) {
   std::vector<VertexId> by_degree(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) by_degree[v] = v;
   std::sort(by_degree.begin(), by_degree.end(),
             [&g](VertexId a, VertexId b) { return g.degree(a) > g.degree(b); });
   const size_t hubs = std::min<size_t>(48, by_degree.size());
-  std::vector<std::pair<Graph::SliceView, Graph::SliceView>> pairs;
+  std::vector<SlicePair> pairs;
   for (size_t i = 0; i < hubs; ++i) {
     for (size_t j = i + 1; j < hubs; ++j) {
       const VertexId u = by_degree[i], v = by_degree[j];
       if (g.degenerate()) {
         for (Label l : g.NeighborLabels(u)) {
-          const Graph::SliceView a = g.NeighborsWithLabelView(u, l);
-          const Graph::SliceView b = g.NeighborsWithLabelView(v, l);
-          if (a.ids.empty() || b.ids.empty()) continue;
+          const std::span<const VertexId> a = g.NeighborsWithLabel(u, l);
+          const std::span<const VertexId> b = g.NeighborsWithLabel(v, l);
+          if (a.empty() || b.empty()) continue;
           pairs.push_back({a, b});
         }
       } else {
@@ -353,19 +353,18 @@ std::vector<std::pair<Graph::SliceView, Graph::SliceView>> HarvestHubPairs(
         const size_t slices = g.NumLabeledSlices(u, EdgeDir::kOut);
         for (size_t s = 0; s < slices; ++s) {
           const Graph::LabeledSlice ls = g.LabeledSliceAt(u, EdgeDir::kOut, s);
-          const Graph::SliceView a =
-              g.NeighborsWithView(u, EdgeDir::kOut, ls.elabel, ls.vlabel);
-          const Graph::SliceView b =
-              g.NeighborsWithView(v, EdgeDir::kOut, ls.elabel, ls.vlabel);
-          if (a.ids.empty() || b.ids.empty()) continue;
+          const std::span<const VertexId> a = ls.ids;
+          const std::span<const VertexId> b =
+              g.NeighborsWith(v, EdgeDir::kOut, ls.elabel, ls.vlabel);
+          if (a.empty() || b.empty()) continue;
           pairs.push_back({a, b});
         }
       }
     }
   }
   std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
-    return std::min(x.first.ids.size(), x.second.ids.size()) >
-           std::min(y.first.ids.size(), y.second.ids.size());
+    return std::min(x.first.size(), x.second.size()) >
+           std::min(y.first.size(), y.second.size());
   });
   if (pairs.size() > max_pairs) pairs.resize(max_pairs);
   return pairs;
@@ -382,13 +381,13 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
     bool directed = false;
   };
   // The acceptance configurations: zipf-skewed labels over d=32 hubs
-  // (dense, often bitmap-qualifying slices — the shapes the SIMD and
-  // bitmap kernels target) and the d=16 power-law hub case PR 3 measured.
+  // (dense slices — the shapes the SIMD kernels target) and the d=16
+  // power-law hub case PR 3 measured.
   // Uniform-ish small slices (where every kernel is overhead-bound and
   // dispatch falls back to scalar) are covered by the Part 2 enumeration
   // table, not repeated here. The directed case runs the same dispatch on
   // (direction, edge label, vertex label) slices — fewer vertex labels so
-  // the finer slice key still yields dense, bitmap-qualifying slices.
+  // the finer slice key still yields dense slices.
   const std::vector<KernelConfig> configs = {
       {"skewed", true, 32.0},
       {"powerlaw", true, 16.0},
@@ -427,8 +426,7 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
     // Scalar first (it is the baseline every row is normalized against),
     // auto last so its row can carry the PASS verdict.
     std::vector<IntersectKernel> kernels = {IntersectKernel::kScalar};
-    for (IntersectKernel k : {IntersectKernel::kSse, IntersectKernel::kAvx2,
-                              IntersectKernel::kBitmap}) {
+    for (IntersectKernel k : {IntersectKernel::kSse, IntersectKernel::kAvx2}) {
       if (IntersectKernelSupported(k)) kernels.push_back(k);
     }
     kernels.push_back(IntersectKernel::kAuto);
@@ -437,16 +435,13 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
     for (IntersectKernel kernel : kernels) {
       RLQVO_CHECK(SetIntersectKernel(kernel).ok());
       std::vector<VertexId> out;
-      uint64_t simd_paths = 0, bitmap_paths = 0;
+      uint64_t simd_paths = 0;
       for (size_t p = 0; p < pairs.size(); ++p) {
         const IntersectPath path =
             IntersectDispatch(pairs[p].first, pairs[p].second, &out, &cmp);
         if (path == IntersectPath::kSimdMerge ||
             path == IntersectPath::kSimdGallop) {
           ++simd_paths;
-        } else if (path == IntersectPath::kBitmapAnd ||
-                   path == IntersectPath::kBitmapProbe) {
-          ++bitmap_paths;
         }
         if (out != reference[p]) {
           std::fprintf(stderr, "FATAL: kernel %s output mismatch on pair %zu\n",
@@ -475,9 +470,8 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
       if (kernel == IntersectKernel::kScalar) scalar_ns = ns_per_op;
       const double vs_scalar = scalar_ns > 0 ? scalar_ns / ns_per_op : 0.0;
       char paths[32];
-      std::snprintf(paths, sizeof(paths), "s:%llu b:%llu",
-                    static_cast<unsigned long long>(simd_paths),
-                    static_cast<unsigned long long>(bitmap_paths));
+      std::snprintf(paths, sizeof(paths), "s:%llu",
+                    static_cast<unsigned long long>(simd_paths));
       std::printf("%10s %14s %12.1f %9.2fx %10s\n", cfg.name.c_str(),
                   IntersectKernelName(kernel), ns_per_op, vs_scalar, paths);
       metrics->emplace_back(
@@ -532,17 +526,15 @@ int main(int argc, char** argv) {
   std::printf("\n-- enumeration: probe vs scalar vs auto kernels (us/query) "
               "--\n");
   std::printf("%16s %10s %10s %10s %8s %8s %12s\n", "case", "probe", "scalar",
-              "auto", "vs probe", "vs scal", "simd/bitmap");
+              "auto", "vs probe", "vs scal", "simd");
   double skewed_full_speedup = 0.0;
   for (const WorkloadCase& c : cases) {
     const CaseResult r = RunCase(c, opts, smoke);
-    std::printf("%16s %10.1f %10.1f %10.1f %7.2fx %7.2fx %5llu/%llu\n",
+    std::printf("%16s %10.1f %10.1f %10.1f %7.2fx %7.2fx %12llu\n",
                 c.name.c_str(), r.probe_us_per_query, r.scalar_us_per_query,
                 r.intersect_us_per_query, r.speedup, r.kernel_speedup,
                 static_cast<unsigned long long>(
-                    r.accumulated.num_simd_intersections),
-                static_cast<unsigned long long>(
-                    r.accumulated.num_bitmap_intersections));
+                    r.accumulated.num_simd_intersections));
     metrics.emplace_back("probe_us_" + c.name, r.probe_us_per_query);
     metrics.emplace_back("intersect_us_" + c.name, r.intersect_us_per_query);
     metrics.emplace_back("intersect_scalar_us_" + c.name,
@@ -555,7 +547,9 @@ int main(int argc, char** argv) {
                           r.accumulated.local_candidates_total,
                           r.accumulated.local_candidate_sets,
                           r.accumulated.num_simd_intersections,
-                          r.accumulated.num_bitmap_intersections);
+                          /*steals=*/0, /*splits=*/0,
+                          /*max_segment_depth=*/0, /*min_worker_work=*/0,
+                          /*max_worker_work=*/0);
     if (c.name == "skewed_s1.0") skewed_full_speedup = r.speedup;
   }
 
@@ -565,19 +559,6 @@ int main(int argc, char** argv) {
                                          : "(below 2x bar)");
 
   KernelMicrobench(&metrics, opts, smoke);
-
-  // The auto-kernel cost-model policy in force for this run: SIMD merge
-  // elements retired per probe unit (bitmap word probed/ANDed) and the
-  // merge/gallop crossover. Recorded so a run's numbers can always be read
-  // against the dispatch policy that produced them.
-  metrics.emplace_back("auto_policy_avx2_merge_elems_per_probe",
-                       static_cast<double>(kAvx2MergeElemsPerProbe));
-  metrics.emplace_back("auto_policy_sse_merge_elems_per_probe",
-                       static_cast<double>(kSseMergeElemsPerProbe));
-  metrics.emplace_back("auto_policy_bitmap_and_probes_per_word",
-                       static_cast<double>(kBitmapAndProbesPerWord));
-  metrics.emplace_back("auto_policy_gallop_ratio",
-                       static_cast<double>(kGallopRatio));
 
   WriteBenchJson("intersection", opts, metrics);
   return 0;

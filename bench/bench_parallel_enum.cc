@@ -141,7 +141,6 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     out.accumulated.local_candidates_total += r.local_candidates_total;
     out.accumulated.local_candidate_sets += r.local_candidate_sets;
     out.accumulated.num_simd_intersections += r.num_simd_intersections;
-    out.accumulated.num_bitmap_intersections += r.num_bitmap_intersections;
   }
 
   auto run_serial = [&] {
@@ -272,7 +271,6 @@ int main(int argc, char** argv) {
                           r.accumulated.local_candidates_total,
                           r.accumulated.local_candidate_sets,
                           r.accumulated.num_simd_intersections,
-                          r.accumulated.num_bitmap_intersections,
                           widest ? widest->steals : 0,
                           widest ? widest->splits : 0,
                           widest ? widest->max_segment_depth : 0,

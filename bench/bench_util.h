@@ -148,15 +148,16 @@ T MustOk(Result<T> result, const char* what) {
 /// any accumulated totals) to a bench's metrics under `<prefix>_...` keys:
 /// intersections, probe comparisons, and the average local-candidate size.
 /// Keeping these in every BENCH_*.json lets the perf trajectory track work
-/// done, not just wall time.
+/// done, not just wall time. Every counter is a required argument, so a
+/// caller passes each one explicitly (a literal 0 with its parameter name
+/// in a comment where it has none).
 inline void AppendEnumWorkMetrics(
     std::vector<std::pair<std::string, double>>* metrics,
     const std::string& prefix, uint64_t intersections,
     uint64_t probe_comparisons, uint64_t local_candidates,
-    uint64_t local_candidate_sets, uint64_t simd_intersections = 0,
-    uint64_t bitmap_intersections = 0, uint64_t steals = 0,
-    uint64_t splits = 0, uint64_t max_segment_depth = 0,
-    uint64_t min_worker_work = 0, uint64_t max_worker_work = 0) {
+    uint64_t local_candidate_sets, uint64_t simd_intersections,
+    uint64_t steals, uint64_t splits, uint64_t max_segment_depth,
+    uint64_t min_worker_work, uint64_t max_worker_work) {
   metrics->emplace_back(prefix + "_intersections",
                         static_cast<double>(intersections));
   metrics->emplace_back(prefix + "_probe_comparisons",
@@ -166,12 +167,10 @@ inline void AppendEnumWorkMetrics(
                             ? 0.0
                             : static_cast<double>(local_candidates) /
                                   static_cast<double>(local_candidate_sets));
-  // Kernel-dispatch split: how many of the intersections the SIMD and
-  // bitmap families served (the remainder ran scalar).
+  // Kernel-dispatch split: how many of the intersections the SIMD family
+  // served (the remainder ran scalar).
   metrics->emplace_back(prefix + "_simd_intersections",
                         static_cast<double>(simd_intersections));
-  metrics->emplace_back(prefix + "_bitmap_intersections",
-                        static_cast<double>(bitmap_intersections));
   // Work-stealing scheduler diagnostics (all zero for serial runs):
   // cross-deque steals, lazy splits, deepest resumed segment and the
   // per-worker work-unit spread the schedule achieved.

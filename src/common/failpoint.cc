@@ -48,8 +48,6 @@ constexpr CatalogEntry kCatalog[] = {
      "owner skips splitting a stealable segment; work stays on its deque"},
     {"enumerate.steal", StatusCode::kResourceExhausted,
      "a steal attempt fails; the hunter adopts orphaned seeds or re-waits"},
-    {"graph.bitmap_sidecar", StatusCode::kResourceExhausted,
-     "bitmap sidecar allocation fails; builder skips the sidecar"},
     {"graph_io.load", StatusCode::kIOError,
      "graph file read fails mid-stream"},
     {"graph_io.parse", StatusCode::kInvalidArgument,

@@ -43,8 +43,8 @@
 /// and inside code that degrades instead of erroring:
 ///
 /// ```cpp
-/// if (RLQVO_FAILPOINT_FIRED("graph.bitmap_sidecar")) {
-///   // pretend the allocation failed: skip the sidecar, stay correct.
+/// if (RLQVO_FAILPOINT_FIRED("workspace.grow")) {
+///   // pretend the allocation failed: take the sparse path, stay correct.
 /// }
 /// ```
 ///

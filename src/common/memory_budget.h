@@ -6,17 +6,17 @@
 
 /// \file
 /// Process-wide accounting for the large optional allocations the serving
-/// path makes (workspace stamp tables, bitmap sidecars, cache entries).
+/// path makes (workspace stamp tables, cache entries).
 ///
 /// The budget is *advisory admission control for optimisations*, not an
 /// allocator: call sites ask `TryCharge(bytes)` before allocating, and on
 /// denial fall back to a smaller/slower-but-correct path (sparse membership
-/// instead of dense stamps, merge kernels instead of bitmap sidecars,
-/// serving a value without caching it) instead of letting `std::bad_alloc`
-/// abort the process. A zero limit (the default) means unlimited — every
-/// charge succeeds but is still tracked, so `used()`/`peak()` report real
-/// footprints either way. See docs/ROBUSTNESS.md for the degradation
-/// ladder each charging site sits on.
+/// instead of dense stamps, serving a value without caching it) instead of
+/// letting `std::bad_alloc` abort the process. A zero limit (the default)
+/// means unlimited — every charge succeeds but is still tracked, so
+/// `used()`/`peak()` report real footprints either way. See
+/// docs/ROBUSTNESS.md for the degradation ladder each charging site sits
+/// on.
 
 namespace rlqvo {
 

@@ -238,7 +238,6 @@ Result<BatchResult> QueryEngine::MatchBatch(const std::vector<Graph>& queries,
     batch.total_local_candidates += stats.local_candidates_total;
     batch.total_local_candidate_sets += stats.local_candidate_sets;
     batch.total_simd_intersections += stats.num_simd_intersections;
-    batch.total_bitmap_intersections += stats.num_bitmap_intersections;
     batch.total_steals += stats.num_steals;
     batch.total_splits += stats.num_splits;
     batch.max_segment_depth =

@@ -96,10 +96,9 @@ struct BatchResult {
   uint64_t total_probe_comparisons = 0;
   uint64_t total_local_candidates = 0;
   uint64_t total_local_candidate_sets = 0;
-  /// Of total_intersections, how many the SIMD / bitmap kernel families
-  /// served (see EnumerateResult).
+  /// Of total_intersections, how many the SIMD kernel families served (see
+  /// EnumerateResult).
   uint64_t total_simd_intersections = 0;
-  uint64_t total_bitmap_intersections = 0;
   /// Work-stealing scheduler aggregates. Steals/splits are summed across
   /// queries (zero for serial batches); max_segment_depth and
   /// max_worker_work are batch maxima; min_worker_work is the minimum
@@ -250,10 +249,10 @@ class QueryEngine {
   // Per-worker state, deliberately lock-free: both vectors are sized once in
   // the constructor (before any task can run) and slot i is only ever
   // touched by the pool worker whose CurrentWorkerIndex() == i — distinct
-  // threads never share a slot, so there is nothing to guard. Chunk
-  // subtasks of intra-query parallel runs follow the same rule via
-  // PickChunkWorkspace (they index by the executing worker, never the
-  // submitting one). See docs/CONCURRENCY.md.
+  // threads never share a slot, so there is nothing to guard. Worker-loop
+  // tasks of intra-query parallel runs follow the same rule via
+  // PickWorkerWorkspace in enumerator.cc (they index by the executing
+  // worker, never the submitting one). See docs/CONCURRENCY.md.
   std::vector<std::shared_ptr<Ordering>> worker_orderings_;
   // One reusable enumeration workspace per ThreadPool worker (indexed like
   // worker_orderings_ by CurrentWorkerIndex), so steady-state batch serving

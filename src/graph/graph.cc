@@ -6,8 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/failpoint.h"
-
 namespace rlqvo {
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
@@ -27,16 +25,6 @@ std::span<const VertexId> Graph::NeighborsWithLabel(VertexId v, Label l) const {
   const Label* it = std::lower_bound(begin, end, l);
   if (it == end || *it != l) return {};
   return NeighborSlice(v, static_cast<size_t>(it - begin));
-}
-
-Graph::SliceView Graph::NeighborsWithLabelView(VertexId v, Label l) const {
-  RLQVO_DCHECK_LT(v, num_vertices());
-  const Label* begin = slice_labels_.data() + slice_offsets_[v];
-  const Label* end = slice_labels_.data() + slice_offsets_[v + 1];
-  const Label* it = std::lower_bound(begin, end, l);
-  if (it == end || *it != l) return {};
-  const size_t i = static_cast<size_t>(it - begin);
-  return {NeighborSlice(v, i), SliceBitmap(v, i)};
 }
 
 size_t Graph::DirCsr::FindSlice(VertexId v, EdgeLabel elabel,
@@ -78,27 +66,6 @@ std::span<const VertexId> Graph::NeighborsWith(VertexId v, EdgeDir dir,
   const size_t entry = csr.FindSlice(v, elabel, vlabel);
   if (entry == SIZE_MAX) return {};
   return csr.Slice(v, entry);
-}
-
-Graph::SliceView Graph::NeighborsWithView(VertexId v, EdgeDir dir,
-                                          EdgeLabel elabel, Label vlabel) const {
-  RLQVO_DCHECK_LT(v, num_vertices());
-  if (out_.empty()) {
-    if (elabel != 0) return {};
-    return NeighborsWithLabelView(v, vlabel);
-  }
-  const DirCsr& csr = DirAdj(dir);
-  const size_t entry = csr.FindSlice(v, elabel, vlabel);
-  if (entry == SIZE_MAX) return {};
-  const uint64_t* bitmap = nullptr;
-  if (!csr.slice_bitmap_slot.empty()) {
-    const uint32_t slot = csr.slice_bitmap_slot[entry];
-    if (slot != kNoBitmapSlot) {
-      bitmap =
-          csr.slice_bitmap_words.data() + static_cast<size_t>(slot) * bitmap_words_;
-    }
-  }
-  return {csr.Slice(v, entry), bitmap};
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v, EdgeDir dir, EdgeLabel elabel) const {
@@ -180,9 +147,7 @@ size_t Graph::MemoryFootprintBytes() const {
          sorted_degrees_.size() * sizeof(uint32_t) +
          slice_offsets_.size() * sizeof(uint64_t) +
          slice_labels_.size() * sizeof(Label) +
-         slice_begins_.size() * sizeof(uint64_t) +
-         slice_bitmap_slot_.size() * sizeof(uint32_t) +
-         slice_bitmap_words_.size() * sizeof(uint64_t) + DirCsrBytes(out_) +
+         slice_begins_.size() * sizeof(uint64_t) + DirCsrBytes(out_) +
          DirCsrBytes(in_) + edge_label_freq_.size() * sizeof(uint64_t);
 }
 
@@ -192,9 +157,7 @@ size_t Graph::DirCsrBytes(const DirCsr& csr) {
          csr.slice_offsets.size() * sizeof(uint64_t) +
          csr.slice_elabels.size() * sizeof(EdgeLabel) +
          csr.slice_vlabels.size() * sizeof(Label) +
-         csr.slice_begins.size() * sizeof(uint64_t) +
-         csr.slice_bitmap_slot.size() * sizeof(uint32_t) +
-         csr.slice_bitmap_words.size() * sizeof(uint64_t);
+         csr.slice_begins.size() * sizeof(uint64_t);
 }
 
 std::string Graph::ToString() const {
@@ -285,65 +248,6 @@ Graph GraphBuilder::Build() {
     }
   }
   g.slice_offsets_[n] = g.slice_labels_.size();
-
-  // Bitmap sidecar: one |V|-bit membership bitmap per dense slice (see
-  // SliceQualifiesForBitmap). Built here — the Graph is immutable after
-  // Build, so the sidecar can never go stale. The sidecar is a pure
-  // accelerator, so it is also a degradation point: its full footprint is
-  // charged to the process memory budget up front, and a denied charge (or
-  // the `graph.bitmap_sidecar` failpoint) skips the build entirely —
-  // intersections then use the merge kernels, results unchanged.
-  if (build_slice_bitmaps_ && n > 0) {
-    const size_t words = (static_cast<size_t>(n) + 63) / 64;
-    // Pre-count qualifying slices so the whole sidecar is one charge. A
-    // slice entry's end is the next entry's begin within the same vertex,
-    // or offsets_[v+1] for the vertex's last slice — walk vertices exactly
-    // like the index build above.
-    auto slice_size = [&g](uint32_t v, uint64_t e) -> size_t {
-      const uint64_t begin = g.slice_begins_[e];
-      const uint64_t slice_end = e + 1 < g.slice_offsets_[v + 1]
-                                     ? g.slice_begins_[e + 1]
-                                     : g.offsets_[v + 1];
-      return static_cast<size_t>(slice_end - begin);
-    };
-    size_t qualifying = 0;
-    for (uint32_t v = 0; v < n; ++v) {
-      for (uint64_t e = g.slice_offsets_[v]; e < g.slice_offsets_[v + 1];
-           ++e) {
-        if (Graph::SliceQualifiesForBitmap(slice_size(v, e), n)) ++qualifying;
-      }
-    }
-    if (qualifying > 0) {
-      MemoryCharge charge = MemoryBudget::Global().TryCharge(
-          qualifying * words * sizeof(uint64_t));
-      if (!charge.empty() &&
-          !RLQVO_FAILPOINT_FIRED("graph.bitmap_sidecar")) {
-        g.bitmap_charge_ =
-            std::make_shared<const MemoryCharge>(std::move(charge));
-        uint32_t slots = 0;
-        g.slice_bitmap_slot_.assign(g.slice_labels_.size(),
-                                    Graph::kNoBitmapSlot);
-        g.slice_bitmap_words_.reserve(qualifying * words);
-        for (uint32_t v = 0; v < n; ++v) {
-          for (uint64_t e = g.slice_offsets_[v]; e < g.slice_offsets_[v + 1];
-               ++e) {
-            const size_t size = slice_size(v, e);
-            if (!Graph::SliceQualifiesForBitmap(size, n)) continue;
-            const uint64_t begin = g.slice_begins_[e];
-            g.slice_bitmap_slot_[e] = slots++;
-            const size_t base = g.slice_bitmap_words_.size();
-            g.slice_bitmap_words_.resize(base + words, 0);
-            uint64_t* w = g.slice_bitmap_words_.data() + base;
-            for (uint64_t i = begin; i < begin + size; ++i) {
-              const VertexId id = g.adj_[i];
-              w[id >> 6] |= uint64_t{1} << (id & 63);
-            }
-          }
-        }
-        g.bitmap_words_ = words;
-      }
-    }
-  }
 
   g.num_labels_ = 0;
   for (Label l : g.labels_) g.num_labels_ = std::max(g.num_labels_, l + 1);
@@ -448,59 +352,6 @@ Graph GraphBuilder::Build() {
     if (!directed_) {
       // Undirected labeled edges appear once per endpoint in the out CSR.
       for (uint64_t& f : g.edge_label_freq_) f /= 2;
-    }
-
-    // Bitmap sidecars for the labeled slices: same qualification rule and
-    // budget/failpoint degradation contract as the skeleton sidecar above.
-    if (build_slice_bitmaps_ && n > 0) {
-      const size_t words = (static_cast<size_t>(n) + 63) / 64;
-      auto for_each_slice = [n](const Graph::DirCsr& csr, auto&& fn) {
-        for (uint32_t v = 0; v < n; ++v) {
-          for (uint64_t s = csr.slice_offsets[v]; s < csr.slice_offsets[v + 1];
-               ++s) {
-            const uint64_t begin = csr.slice_begins[s];
-            const uint64_t end = s + 1 < csr.slice_offsets[v + 1]
-                                     ? csr.slice_begins[s + 1]
-                                     : csr.offsets[v + 1];
-            fn(s, begin, static_cast<size_t>(end - begin));
-          }
-        }
-      };
-      size_t qualifying = 0;
-      auto count_one = [&qualifying, n](uint64_t, uint64_t, size_t size) {
-        if (Graph::SliceQualifiesForBitmap(size, n)) ++qualifying;
-      };
-      for_each_slice(g.out_, count_one);
-      if (directed_) for_each_slice(g.in_, count_one);
-      if (qualifying > 0) {
-        MemoryCharge charge = MemoryBudget::Global().TryCharge(
-            qualifying * words * sizeof(uint64_t));
-        if (!charge.empty() &&
-            !RLQVO_FAILPOINT_FIRED("graph.bitmap_sidecar")) {
-          g.labeled_bitmap_charge_ =
-              std::make_shared<const MemoryCharge>(std::move(charge));
-          auto build_sidecar = [&](Graph::DirCsr& csr) {
-            uint32_t slots = 0;
-            csr.slice_bitmap_slot.assign(csr.slice_elabels.size(),
-                                         Graph::kNoBitmapSlot);
-            for_each_slice(csr, [&](uint64_t s, uint64_t begin, size_t size) {
-              if (!Graph::SliceQualifiesForBitmap(size, n)) return;
-              csr.slice_bitmap_slot[s] = slots++;
-              const size_t base = csr.slice_bitmap_words.size();
-              csr.slice_bitmap_words.resize(base + words, 0);
-              uint64_t* w = csr.slice_bitmap_words.data() + base;
-              for (uint64_t i = begin; i < begin + size; ++i) {
-                const VertexId id = csr.adj[i];
-                w[id >> 6] |= uint64_t{1} << (id & 63);
-              }
-            });
-            if (slots == 0) csr.slice_bitmap_slot.clear();
-          };
-          build_sidecar(g.out_);
-          if (directed_) build_sidecar(g.in_);
-          g.bitmap_words_ = words;
-        }
-      }
     }
   }
 

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
-#include "common/memory_budget.h"
 
 namespace rlqvo {
 
@@ -71,50 +69,14 @@ constexpr EdgeDir Reverse(EdgeDir dir) {
 /// An undirected multi-edge-label graph builds only the (symmetric) kOut
 /// CSR; kIn lookups forward to it. **Degenerate-case contract:** an
 /// undirected single-edge-label graph builds neither — the labeled API
-/// forwards to the identical skeleton slices (and their bitmap sidecars),
-/// so every pre-existing kernel, counter and embedding is bit-identical to
-/// the purely undirected representation.
-///
-/// Dense *hub* slices in every CSR additionally carry a bitmap sidecar (see
-/// SliceView): a |V|-bit membership bitmap built in GraphBuilder::Build for
-/// every slice whose length passes the density threshold below, so
-/// hub-heavy intersections can run as word-parallel ANDs or O(1) bit probes
-/// (intersect.h) instead of element-wise merges. The sidecar never changes
-/// slice contents or order — HasEdge/NeighborSlice semantics are identical
-/// with it on or off.
+/// forwards to the identical skeleton slices, so every pre-existing kernel,
+/// counter and embedding is bit-identical to the purely undirected
+/// representation.
 ///
 /// Construct via GraphBuilder or the loaders in graph_io.h.
 class Graph {
  public:
   Graph() = default;
-
-  /// A label slice plus its optional bitmap sidecar. `ids` is the sorted
-  /// member list (what NeighborsWithLabel returns); `bitmap`, when non-null,
-  /// is a bitmap_words()-word membership bitmap over [0, |V|) with bit v set
-  /// iff v ∈ ids.
-  struct SliceView {
-    std::span<const VertexId> ids;
-    const uint64_t* bitmap = nullptr;
-  };
-
-  /// A slice gets a bitmap iff its length is at least kBitmapMinSliceSize
-  /// AND at least |V| / kBitmapDensityRatio. The density bound makes the
-  /// word-parallel AND (|V|/64 word ops over the overlap range) cheaper
-  /// than the merge it replaces (≥ 2·|V|/ratio element steps); the absolute
-  /// floor keeps tiny graphs — where scalar merges are already cache-
-  /// resident — from paying sidecar memory for no win. Sidecar memory is
-  /// bounded: at most 2|E| / (|V|/ratio) qualifying slices of |V|/8 bytes
-  /// each, i.e. ≤ ratio·avg_degree/4 bytes per vertex.
-  static constexpr size_t kBitmapMinSliceSize = 128;
-  static constexpr size_t kBitmapDensityRatio = 32;
-
-  /// True iff a slice of `slice_size` in a graph of `num_vertices` gets a
-  /// bitmap sidecar (when building with bitmaps enabled).
-  static constexpr bool SliceQualifiesForBitmap(size_t slice_size,
-                                                size_t num_vertices) {
-    return slice_size >= kBitmapMinSliceSize &&
-           slice_size * kBitmapDensityRatio >= num_vertices;
-  }
 
   /// Number of vertices |V|.
   uint32_t num_vertices() const { return static_cast<uint32_t>(labels_.size()); }
@@ -188,32 +150,6 @@ class Graph {
   /// when no neighbor carries l. O(log #distinct-labels-in-N(v)) lookup.
   std::span<const VertexId> NeighborsWithLabel(VertexId v, Label l) const;
 
-  /// NeighborsWithLabel plus the slice's bitmap sidecar (null for slices
-  /// below the density threshold or graphs built without sidecars). The
-  /// enumerator's intersection inputs come from here so hub slices can take
-  /// the bitmap kernels.
-  SliceView NeighborsWithLabelView(VertexId v, Label l) const;
-
-  /// Bitmap sidecar of the i-th label slice of N(v) (i indexes
-  /// NeighborLabels(v)), or nullptr when that slice has none.
-  const uint64_t* SliceBitmap(VertexId v, size_t i) const {
-    RLQVO_DCHECK_LT(v, num_vertices());
-    if (slice_bitmap_slot_.empty()) return nullptr;
-    const uint64_t entry = slice_offsets_[v] + i;
-    RLQVO_DCHECK_LT(entry, slice_offsets_[v + 1]);
-    const uint32_t slot = slice_bitmap_slot_[entry];
-    if (slot == kNoBitmapSlot) return nullptr;
-    return slice_bitmap_words_.data() + static_cast<size_t>(slot) * bitmap_words_;
-  }
-
-  /// Words per slice bitmap: ceil(|V|/64) when any sidecar exists, else 0.
-  size_t bitmap_words() const { return bitmap_words_; }
-
-  /// Number of slices carrying a bitmap sidecar.
-  size_t num_bitmap_slices() const {
-    return bitmap_words_ == 0 ? 0 : slice_bitmap_words_.size() / bitmap_words_;
-  }
-
   /// The i-th label slice of N(v) (i indexes NeighborLabels(v)), sorted
   /// ascending by id. Walking i over [0, NeighborLabels(v).size()) visits
   /// the whole neighborhood grouped by label without any lookups.
@@ -248,11 +184,6 @@ class Graph {
   /// the symmetric kOut slices.
   std::span<const VertexId> NeighborsWith(VertexId v, EdgeDir dir,
                                           EdgeLabel elabel, Label vlabel) const;
-
-  /// NeighborsWith plus the slice's bitmap sidecar (null below the density
-  /// threshold or when the builder disabled sidecars).
-  SliceView NeighborsWithView(VertexId v, EdgeDir dir, EdgeLabel elabel,
-                              Label vlabel) const;
 
   /// True iff the directed labeled edge exists: u -> v for kOut, v -> u for
   /// kIn, carrying `elabel`. Undirected graphs answer the symmetric test.
@@ -344,30 +275,12 @@ class Graph {
   std::vector<Label> slice_labels_;      // one entry per (v, label) pair
   std::vector<uint64_t> slice_begins_;   // parallel: absolute start in adj_
 
-  // Bitmap sidecar for dense slices (see SliceQualifiesForBitmap):
-  // slice_bitmap_slot_ parallels slice_labels_ (kNoBitmapSlot = none);
-  // slot s owns words [s*bitmap_words_, (s+1)*bitmap_words_) of
-  // slice_bitmap_words_. Both empty when no slice qualified or the builder
-  // disabled sidecars.
-  static constexpr uint32_t kNoBitmapSlot = UINT32_MAX;
-  std::vector<uint32_t> slice_bitmap_slot_;
-  std::vector<uint64_t> slice_bitmap_words_;
-  size_t bitmap_words_ = 0;
-  // Budget charge for the sidecar words. shared_ptr so Graph keeps its
-  // default copy/move: copies share the one accounting token (the sidecar
-  // bytes are counted once per Build, not once per copy), and the charge
-  // releases when the last copy dies. Null when no sidecar was built —
-  // including when Build *skipped* the sidecar because the budget denied
-  // the charge or the `graph.bitmap_sidecar` failpoint fired; the graph is
-  // then fully functional, intersections just use the merge kernels.
-  std::shared_ptr<const MemoryCharge> bitmap_charge_;
-
   // ---- Directed, edge-labeled layer (empty for degenerate graphs) ----
 
   // One direction class of the labeled adjacency: a CSR whose per-vertex
   // neighbor entries are ordered by (elabel, label(w), w), plus a slice
   // index mapping (elabel, vlabel) pairs to id-sorted slices, mirroring the
-  // skeleton's slice index, and an optional bitmap sidecar pool of its own.
+  // skeleton's slice index.
   struct DirCsr {
     std::vector<uint64_t> offsets;        // size n+1
     std::vector<VertexId> adj;            // one entry per (w, elabel) edge end
@@ -375,8 +288,6 @@ class Graph {
     std::vector<EdgeLabel> slice_elabels;  // one entry per (v, elabel, vlabel)
     std::vector<Label> slice_vlabels;      // parallel
     std::vector<uint64_t> slice_begins;    // parallel: absolute start in adj
-    std::vector<uint32_t> slice_bitmap_slot;  // parallel (kNoBitmapSlot = none)
-    std::vector<uint64_t> slice_bitmap_words;
 
     bool empty() const { return offsets.empty(); }
     // Index into the parallel slice arrays of (elabel, vlabel) in v's slice
@@ -407,9 +318,6 @@ class Graph {
   std::vector<uint64_t> edge_label_freq_;  // size num_edge_labels_
   DirCsr out_;
   DirCsr in_;  // directed graphs only
-  // Budget charge for the labeled CSRs' bitmap sidecars; same sharing
-  // semantics as bitmap_charge_.
-  std::shared_ptr<const MemoryCharge> labeled_bitmap_charge_;
 };
 
 /// \brief Incremental builder for Graph.
@@ -448,13 +356,6 @@ class GraphBuilder {
 
   uint32_t num_vertices() const { return static_cast<uint32_t>(labels_.size()); }
 
-  /// Whether Build() creates bitmap sidecars for qualifying dense slices
-  /// (default on). Off skips the sidecar entirely — intersections then
-  /// always take the merge/gallop kernels; results are identical.
-  void set_build_slice_bitmaps(bool enabled) {
-    build_slice_bitmaps_ = enabled;
-  }
-
   /// Finalises into an immutable Graph. The builder is left empty.
   Graph Build();
 
@@ -470,7 +371,6 @@ class GraphBuilder {
   std::vector<PendingEdge> edges_;  // as added; source of the labeled CSRs
   bool directed_ = false;
   uint32_t max_edge_label_ = 0;
-  bool build_slice_bitmaps_ = true;
 };
 
 }  // namespace rlqvo

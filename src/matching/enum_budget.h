@@ -12,25 +12,27 @@ namespace rlqvo {
 /// one enumeration run.
 ///
 /// A parallel enumeration (Enumerator::RunParallel) splits the search tree
-/// into root-candidate chunks that run concurrently, but `match_limit` and
-/// `time_limit_seconds` are *per-query* semantics: the paper caps each query
-/// at 1e5 matches and 500 s total (Sec IV-A), not each chunk. An EnumBudget
-/// is the single object those limits live in:
+/// into frontier segments that worker loops execute, steal and split
+/// concurrently, but `match_limit` and `time_limit_seconds` are *per-query*
+/// semantics: the paper caps each query at 1e5 matches and 500 s total
+/// (Sec IV-A), not each segment. An EnumBudget is the single object those
+/// limits live in:
 ///
 /// - **Match budget.** Every emission first claims a slot via
 ///   TryClaimMatch(). The claim is a capped atomic increment, so the total
-///   number of emitted matches across all chunks is *exactly*
-///   min(available, match_limit) — never match_limit-per-chunk, never
+///   number of emitted matches across all segments is *exactly*
+///   min(available, match_limit) — never match_limit-per-segment, never
 ///   limit+1 from a race. The serial path uses the same claim, which makes
 ///   its limit enforcement exact by construction too (and free when
 ///   match_limit == 0: the unlimited case never touches the atomic).
-/// - **Deadline.** One shared Deadline (wall clock) read by every chunk.
+/// - **Deadline.** One shared Deadline (wall clock) read by every worker
+///   loop.
 ///   Deadline is immutable after construction, so concurrent Expired() calls
 ///   are safe.
-/// - **Stop broadcast.** The first chunk to exhaust the budget or observe
-///   deadline expiry raises `stop`, which other chunks poll at their
-///   work-quantum checkpoints so they unwind promptly instead of burning
-///   their own quantum rediscovering the deadline.
+/// - **Stop broadcast.** The first worker loop to exhaust the budget or
+///   observe deadline expiry raises `stop`, which the other loops poll at
+///   their work-quantum checkpoints so they unwind promptly instead of
+///   burning their own quantum rediscovering the deadline.
 ///
 /// `match_limit == 0` means unlimited (the paper's "ALL" setting, Fig 11):
 /// TryClaimMatch always succeeds and LimitReached is always false.
@@ -38,13 +40,14 @@ namespace rlqvo {
 /// **Memory-order protocol.** Every atomic here uses
 /// std::memory_order_relaxed, deliberately: the budget only *counts* and
 /// *signals* — it never publishes data. A successful claim entitles the
-/// chunk to emit into its own chunk-local buffer; those buffers are handed
-/// to the coordinator through the ThreadPool/Completion mutexes (see
-/// Enumerator::RunParallel), which provide all the happens-before edges the
-/// emitted embeddings need. `stop_` is a pure hint — a chunk that misses a
-/// freshly-raised stop merely burns the rest of its current work quantum
-/// before re-polling, which affects latency, never correctness (claims, not
-/// the stop flag, bound the emission count). Strengthening these to
+/// worker loop to emit into the emission blocks of the segment it is
+/// running; those blocks are handed to the coordinator through the
+/// scheduler and Completion mutexes (see Enumerator::RunParallel), which
+/// provide all the happens-before edges the emitted embeddings need.
+/// `stop_` is a pure hint — a worker loop that misses a freshly-raised
+/// stop merely burns the rest of its current work quantum before
+/// re-polling, which affects latency, never correctness (claims, not the
+/// stop flag, bound the emission count). Strengthening these to
 /// acq_rel would cost fence traffic on the hot emission path and buy
 /// nothing; this reasoning is a contract, so any new field that *does*
 /// publish data through the budget must either use release/acquire or go
@@ -69,8 +72,8 @@ class EnumBudget {
     if (limit_ == 0) return true;
     // Relaxed CAS loop: the counter is the entire shared state. The CAS's
     // atomicity alone guarantees exactly `limit_` successful claims; no
-    // other memory is ordered by a claim (emissions go to chunk-local
-    // buffers, published later via the coordinator's mutex).
+    // other memory is ordered by a claim (emissions go to segment-local
+    // blocks, published later via the coordinator's mutex).
     uint64_t current = claimed_.load(std::memory_order_relaxed);
     while (current < limit_) {
       if (claimed_.compare_exchange_weak(current, current + 1,
@@ -93,7 +96,7 @@ class EnumBudget {
   /// Raised by the first subtask that hits the match limit or observes
   /// deadline expiry; polled by the others at work-quantum checkpoints.
   /// Relaxed on both sides: the flag carries no payload, and a stale read
-  /// only delays a chunk's unwind by one work quantum (see the class
+  /// only delays a loop's unwind by one work quantum (see the class
   /// comment's memory-order protocol).
   void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
   bool StopRequested() const {

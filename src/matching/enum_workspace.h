@@ -162,11 +162,13 @@ class EnumeratorWorkspace {
     return local_[depth];
   }
 
-  /// Scratch for gathering the backward neighbors' label slices (with their
-  /// bitmap sidecars, for the dispatch layer) before intersecting. Shared
-  /// across depths — safe because every Extend consumes it (materializes the
-  /// intersection into its depth's LocalBuffers) before recursing deeper.
-  std::vector<Graph::SliceView>& slice_scratch() { return slice_scratch_; }
+  /// Scratch for gathering the backward neighbors' label slices before
+  /// intersecting. Shared across depths — safe because every Extend consumes
+  /// it (materializes the intersection into its depth's LocalBuffers) before
+  /// recursing deeper.
+  std::vector<std::span<const VertexId>>& slice_scratch() {
+    return slice_scratch_;
+  }
   /// @}
 
   void set_mode(MembershipMode mode) { mode_ = mode; }
@@ -176,11 +178,12 @@ class EnumeratorWorkspace {
   /// \name Parallel-run prepare dedupe (used by Enumerator::RunParallel).
   /// A parallel run prepares each per-worker workspace at most once: after
   /// a successful Prepare the run stamps its unique token here, and later
-  /// chunk subtasks landing on the same worker skip the re-Prepare while
-  /// the token still matches. Prepare() always resets the token to 0, so
-  /// any interleaved use for another query (e.g. a batch worker serving a
-  /// different query between two chunks) invalidates the stamp and forces
-  /// a fresh Prepare. Tokens are process-unique per run, never reused.
+  /// worker-loop tasks of the same run landing on the same worker skip the
+  /// re-Prepare while the token still matches. Prepare() always resets the
+  /// token to 0, so any interleaved use for another query (e.g. a batch
+  /// worker serving a different query between two loop tasks) invalidates
+  /// the stamp and forces a fresh Prepare. Tokens are process-unique per
+  /// run, never reused.
   /// @{
   uint64_t parallel_run_token() const { return parallel_run_token_; }
   void set_parallel_run_token(uint64_t token) { parallel_run_token_ = token; }
@@ -198,7 +201,7 @@ class EnumeratorWorkspace {
   std::vector<std::vector<BackwardConstraint>> backward_;
   std::vector<std::pair<EdgeDir, EdgeLabel>> edge_scratch_;  // backward build
   std::vector<LocalBuffers> local_;  // one pair per recursion depth
-  std::vector<Graph::SliceView> slice_scratch_;
+  std::vector<std::span<const VertexId>> slice_scratch_;
   std::vector<uint8_t> placed_;  // scratch for the backward build
 
   size_t nv_ = 0;      // stamp-row stride for the current query

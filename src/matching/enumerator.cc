@@ -547,22 +547,13 @@ struct EnumContext {
     }
   }
 
-  /// Counts one dispatched intersection, attributing SIMD/bitmap paths to
-  /// their per-family counters.
+  /// Counts one dispatched intersection, attributing SIMD paths to their
+  /// counter.
   void TallyPath(IntersectPath path) {
     ++result.num_intersections;
-    switch (path) {
-      case IntersectPath::kSimdMerge:
-      case IntersectPath::kSimdGallop:
-        ++result.num_simd_intersections;
-        break;
-      case IntersectPath::kBitmapAnd:
-      case IntersectPath::kBitmapProbe:
-        ++result.num_bitmap_intersections;
-        break;
-      case IntersectPath::kScalarMerge:
-      case IntersectPath::kScalarGallop:
-        break;
+    if (path == IntersectPath::kSimdMerge ||
+        path == IntersectPath::kSimdGallop) {
+      ++result.num_simd_intersections;
     }
   }
 
@@ -695,7 +686,7 @@ struct EnumContext {
     // (intersect.h) instead of the seed's per-candidate HasEdge probe per
     // additional backward neighbor. In the degenerate case every constraint
     // is (kOut, 0) and NeighborsWith forwards to the skeleton label slice —
-    // same spans, same sidecars, bit-identical kernels and counters.
+    // same spans, bit-identical kernels and counters.
     const std::vector<VertexId>& mapping = ws->mapping();
     const Label ul = query->label(u);
     ++result.local_candidate_sets;
@@ -717,27 +708,23 @@ struct EnumContext {
     // gather buffer is shared across depths (consumed before recursing);
     // the result/scratch pair is per depth, because the result is iterated
     // while deeper calls run.
-    std::vector<Graph::SliceView>& slices = ws->slice_scratch();
+    std::vector<std::span<const VertexId>>& slices = ws->slice_scratch();
     slices.clear();
     for (const EnumeratorWorkspace::BackwardConstraint& b : backward) {
-      slices.push_back(
-          data->NeighborsWithView(mapping[b.u], b.dir, b.elabel, ul));
+      slices.push_back(data->NeighborsWith(mapping[b.u], b.dir, b.elabel, ul));
     }
     std::sort(slices.begin(), slices.end(), [](const auto& a, const auto& b) {
-      return a.ids.size() < b.ids.size();
+      return a.size() < b.size();
     });
-    if (slices[0].ids.empty()) return;
+    if (slices[0].empty()) return;
 
     EnumeratorWorkspace::LocalBuffers& bufs = ws->local(depth);
     const uint64_t comparisons_before = result.num_probe_comparisons;
     TallyPath(IntersectDispatch(slices[0], slices[1], &bufs.result,
                                 &result.num_probe_comparisons));
     for (size_t i = 2; i < slices.size() && !bufs.result.empty(); ++i) {
-      // The running result is a plain sorted buffer (no sidecar); the slice
-      // side may still route the pair to a bitmap probe.
-      TallyPath(IntersectDispatch(
-          Graph::SliceView{std::span<const VertexId>(bufs.result), nullptr},
-          slices[i], &bufs.scratch, &result.num_probe_comparisons));
+      TallyPath(IntersectDispatch(bufs.result, slices[i], &bufs.scratch,
+                                  &result.num_probe_comparisons));
       std::swap(bufs.result, bufs.scratch);
     }
     result.local_candidates_total += bufs.result.size();
@@ -1048,7 +1035,6 @@ Result<EnumerateResult> Enumerator::RunParallel(
     merged.local_candidates_total += r.local_candidates_total;
     merged.local_candidate_sets += r.local_candidate_sets;
     merged.num_simd_intersections += r.num_simd_intersections;
-    merged.num_bitmap_intersections += r.num_bitmap_intersections;
     merged.timed_out |= r.timed_out;
     merged.max_segment_depth = std::max(merged.max_segment_depth, sp->depth);
     for (EmissionBlock& block : sp->blocks) blocks.push_back(&block);

@@ -19,7 +19,8 @@ struct EnumerateOptions {
   /// exhausts the search space and EnumerateResult::hit_match_limit stays
   /// false. A finite limit is exact: emission claims slots from a global
   /// EnumBudget, so num_matches == min(available, match_limit) in both the
-  /// serial and the parallel path, never limit+1 and never limit-per-chunk.
+  /// serial and the parallel path, never limit+1 and never
+  /// limit-per-segment.
   uint64_t match_limit = 100000;
   /// Time limit in seconds; 0 = unlimited. Enumerator::Run bounds the
   /// enumeration (including its per-query workspace setup) with this;
@@ -67,7 +68,7 @@ struct EnumerateResult {
   /// The local-candidate computation intersects label-restricted adjacency
   /// slices; these track how much of that work a run performed, so perf
   /// trajectories can follow work done rather than just wall time. In a
-  /// parallel run they are summed across all chunk subtasks.
+  /// parallel run they are summed across all frontier segments.
   /// @{
   /// Pairwise sorted-set intersections executed (an Extend with k >= 2
   /// mapped backward neighbors performs k-1; k == 1 performs none — the
@@ -88,8 +89,8 @@ struct EnumerateResult {
   /// num_probe_comparisons is kernel-specific (each kernel charges the work
   /// it actually performed, deterministically for a given input).
   uint64_t num_simd_intersections = 0;
-  /// Of num_intersections, how many a bitmap path served (word-parallel AND
-  /// or bit-probe against a dense slice's sidecar).
+  /// Always 0: no IntersectPath is bitmap-based. Kept only because
+  /// perfbench/perfbench.cc reads it; remove it together with that read.
   uint64_t num_bitmap_intersections = 0;
   /// @}
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,65 +78,6 @@ void IntersectGalloping(std::span<const VertexId> small,
   }
 }
 
-void IntersectAdaptive(std::span<const VertexId> a, std::span<const VertexId> b,
-                       std::vector<VertexId>* out, uint64_t* comparisons) {
-  if (a.size() > b.size()) std::swap(a, b);
-  if (a.empty()) {
-    out->clear();
-    return;
-  }
-  if (b.size() / a.size() >= kGallopRatio) {
-    IntersectGalloping(a, b, out, comparisons);
-  } else {
-    IntersectLinear(a, b, out, comparisons);
-  }
-}
-
-void IntersectBitmapAnd(std::span<const VertexId> a, const uint64_t* a_words,
-                        std::span<const VertexId> b, const uint64_t* b_words,
-                        std::vector<VertexId>* out, uint64_t* comparisons) {
-  out->clear();
-  if (a.empty() || b.empty()) return;
-  // A common element is >= both fronts and <= both backs, so only the words
-  // covering [max(fronts), min(backs)] can carry AND bits — the rest of the
-  // universe never needs touching.
-  const VertexId lo = std::max(a.front(), b.front());
-  const VertexId hi = std::min(a.back(), b.back());
-  if (lo > hi) return;
-  uint64_t charged = 0;
-  for (size_t w = lo >> 6, w_end = hi >> 6; w <= w_end; ++w) {
-    ++charged;
-    uint64_t bits = a_words[w] & b_words[w];
-    while (bits != 0) {
-      const unsigned t = static_cast<unsigned>(std::countr_zero(bits));
-      out->push_back(static_cast<VertexId>((w << 6) + t));
-      bits &= bits - 1;
-    }
-  }
-  *comparisons += charged;
-}
-
-void IntersectBitmapProbe(std::span<const VertexId> probe,
-                          const uint64_t* words, std::vector<VertexId>* out,
-                          uint64_t* comparisons) {
-  out->clear();
-  uint64_t charged = 0;
-  for (VertexId v : probe) {
-    ++charged;
-    if ((words[v >> 6] >> (v & 63)) & 1) out->push_back(v);
-  }
-  *comparisons += charged;
-}
-
-void BuildBitmapWords(std::span<const VertexId> ids, uint32_t universe,
-                      std::vector<uint64_t>* words) {
-  words->assign((static_cast<size_t>(universe) + 63) / 64, 0);
-  for (VertexId v : ids) {
-    RLQVO_DCHECK_LT(v, universe);
-    (*words)[v >> 6] |= uint64_t{1} << (v & 63);
-  }
-}
-
 namespace {
 
 /// The process-global kernel selection. Initialised (once, thread-safe via
@@ -177,8 +117,14 @@ std::atomic<IntersectKernel>& GlobalKernel() {
   return kernel;
 }
 
-/// Scalar adaptive with the executed path reported (merge vs gallop), so
-/// dispatch can attribute it. Mirrors IntersectAdaptive exactly.
+/// Every kernel, kAuto first: the order SupportedIntersectKernels reports.
+constexpr IntersectKernel kAllKernels[] = {
+    IntersectKernel::kAuto,        IntersectKernel::kScalar,
+    IntersectKernel::kScalarMerge, IntersectKernel::kScalarGallop,
+    IntersectKernel::kSse,         IntersectKernel::kAvx2};
+
+/// IntersectAdaptive with the executed path reported (merge vs gallop), so
+/// dispatch can attribute it.
 IntersectPath ScalarAdaptivePath(std::span<const VertexId> a,
                                  std::span<const VertexId> b,
                                  std::vector<VertexId>* out,
@@ -224,15 +170,12 @@ IntersectPath SimdAdaptivePath(IntersectKernel family,
   return IntersectPath::kSimdMerge;
 }
 
-/// Number of bitmap words the AND kernel would touch for these lists.
-size_t OverlapWords(std::span<const VertexId> a, std::span<const VertexId> b) {
-  const VertexId lo = std::max(a.front(), b.front());
-  const VertexId hi = std::min(a.back(), b.back());
-  if (lo > hi) return 0;
-  return (hi >> 6) - (lo >> 6) + 1;
-}
-
 }  // namespace
+
+void IntersectAdaptive(std::span<const VertexId> a, std::span<const VertexId> b,
+                       std::vector<VertexId>* out, uint64_t* comparisons) {
+  ScalarAdaptivePath(a, b, out, comparisons);
+}
 
 bool IntersectKernelSupported(IntersectKernel kernel) {
   switch (kernel) {
@@ -240,7 +183,6 @@ bool IntersectKernelSupported(IntersectKernel kernel) {
     case IntersectKernel::kScalar:
     case IntersectKernel::kScalarMerge:
     case IntersectKernel::kScalarGallop:
-    case IntersectKernel::kBitmap:
       return true;
     case IntersectKernel::kSse:
       return simd::CpuHasSse();
@@ -252,11 +194,7 @@ bool IntersectKernelSupported(IntersectKernel kernel) {
 
 std::vector<IntersectKernel> SupportedIntersectKernels() {
   std::vector<IntersectKernel> kernels;
-  for (IntersectKernel k :
-       {IntersectKernel::kAuto, IntersectKernel::kScalar,
-        IntersectKernel::kScalarMerge, IntersectKernel::kScalarGallop,
-        IntersectKernel::kSse, IntersectKernel::kAvx2,
-        IntersectKernel::kBitmap}) {
+  for (IntersectKernel k : kAllKernels) {
     if (IntersectKernelSupported(k)) kernels.push_back(k);
   }
   return kernels;
@@ -290,117 +228,40 @@ const char* IntersectKernelName(IntersectKernel kernel) {
     case IntersectKernel::kScalarGallop: return "scalar_gallop";
     case IntersectKernel::kSse: return "sse";
     case IntersectKernel::kAvx2: return "avx2";
-    case IntersectKernel::kBitmap: return "bitmap";
   }
   return "unknown";
 }
 
 Result<IntersectKernel> IntersectKernelFromName(const std::string& name) {
-  for (IntersectKernel k :
-       {IntersectKernel::kAuto, IntersectKernel::kScalar,
-        IntersectKernel::kScalarMerge, IntersectKernel::kScalarGallop,
-        IntersectKernel::kSse, IntersectKernel::kAvx2,
-        IntersectKernel::kBitmap}) {
+  for (IntersectKernel k : kAllKernels) {
     if (name == IntersectKernelName(k)) return k;
   }
   return Status::InvalidArgument("unknown intersect kernel name: " + name);
 }
 
-IntersectPath IntersectDispatch(const Graph::SliceView& a,
-                                const Graph::SliceView& b,
+IntersectPath IntersectDispatch(std::span<const VertexId> a,
+                                std::span<const VertexId> b,
                                 std::vector<VertexId>* out,
                                 uint64_t* comparisons) {
-  const IntersectKernel kernel = GetIntersectKernel();
+  IntersectKernel kernel = GetIntersectKernel();
+  if (kernel == IntersectKernel::kAuto) kernel = AutoSimdKernel();
   switch (kernel) {
+    case IntersectKernel::kAuto:  // resolved above
     case IntersectKernel::kScalar:
-      return ScalarAdaptivePath(a.ids, b.ids, out, comparisons);
+      return ScalarAdaptivePath(a, b, out, comparisons);
     case IntersectKernel::kScalarMerge:
-      IntersectLinear(a.ids, b.ids, out, comparisons);
+      IntersectLinear(a, b, out, comparisons);
       return IntersectPath::kScalarMerge;
     case IntersectKernel::kScalarGallop: {
-      const bool a_small = a.ids.size() <= b.ids.size();
-      IntersectGalloping(a_small ? a.ids : b.ids, a_small ? b.ids : a.ids, out,
-                         comparisons);
+      const bool a_small = a.size() <= b.size();
+      IntersectGalloping(a_small ? a : b, a_small ? b : a, out, comparisons);
       return IntersectPath::kScalarGallop;
     }
     case IntersectKernel::kSse:
     case IntersectKernel::kAvx2:
-      return SimdAdaptivePath(kernel, a.ids, b.ids, out, comparisons);
-    case IntersectKernel::kBitmap: {
-      // Forced bitmap: take a bitmap path wherever any sidecar exists.
-      const Graph::SliceView& small = a.ids.size() <= b.ids.size() ? a : b;
-      const Graph::SliceView& large = a.ids.size() <= b.ids.size() ? b : a;
-      if (small.ids.empty()) {
-        out->clear();
-        return IntersectPath::kScalarMerge;
-      }
-      if (small.bitmap != nullptr && large.bitmap != nullptr &&
-          OverlapWords(small.ids, large.ids) <= small.ids.size()) {
-        IntersectBitmapAnd(small.ids, small.bitmap, large.ids, large.bitmap,
-                           out, comparisons);
-        return IntersectPath::kBitmapAnd;
-      }
-      if (large.bitmap != nullptr) {
-        IntersectBitmapProbe(small.ids, large.bitmap, out, comparisons);
-        return IntersectPath::kBitmapProbe;
-      }
-      if (small.bitmap != nullptr) {
-        IntersectBitmapProbe(large.ids, small.bitmap, out, comparisons);
-        return IntersectPath::kBitmapProbe;
-      }
-      return ScalarAdaptivePath(a.ids, b.ids, out, comparisons);
-    }
-    case IntersectKernel::kAuto: {
-      const Graph::SliceView& small = a.ids.size() <= b.ids.size() ? a : b;
-      const Graph::SliceView& large = a.ids.size() <= b.ids.size() ? b : a;
-      if (small.ids.empty()) {
-        out->clear();
-        return IntersectPath::kScalarMerge;
-      }
-      // Bitmap paths only when the *larger* side carries a sidecar: probing
-      // the smaller list costs |small| word tests, which beats both merge
-      // (|small|+|large| steps) and SIMD on hub slices. The word-parallel
-      // AND wins over even that when both sides are bitmap-dense enough
-      // that the overlap word count undercuts |small|. Exception, from the
-      // measured cost model (kAvx2MergeElemsPerProbe et al.): on dense
-      // similar-size pairs the SIMD shuffle merge undercuts both bitmap
-      // paths, so compare predicted costs in probe units before committing.
-      if (large.bitmap != nullptr) {
-        const size_t probe_cost = small.ids.size();
-        const size_t and_cost =
-            small.bitmap != nullptr
-                ? OverlapWords(small.ids, large.ids) * kBitmapAndProbesPerWord
-                : SIZE_MAX;
-        const size_t bitmap_cost = std::min(probe_cost, and_cost);
-        const IntersectKernel merge_family = AutoSimdKernel();
-        if (merge_family != IntersectKernel::kScalar &&
-            large.ids.size() / small.ids.size() < kGallopRatio) {
-          const size_t per_probe = merge_family == IntersectKernel::kAvx2
-                                       ? kAvx2MergeElemsPerProbe
-                                       : kSseMergeElemsPerProbe;
-          const size_t total = small.ids.size() + large.ids.size();
-          const size_t merge_cost = (total + per_probe - 1) / per_probe;
-          if (merge_cost < bitmap_cost) {
-            return SimdAdaptivePath(merge_family, a.ids, b.ids, out,
-                                    comparisons);
-          }
-        }
-        if (and_cost <= probe_cost) {
-          IntersectBitmapAnd(small.ids, small.bitmap, large.ids, large.bitmap,
-                             out, comparisons);
-          return IntersectPath::kBitmapAnd;
-        }
-        IntersectBitmapProbe(small.ids, large.bitmap, out, comparisons);
-        return IntersectPath::kBitmapProbe;
-      }
-      const IntersectKernel simd_family = AutoSimdKernel();
-      if (simd_family == IntersectKernel::kScalar) {
-        return ScalarAdaptivePath(a.ids, b.ids, out, comparisons);
-      }
-      return SimdAdaptivePath(simd_family, a.ids, b.ids, out, comparisons);
-    }
+      return SimdAdaptivePath(kernel, a, b, out, comparisons);
   }
-  return ScalarAdaptivePath(a.ids, b.ids, out, comparisons);
+  return ScalarAdaptivePath(a, b, out, comparisons);
 }
 
 }  // namespace rlqvo

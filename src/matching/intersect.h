@@ -29,12 +29,11 @@ namespace rlqvo {
 ///
 /// On top of the scalar primitives sits a runtime-dispatched kernel layer
 /// (IntersectDispatch below): SSE/AVX2 shuffle-based merge and SIMD-probe
-/// galloping (intersect_simd.h), plus word-parallel AND / bit-probe paths
-/// over the Graph's per-slice bitmap sidecars. Every kernel produces the
-/// identical ascending output, so enumeration results are bit-identical
-/// whatever kernel serves them; only the comparisons *charged* (the work
-/// metric) are kernel-specific — each kernel reports the work it actually
-/// performed, deterministically for a given input.
+/// galloping (intersect_simd.h). Every kernel produces the identical
+/// ascending output, so enumeration results are bit-identical whatever
+/// kernel serves them; only the comparisons *charged* (the work metric) are
+/// kernel-specific — each kernel reports the work it actually performed,
+/// deterministically for a given input.
 ///
 /// All functions require strictly ascending inputs (CSR slices and
 /// candidate lists are), write the ascending intersection to *out
@@ -42,29 +41,6 @@ namespace rlqvo {
 /// performed to *comparisons — the work metric surfaced through
 /// EnumerateResult and the BENCH_*.json files.
 inline constexpr size_t kGallopRatio = 16;
-
-/// \name Measured auto-kernel cost model.
-///
-/// When both a bitmap path and a SIMD shuffle merge could serve an
-/// intersection, kAuto compares predicted costs in *probe units* — the cost
-/// of one bitmap word probed (bit-probe path) or ANDed (word-parallel
-/// path). The SIMD merges retire several elements per probe unit; the
-/// constants below are calibrated from bench_intersection part 3 on this
-/// container (docs/BENCHMARKS.md: on the densest similar-size hub pairs the
-/// AVX2 merge ran ~2x faster than the bitmap paths while touching ~2x the
-/// elements, the SSE merge ~30% slower), so on such pairs kAuto now picks
-/// the merge and only keeps the bitmap where the size skew makes |small|
-/// probes cheaper than a full merge walk. The constants in force are
-/// recorded in BENCH_intersection.json under auto_policy_* keys.
-/// @{
-inline constexpr size_t kAvx2MergeElemsPerProbe = 4;
-inline constexpr size_t kSseMergeElemsPerProbe = 2;
-/// The word-parallel AND costs more than one probe unit per word touched:
-/// besides the AND itself it decodes result bits (countr_zero + append per
-/// hit), which on the dense overlaps the AND targets roughly doubles the
-/// per-word cost (same part-3 calibration).
-inline constexpr size_t kBitmapAndProbesPerWord = 2;
-/// @}
 
 void IntersectLinear(std::span<const VertexId> a, std::span<const VertexId> b,
                      std::vector<VertexId>* out, uint64_t* comparisons);
@@ -81,68 +57,39 @@ void IntersectGalloping(std::span<const VertexId> small,
 void IntersectAdaptive(std::span<const VertexId> a, std::span<const VertexId> b,
                        std::vector<VertexId>* out, uint64_t* comparisons);
 
-/// \name Bitmap kernels (the Graph slice-bitmap sidecar, see graph.h).
-/// @{
-
-/// Word-parallel AND of two slice bitmaps, decoded into ascending ids.
-/// `a_words`/`b_words` are bitmaps over the same universe (bit v set iff v
-/// is a member); `a`/`b` are the corresponding sorted id lists, used only to
-/// bound the overlapping word range. Charges one comparison per word ANDed.
-void IntersectBitmapAnd(std::span<const VertexId> a, const uint64_t* a_words,
-                        std::span<const VertexId> b, const uint64_t* b_words,
-                        std::vector<VertexId>* out, uint64_t* comparisons);
-
-/// Probes each element of the sorted `probe` list against `words` (bitmap
-/// membership); emits the hits, ascending. Charges one comparison per probe.
-void IntersectBitmapProbe(std::span<const VertexId> probe,
-                          const uint64_t* words, std::vector<VertexId>* out,
-                          uint64_t* comparisons);
-
-/// Builds the bitmap for `ids` over universe [0, universe): words gets
-/// ceil(universe/64) entries with bit v set iff v ∈ ids. Test/bench helper
-/// mirroring what GraphBuilder::Build does for hub slices.
-void BuildBitmapWords(std::span<const VertexId> ids, uint32_t universe,
-                      std::vector<uint64_t>* words);
-/// @}
-
 /// \name Runtime kernel dispatch.
 ///
 /// One process-global kernel selection serves every enumeration. The
-/// default (kAuto) resolves at first use: bitmap paths where a sidecar
-/// makes them profitable, then the widest SIMD family this CPU supports
-/// (AVX2 > SSE), with the scalar adaptive code as the portable fallback —
-/// also the only family in -DRLQVO_SIMD=OFF builds and on non-x86.
-/// Overridable for tests/benches via SetIntersectKernel or the
-/// RLQVO_INTERSECT_KERNEL environment variable (read once, at first
-/// dispatch): auto | scalar | scalar_merge | scalar_gallop | sse | avx2 |
-/// bitmap. Selection is NOT synchronized against concurrently running
-/// enumerations: set it before starting work (tests and benches do).
+/// default (kAuto) is AutoSimdKernel(): the widest SIMD family this CPU
+/// supports (AVX2 > SSE), else the scalar adaptive code — the only family
+/// in -DRLQVO_SIMD=OFF builds and on non-x86. Overridable for tests/benches
+/// via SetIntersectKernel or the RLQVO_INTERSECT_KERNEL environment
+/// variable (read once, at first dispatch): auto | scalar | scalar_merge |
+/// scalar_gallop | sse | avx2. Selection is NOT synchronized against
+/// concurrently running enumerations: set it before starting work (tests
+/// and benches do).
 /// @{
 
 enum class IntersectKernel : uint8_t {
-  kAuto = 0,      ///< bitmap when profitable, then best SIMD, else scalar
+  kAuto = 0,      ///< AutoSimdKernel(): best SIMD family, else scalar
   kScalar,        ///< scalar adaptive merge/gallop (the pre-SIMD behavior)
   kScalarMerge,   ///< always the two-pointer merge
   kScalarGallop,  ///< always galloping (smaller side drives)
   kSse,           ///< 4-lane shuffle merge + SIMD-probe gallop (SSSE3)
   kAvx2,          ///< 8-lane shuffle merge + SIMD-probe gallop (AVX2)
-  kBitmap,        ///< bitmap AND/probe wherever a sidecar exists,
-                  ///< scalar adaptive otherwise
 };
 
-/// The code path one dispatched intersection actually took (the SIMD/bitmap
-/// hit counters in EnumerateResult are derived from this).
+/// The code path one dispatched intersection actually took (the SIMD hit
+/// counter in EnumerateResult is derived from this).
 enum class IntersectPath : uint8_t {
   kScalarMerge,
   kScalarGallop,
   kSimdMerge,
   kSimdGallop,
-  kBitmapAnd,
-  kBitmapProbe,
 };
 
-/// True iff this build + CPU can execute `kernel`. kAuto/kScalar*/kBitmap
-/// are always supported; kSse/kAvx2 require an RLQVO_SIMD build on x86 with
+/// True iff this build + CPU can execute `kernel`. kAuto/kScalar* are
+/// always supported; kSse/kAvx2 require an RLQVO_SIMD build on x86 with
 /// the matching CPU feature.
 bool IntersectKernelSupported(IntersectKernel kernel);
 
@@ -158,8 +105,7 @@ Status SetIntersectKernel(IntersectKernel kernel);
 /// SetIntersectKernel or RLQVO_INTERSECT_KERNEL).
 IntersectKernel GetIntersectKernel();
 
-/// What kAuto resolves to on this machine for non-bitmap inputs: kAvx2,
-/// kSse or kScalar.
+/// What kAuto resolves to on this machine: kAvx2, kSse or kScalar.
 IntersectKernel AutoSimdKernel();
 
 /// Lower-case display name ("avx2", "scalar_merge", ...).
@@ -170,13 +116,12 @@ const char* IntersectKernelName(IntersectKernel kernel);
 Result<IntersectKernel> IntersectKernelFromName(const std::string& name);
 
 /// \brief The enumerator's intersection entry point: routes (a ∩ b) to the
-/// globally selected kernel, honoring bitmap sidecars where the kernel
-/// allows. Output is the ascending intersection regardless of path; the
-/// returned IntersectPath tells the caller which family executed (for the
-/// per-run SIMD/bitmap hit counters). Charges kernel-specific, input-
-/// deterministic comparison counts to *comparisons.
-IntersectPath IntersectDispatch(const Graph::SliceView& a,
-                                const Graph::SliceView& b,
+/// globally selected kernel. Output is the ascending intersection
+/// regardless of path; the returned IntersectPath tells the caller which
+/// family executed (for the per-run SIMD hit counter). Charges kernel-
+/// specific, input-deterministic comparison counts to *comparisons.
+IntersectPath IntersectDispatch(std::span<const VertexId> a,
+                                std::span<const VertexId> b,
                                 std::vector<VertexId>* out,
                                 uint64_t* comparisons);
 /// @}

@@ -118,7 +118,6 @@ Result<MatchRunStats> RunOrderedEnumeration(
   stats.local_candidates_total = enum_result.local_candidates_total;
   stats.local_candidate_sets = enum_result.local_candidate_sets;
   stats.num_simd_intersections = enum_result.num_simd_intersections;
-  stats.num_bitmap_intersections = enum_result.num_bitmap_intersections;
   stats.num_steals = enum_result.num_steals;
   stats.num_splits = enum_result.num_splits;
   stats.max_segment_depth = enum_result.max_segment_depth;

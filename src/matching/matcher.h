@@ -40,10 +40,9 @@ struct MatchRunStats {
   uint64_t num_probe_comparisons = 0;
   uint64_t local_candidates_total = 0;
   uint64_t local_candidate_sets = 0;
-  /// Of num_intersections, how many the SIMD / bitmap kernel families
-  /// served (see EnumerateResult).
+  /// Of num_intersections, how many the SIMD kernel families served (see
+  /// EnumerateResult).
   uint64_t num_simd_intersections = 0;
-  uint64_t num_bitmap_intersections = 0;
   /// Work-stealing scheduler diagnostics (see EnumerateResult): segment
   /// steals/splits, deepest resumed segment, per-worker work spread.
   /// Schedule-dependent — excluded from the bit-identity contract.
@@ -80,8 +79,8 @@ struct MatchRunStats {
 /// When enum_options.parallel_threads > 0 the matcher lazily spawns a
 /// private ThreadPool of that size (plus one reusable workspace per
 /// worker) and enumerates each query with Enumerator::RunParallel; the
-/// calling thread donates itself to the chunk queue while waiting. The
-/// pool is created on the first parallel Match and resized if
+/// calling thread runs the query's queued worker loops itself while
+/// waiting. The pool is created on the first parallel Match and resized if
 /// parallel_threads changes via mutable_enum_options.
 class SubgraphMatcher {
  public:

@@ -1,8 +1,8 @@
 // Directed / edge-labeled equivalence suite: the production pipeline
 // (filter + ordering + enumerator, across every intersection kernel and
 // thread count) must produce exactly the embedding set of an independent
-// reference matcher that knows nothing about CSR slices, bitmaps or
-// backward constraints — it checks mappings against flat edge sets only.
+// reference matcher that knows nothing about CSR slices or backward
+// constraints — it checks mappings against flat edge sets only.
 #include <gtest/gtest.h>
 
 #include <set>

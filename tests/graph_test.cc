@@ -208,119 +208,6 @@ TEST(GraphBuilderTest, BuilderReusableAfterBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitmap sidecar properties (the dense-slice membership bitmaps built by
-// GraphBuilder::Build for the intersection kernels).
-// ---------------------------------------------------------------------------
-
-/// Hub graph with one dense slice and one sparse one: vertex 0 neighbors
-/// 400 label-1 vertices (qualifies: 400 >= 128 and 400*32 >= 600) and 10
-/// label-2 vertices (too small).
-Graph MakeHubGraph(bool with_bitmaps) {
-  GraphBuilder b;
-  b.AddVertex(0);                                  // the hub
-  for (int i = 1; i <= 400; ++i) b.AddVertex(1);   // dense-slice members
-  for (int i = 401; i < 600; ++i) b.AddVertex(2);  // label-2 pool
-  for (VertexId v = 1; v <= 400; ++v) b.AddEdge(0, v);
-  for (VertexId v = 401; v <= 410; ++v) b.AddEdge(0, v);
-  b.set_build_slice_bitmaps(with_bitmaps);
-  return b.Build();
-}
-
-/// Decodes a slice bitmap into the ascending id list it encodes.
-std::vector<VertexId> DecodeBitmap(const uint64_t* words, size_t num_words) {
-  std::vector<VertexId> ids;
-  for (size_t w = 0; w < num_words; ++w) {
-    for (uint32_t bit = 0; bit < 64; ++bit) {
-      if ((words[w] >> bit) & 1) {
-        ids.push_back(static_cast<VertexId>(w * 64 + bit));
-      }
-    }
-  }
-  return ids;
-}
-
-TEST(BitmapSidecarTest, RoundTripsSliceMembership) {
-  const Graph g = MakeHubGraph(/*with_bitmaps=*/true);
-  EXPECT_EQ(g.num_bitmap_slices(), 1u);  // only the hub's label-1 slice
-  EXPECT_EQ(g.bitmap_words(), (g.num_vertices() + 63) / 64);
-  size_t with_bitmap = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto labels = g.NeighborLabels(v);
-    for (size_t i = 0; i < labels.size(); ++i) {
-      const auto slice = g.NeighborSlice(v, i);
-      const uint64_t* bitmap = g.SliceBitmap(v, i);
-      // A slice has a bitmap exactly when it qualifies.
-      EXPECT_EQ(bitmap != nullptr,
-                Graph::SliceQualifiesForBitmap(slice.size(), g.num_vertices()))
-          << "v=" << v << " slice=" << i;
-      if (bitmap == nullptr) continue;
-      ++with_bitmap;
-      // Decode == slice span, exactly.
-      EXPECT_EQ(DecodeBitmap(bitmap, g.bitmap_words()),
-                std::vector<VertexId>(slice.begin(), slice.end()));
-      // The view hands out the same span and the same bitmap.
-      const Graph::SliceView view = g.NeighborsWithLabelView(v, labels[i]);
-      EXPECT_EQ(view.ids.data(), slice.data());
-      EXPECT_EQ(view.ids.size(), slice.size());
-      EXPECT_EQ(view.bitmap, bitmap);
-    }
-  }
-  EXPECT_EQ(with_bitmap, g.num_bitmap_slices());
-}
-
-TEST(BitmapSidecarTest, DensityThresholdBoundaries) {
-  constexpr size_t kMin = Graph::kBitmapMinSliceSize;
-  constexpr size_t kRatio = Graph::kBitmapDensityRatio;
-  // Absolute floor: one below never qualifies, however dense.
-  static_assert(!Graph::SliceQualifiesForBitmap(kMin - 1, kMin - 1));
-  static_assert(Graph::SliceQualifiesForBitmap(kMin, kMin));
-  // Density bound: exactly 1/kRatio of the universe qualifies, one vertex
-  // more does not.
-  static_assert(Graph::SliceQualifiesForBitmap(kMin, kMin * kRatio));
-  static_assert(!Graph::SliceQualifiesForBitmap(kMin, kMin * kRatio + 1));
-  // Empty and tiny slices never qualify.
-  static_assert(!Graph::SliceQualifiesForBitmap(0, 1));
-  static_assert(!Graph::SliceQualifiesForBitmap(1, 1));
-}
-
-TEST(BitmapSidecarTest, BuilderKnobAndInvariantsUnchanged) {
-  const Graph with = MakeHubGraph(/*with_bitmaps=*/true);
-  const Graph without = MakeHubGraph(/*with_bitmaps=*/false);
-
-  // The knob removes every sidecar...
-  EXPECT_EQ(without.num_bitmap_slices(), 0u);
-  EXPECT_EQ(without.bitmap_words(), 0u);
-  for (VertexId v = 0; v < without.num_vertices(); ++v) {
-    for (size_t i = 0; i < without.NeighborLabels(v).size(); ++i) {
-      EXPECT_EQ(without.SliceBitmap(v, i), nullptr);
-    }
-  }
-  // ... and costs footprint: the sidecar graph is strictly larger.
-  EXPECT_GT(with.MemoryFootprintBytes(), without.MemoryFootprintBytes());
-
-  // Everything observable about adjacency is identical with or without.
-  ASSERT_EQ(with.num_vertices(), without.num_vertices());
-  ASSERT_EQ(with.num_edges(), without.num_edges());
-  for (VertexId v = 0; v < with.num_vertices(); ++v) {
-    const auto a = with.neighbors(v);
-    const auto b = without.neighbors(v);
-    EXPECT_EQ(std::vector<VertexId>(a.begin(), a.end()),
-              std::vector<VertexId>(b.begin(), b.end()));
-    for (Label l = 0; l < with.num_labels(); ++l) {
-      const auto sa = with.NeighborsWithLabel(v, l);
-      const auto sb = without.NeighborsWithLabel(v, l);
-      EXPECT_EQ(std::vector<VertexId>(sa.begin(), sa.end()),
-                std::vector<VertexId>(sb.begin(), sb.end()));
-    }
-  }
-  for (VertexId v : {0u, 1u, 200u, 405u, 599u}) {
-    for (VertexId w : {0u, 1u, 200u, 405u, 599u}) {
-      EXPECT_EQ(with.HasEdge(v, w), without.HasEdge(v, w)) << v << "-" << w;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Directed, edge-labeled model: invariants of the per-direction labeled
 // CSRs and the degenerate-case forwarding contract.
 // ---------------------------------------------------------------------------
@@ -506,17 +393,27 @@ TEST(DirectedGraphTest, DegenerateForwardingSharesSkeletonStorage) {
   EXPECT_FALSE(g.HasEdge(0, 1, EdgeDir::kOut, 1));
 }
 
-TEST(DirectedGraphTest, DegenerateForwardingSharesBitmapSidecars) {
-  const Graph g = MakeHubGraph(/*with_bitmaps=*/true);
+/// Hub graph with one large slice and one small one: vertex 0 neighbors 400
+/// label-1 vertices and 10 label-2 vertices.
+Graph MakeHubGraph() {
+  GraphBuilder b;
+  b.AddVertex(0);                                  // the hub
+  for (int i = 1; i <= 400; ++i) b.AddVertex(1);   // large-slice members
+  for (int i = 401; i < 600; ++i) b.AddVertex(2);  // label-2 pool
+  for (VertexId v = 1; v <= 400; ++v) b.AddEdge(0, v);
+  for (VertexId v = 401; v <= 410; ++v) b.AddEdge(0, v);
+  return b.Build();
+}
+
+TEST(DirectedGraphTest, DegenerateForwardingSharesSkeletonSlices) {
+  const Graph g = MakeHubGraph();
   ASSERT_TRUE(g.degenerate());
-  ASSERT_EQ(g.num_bitmap_slices(), 1u);
-  const Graph::SliceView skeleton = g.NeighborsWithLabelView(0, 1);
-  ASSERT_NE(skeleton.bitmap, nullptr);
+  const std::span<const VertexId> skeleton = g.NeighborsWithLabel(0, 1);
+  ASSERT_EQ(skeleton.size(), 400u);
   for (const EdgeDir dir : {EdgeDir::kOut, EdgeDir::kIn}) {
-    const Graph::SliceView labeled = g.NeighborsWithView(0, dir, 0, 1);
-    EXPECT_EQ(labeled.ids.data(), skeleton.ids.data());
-    EXPECT_EQ(labeled.ids.size(), skeleton.ids.size());
-    EXPECT_EQ(labeled.bitmap, skeleton.bitmap);
+    const std::span<const VertexId> labeled = g.NeighborsWith(0, dir, 0, 1);
+    EXPECT_EQ(labeled.data(), skeleton.data());
+    EXPECT_EQ(labeled.size(), skeleton.size());
   }
 }
 
@@ -540,15 +437,6 @@ TEST(DirectedGraphTest, ForEachLabeledEdgeStreamsCanonically) {
   for (const auto& [u, v, e] : seen) {
     EXPECT_LT(u, v);
     EXPECT_EQ(e, 0u);
-  }
-}
-
-TEST(BitmapSidecarTest, NoSidecarsOnSmallGraphs) {
-  // Every earlier fixture in this file is far below the slice-size floor:
-  // small graphs must not pay any sidecar memory.
-  for (const Graph& g : {MakePath3(), MakeTriangleWithTail()}) {
-    EXPECT_EQ(g.num_bitmap_slices(), 0u);
-    EXPECT_EQ(g.bitmap_words(), 0u);
   }
 }
 

@@ -1,13 +1,14 @@
 /// \file Differential kernel fuzz: every intersection dispatch path — scalar
-/// merge, scalar gallop, SSE, AVX2, bitmap AND/probe, and IntersectDispatch
-/// under every supported forced kernel — against std::set_intersection on
-/// the same inputs. The randomized sweeps are seeded and every assertion
+/// merge, scalar gallop, SSE, AVX2, and IntersectDispatch under every
+/// supported forced kernel — against std::set_intersection on the same
+/// inputs. The randomized sweeps are seeded and every assertion
 /// carries the seed, so a failure line is a complete reproducer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,17 +28,10 @@ std::vector<VertexId> ReferenceIntersection(const std::vector<VertexId>& a,
   return out;
 }
 
-/// Bitmaps only make sense for universes we can afford to allocate; the
-/// VertexId-extreme cases (ids near UINT32_MAX) exercise the SIMD sign-flip
-/// paths instead and skip the bitmap kernels.
-constexpr uint32_t kMaxBitmapUniverse = 1u << 22;
-
 /// Runs (a ∩ b) through every kernel and dispatch path and checks each
-/// result against std::set_intersection. `universe` must exceed every
-/// element (used for the bitmap build); `trace` tags failures (seed, case).
+/// result against std::set_intersection. `trace` tags failures (seed, case).
 void CheckAllKernels(const std::vector<VertexId>& a,
-                     const std::vector<VertexId>& b, uint32_t universe,
-                     const std::string& trace) {
+                     const std::vector<VertexId>& b, const std::string& trace) {
   SCOPED_TRACE(trace);
   const std::vector<VertexId> expected = ReferenceIntersection(a, b);
   std::vector<VertexId> out;
@@ -68,46 +62,30 @@ void CheckAllKernels(const std::vector<VertexId>& a,
   simd::IntersectAvx2Gallop(b, a, &out, &cmp);
   ASSERT_EQ(out, expected) << "avx2 gallop b->a";
 
-  // Bitmap kernels, when the universe is affordable.
-  std::vector<uint64_t> a_words, b_words;
-  const bool with_bitmaps = universe <= kMaxBitmapUniverse;
-  if (with_bitmaps) {
-    BuildBitmapWords(a, universe, &a_words);
-    BuildBitmapWords(b, universe, &b_words);
-    IntersectBitmapAnd(a, a_words.data(), b, b_words.data(), &out, &cmp);
-    ASSERT_EQ(out, expected) << "bitmap and";
-    IntersectBitmapProbe(a, b_words.data(), &out, &cmp);
-    ASSERT_EQ(out, expected) << "bitmap probe a->b";
-    IntersectBitmapProbe(b, a_words.data(), &out, &cmp);
-    ASSERT_EQ(out, expected) << "bitmap probe b->a";
-  }
-
-  // The dispatch entry point under every kernel this build/CPU supports,
-  // with and without sidecars attached to the views.
+  // The dispatch entry point under every kernel this build/CPU supports.
   const IntersectKernel saved = GetIntersectKernel();
   for (IntersectKernel kernel : SupportedIntersectKernels()) {
     ASSERT_TRUE(SetIntersectKernel(kernel).ok());
-    const Graph::SliceView plain_a{a, nullptr};
-    const Graph::SliceView plain_b{b, nullptr};
-    IntersectDispatch(plain_a, plain_b, &out, &cmp);
+    IntersectDispatch(a, b, &out, &cmp);
     ASSERT_EQ(out, expected)
         << "dispatch kernel=" << IntersectKernelName(kernel);
-    if (with_bitmaps) {
-      const Graph::SliceView side_a{a, a_words.data()};
-      const Graph::SliceView side_b{b, b_words.data()};
-      IntersectDispatch(side_a, side_b, &out, &cmp);
-      ASSERT_EQ(out, expected)
-          << "dispatch+bitmaps kernel=" << IntersectKernelName(kernel);
-      // Mixed: sidecar on one side only (the enumerator's running-result
-      // buffer never has one).
-      IntersectDispatch(plain_a, side_b, &out, &cmp);
-      ASSERT_EQ(out, expected)
-          << "dispatch+b-bitmap kernel=" << IntersectKernelName(kernel);
-      IntersectDispatch(side_a, plain_b, &out, &cmp);
-      ASSERT_EQ(out, expected)
-          << "dispatch+a-bitmap kernel=" << IntersectKernelName(kernel);
-    }
   }
+
+  // Auto has no policy of its own: it must take exactly the path, charge
+  // exactly the comparisons and produce exactly the output of forcing the
+  // kernel AutoSimdKernel() names.
+  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
+  std::vector<VertexId> auto_out;
+  uint64_t auto_cmp = 0;
+  const IntersectPath auto_path = IntersectDispatch(a, b, &auto_out, &auto_cmp);
+  ASSERT_TRUE(SetIntersectKernel(AutoSimdKernel()).ok());
+  std::vector<VertexId> forced_out;
+  uint64_t forced_cmp = 0;
+  const IntersectPath forced_path =
+      IntersectDispatch(a, b, &forced_out, &forced_cmp);
+  ASSERT_EQ(auto_out, forced_out) << "auto vs forced output";
+  ASSERT_EQ(auto_path, forced_path) << "auto vs forced path";
+  ASSERT_EQ(auto_cmp, forced_cmp) << "auto vs forced comparisons";
   ASSERT_TRUE(SetIntersectKernel(saved).ok());
 }
 
@@ -128,32 +106,30 @@ TEST(IntersectFuzzTest, EmptyAndSingletonInputs) {
   const std::vector<VertexId> empty;
   const std::vector<VertexId> one = {5};
   const std::vector<VertexId> some = {1, 5, 9, 200};
-  CheckAllKernels(empty, empty, 256, "both empty");
-  CheckAllKernels(empty, some, 256, "a empty");
-  CheckAllKernels(some, empty, 256, "b empty");
-  CheckAllKernels(one, one, 256, "identical singletons");
-  CheckAllKernels(one, {7}, 256, "disjoint singletons");
-  CheckAllKernels(one, some, 256, "singleton vs list, hit");
-  CheckAllKernels({4}, some, 256, "singleton vs list, miss");
-  CheckAllKernels({0}, {0}, 1, "universe of one");
+  CheckAllKernels(empty, empty, "both empty");
+  CheckAllKernels(empty, some, "a empty");
+  CheckAllKernels(some, empty, "b empty");
+  CheckAllKernels(one, one, "identical singletons");
+  CheckAllKernels(one, {7}, "disjoint singletons");
+  CheckAllKernels(one, some, "singleton vs list, hit");
+  CheckAllKernels({4}, some, "singleton vs list, miss");
+  CheckAllKernels({0}, {0}, "single zero");
 }
 
 TEST(IntersectFuzzTest, DisjointIdenticalAndNestedSets) {
   Rng rng(101);
   for (size_t n : {1u, 4u, 16u, 100u, 333u}) {
     const auto base = RandomSortedSet(&rng, n, 4 * static_cast<uint32_t>(n));
-    const uint32_t universe = 16 * static_cast<uint32_t>(n);
     // Identical.
-    CheckAllKernels(base, base, universe, "identical n=" + std::to_string(n));
+    CheckAllKernels(base, base, "identical n=" + std::to_string(n));
     // Fully disjoint: shift into a separate range.
     std::vector<VertexId> shifted;
     for (VertexId v : base) shifted.push_back(v + 8 * static_cast<uint32_t>(n));
-    CheckAllKernels(base, shifted, universe,
-                    "disjoint n=" + std::to_string(n));
+    CheckAllKernels(base, shifted, "disjoint n=" + std::to_string(n));
     // Nested: every other element.
     std::vector<VertexId> subset;
     for (size_t i = 0; i < base.size(); i += 2) subset.push_back(base[i]);
-    CheckAllKernels(subset, base, universe, "nested n=" + std::to_string(n));
+    CheckAllKernels(subset, base, "nested n=" + std::to_string(n));
   }
 }
 
@@ -168,7 +144,7 @@ TEST(IntersectFuzzTest, LengthsStraddlingSimdWidths) {
       for (uint32_t universe : {48u, 1024u}) {
         const auto a = RandomSortedSet(&rng, na, universe);
         const auto b = RandomSortedSet(&rng, nb, universe);
-        CheckAllKernels(a, b, universe,
+        CheckAllKernels(a, b,
                         "widths " + std::to_string(na) + "x" +
                             std::to_string(nb) + " u=" +
                             std::to_string(universe));
@@ -186,16 +162,16 @@ TEST(IntersectFuzzTest, VertexIdExtremes) {
   const std::vector<VertexId> mixed = {0,       1,        100,     1u << 30,
                                        1u << 31, top - 33, top - 8, top};
   const std::vector<VertexId> low = {0, 1, 2, 3, 5, 8, 13, 21};
-  CheckAllKernels(high, high, top, "identical at top of range");
-  CheckAllKernels(high, mixed, top, "high vs mixed");
-  CheckAllKernels(low, high, top, "low vs high (disjoint extremes)");
-  CheckAllKernels(mixed, mixed, top, "mixed identical");
+  CheckAllKernels(high, high, "identical at top of range");
+  CheckAllKernels(high, mixed, "high vs mixed");
+  CheckAllKernels(low, high, "low vs high (disjoint extremes)");
+  CheckAllKernels(mixed, mixed, "mixed identical");
   // Straddle the sign boundary densely.
   std::vector<VertexId> around_sign;
   for (uint32_t d = 0; d < 40; ++d) {
     around_sign.push_back((1u << 31) - 20 + d);
   }
-  CheckAllKernels(around_sign, mixed, top, "dense around sign bit");
+  CheckAllKernels(around_sign, mixed, "dense around sign bit");
 }
 
 /// Regression corpus from the IntersectGalloping boundary audit: shapes
@@ -205,35 +181,32 @@ TEST(IntersectFuzzTest, VertexIdExtremes) {
 /// final window resolution is the delicate part — inherit the coverage.
 TEST(IntersectFuzzTest, GallopBoundaryRegressions) {
   // Key beyond everything: the probe runs off the end on the first key.
-  CheckAllKernels({100}, {1, 2, 3, 4, 5, 6, 7, 8, 9}, 128, "key past end");
+  CheckAllKernels({100}, {1, 2, 3, 4, 5, 6, 7, 8, 9}, "key past end");
   // Key below everything: the probe terminates on its first test.
-  CheckAllKernels({0}, {10, 20, 30, 40, 50, 60, 70, 80}, 128,
-                  "key before start");
+  CheckAllKernels({0}, {10, 20, 30, 40, 50, 60, 70, 80}, "key before start");
   // Match exactly at the last element (pos advances to size and the next
   // key must exit cleanly, not read past the end).
-  CheckAllKernels({64, 99}, {1, 2, 3, 5, 8, 13, 34, 64}, 128,
+  CheckAllKernels({64, 99}, {1, 2, 3, 5, 8, 13, 34, 64},
                   "match at last element");
   // Every key matches the element right after the previous match: gallop
   // restarts from pos with step 1 each time.
   CheckAllKernels({10, 11, 12, 13, 14, 15, 16, 17},
-                  {10, 11, 12, 13, 14, 15, 16, 17}, 32, "adjacent restarts");
+                  {10, 11, 12, 13, 14, 15, 16, 17}, "adjacent restarts");
   // The doubling overshoots by exactly one element / lands exactly on the
   // boundary: sizes 2^k and 2^k ± 1 with the key at the far end.
   for (size_t n : {7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u}) {
     std::vector<VertexId> large;
     for (size_t i = 0; i < n; ++i) large.push_back(static_cast<VertexId>(2 * i));
     const VertexId last = large.back();
-    CheckAllKernels({last}, large, 2 * static_cast<uint32_t>(n) + 2,
-                    "doubling edge n=" + std::to_string(n));
+    CheckAllKernels({last}, large, "doubling edge n=" + std::to_string(n));
     CheckAllKernels({static_cast<VertexId>(last + 1)}, large,
-                    2 * static_cast<uint32_t>(n) + 4,
                     "doubling past edge n=" + std::to_string(n));
   }
   // Large lists shorter than a SIMD register: the SIMD gallops must take
   // their scalar fallback, not load out of bounds.
-  CheckAllKernels({1, 2, 3}, {2}, 8, "large shorter than register");
-  CheckAllKernels({5}, {1, 3, 5}, 8, "3-element large");
-  CheckAllKernels({0, 2, 4, 6}, {1, 3, 5, 7}, 8, "4-element interleave");
+  CheckAllKernels({1, 2, 3}, {2}, "large shorter than register");
+  CheckAllKernels({5}, {1, 3, 5}, "3-element large");
+  CheckAllKernels({0, 2, 4, 6}, {1, 3, 5, 7}, "4-element interleave");
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +241,7 @@ TEST(IntersectFuzzTest, RandomizedDifferentialSweep) {
     }
     const auto a = RandomSortedSet(&rng, na, universe);
     const auto b = RandomSortedSet(&rng, nb, universe);
-    CheckAllKernels(a, b, universe, "seed=" + std::to_string(seed));
+    CheckAllKernels(a, b, "seed=" + std::to_string(seed));
   }
 }
 
@@ -279,17 +252,13 @@ TEST(IntersectFuzzTest, KernelsAreDeterministicOnRepeatedRuns) {
   Rng rng(4242);
   const auto a = RandomSortedSet(&rng, 333, 2048);
   const auto b = RandomSortedSet(&rng, 900, 2048);
-  std::vector<uint64_t> b_words;
-  BuildBitmapWords(b, 2048, &b_words);
-  const Graph::SliceView va{a, nullptr};
-  const Graph::SliceView vb{b, b_words.data()};
   const IntersectKernel saved = GetIntersectKernel();
   for (IntersectKernel kernel : SupportedIntersectKernels()) {
     ASSERT_TRUE(SetIntersectKernel(kernel).ok());
     std::vector<VertexId> out1, out2;
     uint64_t cmp1 = 0, cmp2 = 0;
-    const IntersectPath p1 = IntersectDispatch(va, vb, &out1, &cmp1);
-    const IntersectPath p2 = IntersectDispatch(va, vb, &out2, &cmp2);
+    const IntersectPath p1 = IntersectDispatch(a, b, &out1, &cmp1);
+    const IntersectPath p2 = IntersectDispatch(a, b, &out2, &cmp2);
     EXPECT_EQ(out1, out2) << IntersectKernelName(kernel);
     EXPECT_EQ(cmp1, cmp2) << IntersectKernelName(kernel);
     EXPECT_EQ(p1, p2) << IntersectKernelName(kernel);
@@ -298,15 +267,15 @@ TEST(IntersectFuzzTest, KernelsAreDeterministicOnRepeatedRuns) {
 }
 
 /// Kernel selection plumbing: names round-trip, unsupported kernels are
-/// rejected without changing the selection, and the supported list always
-/// contains the portable kernels.
+/// rejected without changing the selection, the supported list always
+/// contains the portable kernels, and removed kernel names stay rejected.
 TEST(IntersectFuzzTest, KernelSelectionApi) {
   const auto supported = SupportedIntersectKernels();
   ASSERT_FALSE(supported.empty());
   EXPECT_EQ(supported.front(), IntersectKernel::kAuto);
   for (IntersectKernel k :
        {IntersectKernel::kScalar, IntersectKernel::kScalarMerge,
-        IntersectKernel::kScalarGallop, IntersectKernel::kBitmap}) {
+        IntersectKernel::kScalarGallop}) {
     EXPECT_TRUE(IntersectKernelSupported(k)) << IntersectKernelName(k);
   }
   for (IntersectKernel k : supported) {
@@ -315,6 +284,7 @@ TEST(IntersectFuzzTest, KernelSelectionApi) {
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_FALSE(IntersectKernelFromName("avx512").ok());
+  EXPECT_FALSE(IntersectKernelFromName("bitmap").ok());
   EXPECT_FALSE(IntersectKernelFromName("").ok());
 
   const IntersectKernel saved = GetIntersectKernel();
@@ -323,6 +293,24 @@ TEST(IntersectFuzzTest, KernelSelectionApi) {
     EXPECT_EQ(GetIntersectKernel(), saved);  // rejected = unchanged
   }
   ASSERT_TRUE(SetIntersectKernel(saved).ok());
+}
+
+/// The forced-kernel CI legs run this suite under RLQVO_INTERSECT_KERNEL.
+/// An unknown name would only warn and fall back to auto, so a stale leg
+/// would pass without testing its kernel; this case fails it instead.
+TEST(IntersectFuzzTest, EnvironmentKernelIsInForce) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): no thread runs yet, no setenv.
+  const char* env = std::getenv("RLQVO_INTERSECT_KERNEL");
+  if (env == nullptr || *env == '\0') {
+    GTEST_SKIP() << "RLQVO_INTERSECT_KERNEL is not set";
+  }
+  const Result<IntersectKernel> parsed = IntersectKernelFromName(env);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!IntersectKernelSupported(*parsed)) {
+    GTEST_SKIP() << "RLQVO_INTERSECT_KERNEL=" << env
+                 << " is not supported on this build/CPU";
+  }
+  EXPECT_EQ(GetIntersectKernel(), *parsed) << "RLQVO_INTERSECT_KERNEL=" << env;
 }
 
 }  // namespace

@@ -85,8 +85,6 @@ void ExpectBitIdentical(const EnumerateResult& serial,
   EXPECT_EQ(parallel.local_candidates_total, serial.local_candidates_total);
   EXPECT_EQ(parallel.local_candidate_sets, serial.local_candidate_sets);
   EXPECT_EQ(parallel.num_simd_intersections, serial.num_simd_intersections);
-  EXPECT_EQ(parallel.num_bitmap_intersections,
-            serial.num_bitmap_intersections);
   EXPECT_EQ(parallel.hit_match_limit, serial.hit_match_limit);
   EXPECT_FALSE(parallel.timed_out);
   // Same embeddings in the same (serial DFS) order — segment stitching.
