@@ -1,8 +1,11 @@
 // Serving-side ordering latency: per-order p50/p99 for the heuristic
-// baselines (RI / GQL / CFL) vs RL-QVO through the training-grade autograd
-// forward vs RL-QVO through the tape-free inference path (ISSUE 5
-// tentpole), plus engine batch throughput with the fingerprint-keyed order
-// cache on a repeated-shape workload.
+// baselines (RI / GQL / CFL) vs RL-QVO ordering through the
+// training-grade autograd forward vs RL-QVO's serving ordering
+// (RLQVOOrdering, tape-free inference path), plus engine batch throughput
+// with the fingerprint-keyed order cache on a repeated-shape workload. The
+// autograd column is driven here directly — OrderingEnv, eval-mode
+// PolicyNetwork::Forward, argmax — as the serving ordering has no autograd
+// mode.
 //
 // Fatal invariants (checked in every mode, --smoke included):
 //   - the inference path and the eval-mode autograd path pick identical
@@ -34,6 +37,7 @@
 #include "graph/query_sampler.h"
 #include "matching/filters.h"
 #include "matching/ordering.h"
+#include "rl/env.h"
 
 using namespace rlqvo;
 using namespace rlqvo::bench;
@@ -87,6 +91,49 @@ std::vector<double> TimeOrdering(
   }
   return latencies;
 }
+
+/// RL-QVO greedy ordering through the training-grade autograd forward:
+/// the same episode RLQVOOrdering runs (sole actions skip the network,
+/// argmax over the masked log-probs), with eval-mode
+/// PolicyNetwork::Forward in place of the tape-free inference path. The
+/// bench's queries are connected, so the action space never empties.
+class AutogradRLQVOOrdering : public Ordering {
+ public:
+  AutogradRLQVOOrdering(std::shared_ptr<const PolicyNetwork> policy,
+                        FeatureConfig features)
+      : policy_(std::move(policy)), features_(features) {}
+
+  std::string name() const override { return "RL-QVO (autograd)"; }
+  Result<std::vector<VertexId>> MakeOrder(
+      const OrderingContext& ctx) override {
+    OrderingEnv env(ctx.query, ctx.data, features_);
+    while (!env.Done()) {
+      VertexId choice = env.SoleAction();
+      if (choice == kInvalidVertex) {
+        const PolicyNetwork::ForwardResult forward =
+            policy_->Forward(env.tensors(), env.FeaturesView(),
+                             env.ActionMask(), /*training=*/false, nullptr);
+        double best = -1e300;
+        for (VertexId u = 0; u < ctx.query->num_vertices(); ++u) {
+          const double lp = forward.log_probs.value().At(u, 0);
+          if (env.ActionMask()[u] && lp > best) {
+            best = lp;
+            choice = u;
+          }
+        }
+      }
+      if (choice == kInvalidVertex) {
+        return Status::Internal("autograd forward produced no finite score");
+      }
+      env.Step(choice);
+    }
+    return env.order();
+  }
+
+ private:
+  std::shared_ptr<const PolicyNetwork> policy_;
+  FeatureConfig features_;
+};
 
 }  // namespace
 
@@ -162,8 +209,7 @@ int main(int argc, char** argv) {
     record("CFL", TimeOrdering(&cfl, queries, data, candidates, reps));
 
     // RL-QVO, autograd (training-grade) path.
-    RLQVOOrdering autograd(policy, model.feature_config());
-    autograd.set_use_inference_path(false);
+    AutogradRLQVOOrdering autograd(policy, model.feature_config());
     std::vector<std::vector<VertexId>> autograd_orders;
     const std::vector<double> autograd_lat = TimeOrdering(
         &autograd, queries, data, candidates, reps, &autograd_orders);

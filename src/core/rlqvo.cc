@@ -119,18 +119,11 @@ Result<std::vector<VertexId>> RLQVOOrdering::MakeOrder(
       env.Step(sole);
       continue;
     }
-    VertexId choice;
-    if (use_inference_path_) {
-      const PolicyNetwork::InferenceResult forward = policy_->ForwardInference(
-          &inference_workspace_, env.tensors(), env.FeaturesView(),
-          env.ActionMask());
-      choice = ChooseAction(*forward.log_probs, env.ActionMask(), n);
-    } else {
-      const PolicyNetwork::ForwardResult forward =
-          policy_->Forward(env.tensors(), env.FeaturesView(), env.ActionMask(),
-                           /*training=*/false, nullptr);
-      choice = ChooseAction(forward.log_probs.value(), env.ActionMask(), n);
-    }
+    const PolicyNetwork::InferenceResult forward = policy_->ForwardInference(
+        &inference_workspace_, env.tensors(), env.FeaturesView(),
+        env.ActionMask());
+    const VertexId choice =
+        ChooseAction(*forward.log_probs, env.ActionMask(), n);
     if (choice == kInvalidVertex) {
       policy_failed = true;  // non-finite scores
       break;
@@ -255,13 +248,23 @@ Result<RLQVOModel> RLQVOModel::Load(const std::string& path) {
                                                     ckpt.metadata,
                                                     ckpt.matrices));
   FeatureConfig features;
-  auto get = [&](const char* key, double* out) {
+  // Optional scaling factors: absent keeps the default; present must parse
+  // as a finite positive number (the features divide by them).
+  auto get_alpha = [&](const char* key, double* out) -> Status {
     auto it = ckpt.metadata.find(key);
-    if (it != ckpt.metadata.end()) *out = std::stod(it->second);
+    if (it == ckpt.metadata.end()) return Status::OK();
+    if (!nn::ParseMetadataDouble(it->second, out) || !std::isfinite(*out) ||
+        *out <= 0.0) {
+      return Status::InvalidArgument(
+          std::string("checkpoint '") + key +
+          "' must be a finite positive number, got '" + it->second + "'");
+    }
+    return Status::OK();
   };
-  get("feature_alpha_degree", &features.alpha_degree);
-  get("feature_alpha_d", &features.alpha_d);
-  get("feature_alpha_l", &features.alpha_l);
+  RLQVO_RETURN_NOT_OK(
+      get_alpha("feature_alpha_degree", &features.alpha_degree));
+  RLQVO_RETURN_NOT_OK(get_alpha("feature_alpha_d", &features.alpha_d));
+  RLQVO_RETURN_NOT_OK(get_alpha("feature_alpha_l", &features.alpha_l));
   auto it = ckpt.metadata.find("feature_random");
   if (it != ckpt.metadata.end()) features.random_features = it->second == "1";
   it = ckpt.metadata.find("feature_scale_ids");
@@ -270,6 +273,17 @@ Result<RLQVOModel> RLQVOModel::Load(const std::string& path) {
   it = ckpt.metadata.find("feature_edge_labels");
   if (it != ckpt.metadata.end()) {
     features.edge_label_features = it->second == "1";
+  }
+  // The network's input width must be the feature builder's, or the first
+  // forward would CHECK-fail.
+  const int feature_width =
+      FeatureBuilder::kFeatureDim + (features.edge_label_features ? 1 : 0);
+  if (network.config().feature_dim != feature_width) {
+    return Status::InvalidArgument(
+        "checkpoint feature_dim " +
+        std::to_string(network.config().feature_dim) +
+        " does not match its feature config (" +
+        std::to_string(feature_width) + " columns)");
   }
 
   RLQVOModel model(network.config(), features);

@@ -19,14 +19,15 @@ namespace rlqvo {
 /// argmax (or sample, when stochastic exploration is requested). Steps with
 /// a single legal action skip the network entirely.
 ///
-/// Serving fast path: by default every forward runs tape-free through an
-/// owned nn::InferenceWorkspace (no Var graph, no per-step allocation once
-/// the buffers reach their high-water mark), the graph tensors and static
-/// feature columns are hoisted once per query, and only the two
-/// step-varying feature columns h(6..7) are refreshed between steps. The
-/// scores are bit-identical to the eval-mode autograd forward;
-/// set_use_inference_path(false) restores the training-grade autograd
-/// forward (kept for A/B benchmarks such as bench_ordering_latency).
+/// Every forward runs tape-free through PolicyNetwork::ForwardInference
+/// and an owned nn::InferenceWorkspace (no Var graph, no per-step
+/// allocation once the buffers reach their high-water mark, only the rows
+/// the action space reads computed); the graph tensors and static feature
+/// columns are hoisted once per query, and only the two step-varying
+/// feature columns h(6..7) are refreshed between steps. The scores are
+/// bit-identical to the eval-mode autograd forward
+/// (PolicyNetwork::Forward), which serves PPO training and is the tests'
+/// oracle.
 ///
 /// Fallback contract: MakeOrder never fails a well-formed query because of
 /// the policy. If the policy cannot produce a usable order — the query is
@@ -57,11 +58,6 @@ class RLQVOOrdering : public Ordering {
   /// inference time" of Sec IV-F).
   double last_inference_seconds() const { return last_inference_seconds_; }
 
-  /// Toggles the tape-free inference fast path (default on). The autograd
-  /// path exists for equivalence tests and latency A/B benchmarks.
-  void set_use_inference_path(bool on) { use_inference_path_ = on; }
-  bool use_inference_path() const { return use_inference_path_; }
-
   /// Number of MakeOrder calls that fell back to RI (or the connected
   /// completion) instead of returning a pure policy order.
   uint64_t fallback_count() const { return fallback_count_; }
@@ -81,7 +77,6 @@ class RLQVOOrdering : public Ordering {
   std::shared_ptr<const PolicyNetwork> policy_;
   FeatureConfig features_;
   bool stochastic_;
-  bool use_inference_path_ = true;
   Rng rng_;
   nn::InferenceWorkspace inference_workspace_;
   double last_inference_seconds_ = 0.0;

@@ -1,14 +1,16 @@
 // Tape-free inference kernels for the policy network's serving path.
 //
 // Every kernel computes the same sums in the same order as the forward of
-// the corresponding autograd op, so at every row the caller reads an
-// inference forward is bit-identical to an eval-mode autograd forward; the
+// the corresponding autograd op, so every entry an inference forward
+// computes is bit-identical to the eval-mode autograd forward; the
 // equivalence tests in tests/nn_inference_test.cc assert exact equality.
-// One serving-only shortcut keeps the math smaller than training-grade code
-// (see nn/inference.h): optional output-row restriction, used to evaluate
-// the network's last layers only on the action space. No kernel allocates:
-// all outputs and intermediates are caller-owned InferenceWorkspace
-// buffers, and the matmul's compaction scratch lives on the stack.
+// One serving-only cut keeps the math smaller than training-grade code
+// (see nn/inference.h): each kernel computes only the rows of its row
+// list, which the policy forward derives from what later layers read. No
+// kernel allocates: all outputs and intermediates are caller-owned
+// InferenceWorkspace buffers, and the matmul's compaction scratch lives on
+// the stack. Workspace buffers are never zero-filled, so a kernel writes
+// every entry of every row it computes.
 //
 // The matmul carries the serving cost. A per-coefficient zero test would
 // be a data-dependent branch that mispredicts on post-ReLU zeros (about
@@ -23,16 +25,18 @@
 //  2. Accumulation over the list. On AVX2 CPUs the output columns are cut
 //     into register tiles: 32 columns (eight 4-double accumulators), then
 //     16-, 8- and 4-column tiles and one lane-masked tile for the last 1-3
-//     columns. A tile's partial sums stay in registers for the whole list
-//     and are stored once. The portable path adds each product into the
-//     output row in memory, as the autograd MatMul does.
+//     columns. A tile starts at +0.0, keeps its partial sums in registers
+//     for the whole list, adds the bias and applies the ReLU there, and is
+//     stored once. The portable path writes +0.0 into the output row, adds
+//     each product into it in memory, as the autograd MatMul does, then
+//     adds the bias and applies the ReLU in a last pass over the row.
 //
-// Either way each output element is the autograd sum: +0.0 (the zeroed
-// output), then every listed coefficient's product added in ascending k.
-// Never FMA: a fused multiply-add rounds once where the autograd MatMul
-// rounds the product and then the sum, so it would change last bits and
-// break the exact equality with the training oracle. The AVX2 variant is
-// compiled for "avx2" only (FMA is a separate target feature), and
+// Either way each output element is the autograd value: +0.0, then every
+// listed coefficient's product added in ascending k, then the bias, then
+// the ReLU. Never FMA: a fused multiply-add rounds once where the autograd
+// MatMul rounds the product and then the sum, so it would change last bits
+// and break the exact equality with the training oracle. The AVX2 variant
+// is compiled for "avx2" only (FMA is a separate target feature), and
 // src/CMakeLists.txt builds this file and nn/matrix.cc with
 // -ffp-contract=off, so no build flag (e.g. -march=native) lets the
 // compiler fuse either side's multiply and add. The variant is chosen once
@@ -58,10 +62,6 @@ namespace nn {
 
 namespace {
 
-inline bool RowActive(const std::vector<bool>* rows, size_t i) {
-  return rows == nullptr || (*rows)[i];
-}
-
 /// lhs coefficients compacted per pass: the stack scratch of one output
 /// row, left uninitialized because every slot is written before it is read
 /// (zeroing it would cost more than the row's arithmetic). The policy's
@@ -85,15 +85,36 @@ inline size_t CompactNonzeros(const double* a_row, size_t k, size_t k1,
   return n;
 }
 
-/// out_row[0, cols) = Σ_k a_row[k] * b[k, 0..cols) over the nonzero
-/// a_row[k], in ascending k, added into out_row.
+/// What happens to each finished sum before it is stored: + bias[j] when
+/// `bias` is non-null, then ReluValue when `relu`.
+struct Epilogue {
+  const double* bias = nullptr;
+  bool relu = false;
+};
+
+/// The epilogue as passes over a stored row of `cols` entries.
+inline void ApplyEpilogue(Epilogue ep, size_t cols, double* row) {
+  if (ep.bias != nullptr) {
+    const double* __restrict bias = ep.bias;
+    double* __restrict out = row;
+    for (size_t j = 0; j < cols; ++j) out[j] += bias[j];
+  }
+  if (ep.relu) {
+    for (size_t j = 0; j < cols; ++j) row[j] = ReluValue(row[j]);
+  }
+}
+
+/// out_row[0, cols) = epilogue(Σ_k a_row[k] * b[k, 0..cols)) over the
+/// nonzero a_row[k], in ascending k, overwriting out_row.
 using MatMulRowFn = void (*)(const double* a_row, size_t inner,
-                             const double* b, size_t cols, double* out_row);
+                             const double* b, size_t cols, Epilogue ep,
+                             double* out_row);
 
 void MatMulRowScalar(const double* a_row, size_t inner, const double* b,
-                     size_t cols, double* out_row) {
+                     size_t cols, Epilogue ep, double* out_row) {
   double coefs[kCompactBlock];
   const double* b_rows[kCompactBlock];
+  std::fill_n(out_row, cols, 0.0);
   for (size_t k0 = 0; k0 < inner; k0 += kCompactBlock) {
     const size_t k1 = std::min(inner, k0 + kCompactBlock);
     const size_t nnz =
@@ -107,6 +128,7 @@ void MatMulRowScalar(const double* a_row, size_t inner, const double* b,
       for (size_t j = 0; j < cols; ++j) out[j] += coef * b_row[j];
     }
   }
+  ApplyEpilogue(ep, cols, out_row);
 }
 
 // The AVX2 compaction packs rhs-row pointers in 64-bit lanes, so the AVX2
@@ -171,14 +193,26 @@ __attribute__((target("avx2"), always_inline)) inline size_t Avx2Compact(
   return CompactNonzeros(a_row, k, k1, b, cols, n, coefs, b_rows);
 }
 
+/// ReluValue on four lanes: x < 0.0 is false for NaN and -0.0 (ordered
+/// compare), so ANDNOT keeps them and maps every negative to +0.0.
+__attribute__((target("avx2"), always_inline)) inline __m256d Avx2Relu(
+    __m256d x) {
+  return _mm256_andnot_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ),
+                          x);
+}
+
 /// One register tile of kVecs x 4 columns at offset j: the partial sums
-/// stay in kVecs accumulators for the whole compacted list.
+/// start at +0.0 (`first` block) or at the stored ones, stay in kVecs
+/// accumulators for the whole compacted list, take the epilogue in
+/// registers and are stored once.
 template <int kVecs>
 __attribute__((target("avx2"), always_inline)) inline void Avx2Tile(
     const double* coefs, const double* const* b_rows, size_t nnz, size_t j,
-    double* out) {
+    bool first, Epilogue ep, double* out) {
   __m256d acc[kVecs];
-  for (int v = 0; v < kVecs; ++v) acc[v] = _mm256_loadu_pd(out + 4 * v);
+  for (int v = 0; v < kVecs; ++v) {
+    acc[v] = first ? _mm256_setzero_pd() : _mm256_loadu_pd(out + 4 * v);
+  }
   for (size_t t = 0; t < nnz; ++t) {
     const __m256d coef = _mm256_broadcast_sd(coefs + t);
     const double* b_row = b_rows[t] + j;
@@ -187,6 +221,14 @@ __attribute__((target("avx2"), always_inline)) inline void Avx2Tile(
           acc[v], _mm256_mul_pd(coef, _mm256_loadu_pd(b_row + 4 * v)));
     }
   }
+  if (ep.bias != nullptr) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_add_pd(acc[v], _mm256_loadu_pd(ep.bias + j + 4 * v));
+    }
+  }
+  if (ep.relu) {
+    for (int v = 0; v < kVecs; ++v) acc[v] = Avx2Relu(acc[v]);
+  }
   for (int v = 0; v < kVecs; ++v) _mm256_storeu_pd(out + 4 * v, acc[v]);
 }
 
@@ -194,47 +236,58 @@ __attribute__((target("avx2"), always_inline)) inline void Avx2Tile(
 /// so nothing past the row end is read or written.
 __attribute__((target("avx2"), always_inline)) inline void Avx2MaskedTile(
     const double* coefs, const double* const* b_rows, size_t nnz, size_t j,
-    size_t width, double* out) {
+    size_t width, bool first, Epilogue ep, double* out) {
   const __m256i mask =
       _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<int64_t>(width)),
                          _mm256_setr_epi64x(0, 1, 2, 3));
-  __m256d acc = _mm256_maskload_pd(out, mask);
+  __m256d acc = first ? _mm256_setzero_pd() : _mm256_maskload_pd(out, mask);
   for (size_t t = 0; t < nnz; ++t) {
     const __m256d coef = _mm256_broadcast_sd(coefs + t);
     acc = _mm256_add_pd(
         acc, _mm256_mul_pd(coef, _mm256_maskload_pd(b_rows[t] + j, mask)));
   }
+  if (ep.bias != nullptr) {
+    acc = _mm256_add_pd(acc, _mm256_maskload_pd(ep.bias + j, mask));
+  }
+  if (ep.relu) acc = Avx2Relu(acc);
   _mm256_maskstore_pd(out, mask, acc);
 }
 
 __attribute__((target("avx2"))) void MatMulRowAvx2(
     const double* a_row, size_t inner, const double* b, size_t cols,
-    double* out_row) {
+    Epilogue ep, double* out_row) {
   double coefs[kCompactBlock];
   const double* b_rows[kCompactBlock];
-  for (size_t k0 = 0; k0 < inner; k0 += kCompactBlock) {
+  // At least one block, so an empty inner dimension still stores +0.0
+  // (plus the epilogue); only the last block applies the epilogue.
+  size_t k0 = 0;
+  do {
     const size_t k1 = std::min(inner, k0 + kCompactBlock);
     const size_t nnz = Avx2Compact(a_row, k0, k1, b, cols, coefs, b_rows);
+    const bool first = k0 == 0;
+    const Epilogue block_ep = k1 == inner ? ep : Epilogue{};
     size_t j = 0;
     for (; j + 32 <= cols; j += 32) {
-      Avx2Tile<8>(coefs, b_rows, nnz, j, out_row + j);
+      Avx2Tile<8>(coefs, b_rows, nnz, j, first, block_ep, out_row + j);
     }
     if (j + 16 <= cols) {
-      Avx2Tile<4>(coefs, b_rows, nnz, j, out_row + j);
+      Avx2Tile<4>(coefs, b_rows, nnz, j, first, block_ep, out_row + j);
       j += 16;
     }
     if (j + 8 <= cols) {
-      Avx2Tile<2>(coefs, b_rows, nnz, j, out_row + j);
+      Avx2Tile<2>(coefs, b_rows, nnz, j, first, block_ep, out_row + j);
       j += 8;
     }
     if (j + 4 <= cols) {
-      Avx2Tile<1>(coefs, b_rows, nnz, j, out_row + j);
+      Avx2Tile<1>(coefs, b_rows, nnz, j, first, block_ep, out_row + j);
       j += 4;
     }
     if (j < cols) {
-      Avx2MaskedTile(coefs, b_rows, nnz, j, cols - j, out_row + j);
+      Avx2MaskedTile(coefs, b_rows, nnz, j, cols - j, first, block_ep,
+                     out_row + j);
     }
-  }
+    k0 = k1;
+  } while (k0 < inner);
 }
 
 MatMulRowFn PickMatMulRow() {
@@ -249,40 +302,32 @@ MatMulRowFn PickMatMulRow() { return &MatMulRowScalar; }
 
 }  // namespace
 
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
-                const std::vector<bool>* out_rows) {
+void MatMulInto(const Matrix& a, const Matrix& b, RowList rows, Matrix* out,
+                const Matrix* bias, bool relu) {
   RLQVO_CHECK_EQ(a.cols(), b.rows());
   RLQVO_DCHECK_EQ(out->rows(), a.rows());
   RLQVO_DCHECK_EQ(out->cols(), b.cols());
+  Epilogue ep;
+  if (bias != nullptr) {
+    RLQVO_CHECK_EQ(bias->rows(), 1u);
+    RLQVO_CHECK_EQ(bias->cols(), b.cols());
+    ep.bias = bias->data();
+  }
+  ep.relu = relu;
   static const MatMulRowFn matmul_row = PickMatMulRow();
   const size_t inner = a.cols();
   const size_t cols = b.cols();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    if (!RowActive(out_rows, i)) continue;
-    matmul_row(a.data() + i * inner, inner, b.data(), cols,
+  for (const uint32_t i : rows) {
+    RLQVO_DCHECK_LT(i, a.rows());
+    matmul_row(a.data() + i * inner, inner, b.data(), cols, ep,
                out->data() + i * cols);
   }
 }
 
-void AddRowBroadcastInPlace(Matrix* x, const Matrix& bias,
-                            const std::vector<bool>* rows) {
-  RLQVO_CHECK_EQ(bias.rows(), 1u);
-  RLQVO_CHECK_EQ(bias.cols(), x->cols());
+void ReluInPlace(Matrix* x, RowList rows) {
   const size_t cols = x->cols();
-  const double* __restrict b = bias.data();
-  for (size_t r = 0; r < x->rows(); ++r) {
-    if (!RowActive(rows, r)) continue;
-    double* __restrict row = x->data() + r * cols;
-    for (size_t c = 0; c < cols; ++c) row[c] += b[c];
-  }
-}
-
-void ReluInPlace(Matrix* x, const std::vector<bool>* rows) {
-  const size_t cols = x->cols();
-  for (size_t r = 0; r < x->rows(); ++r) {
-    if (!RowActive(rows, r)) continue;
-    double* row = x->data() + r * cols;
-    for (size_t c = 0; c < cols; ++c) row[c] = ReluValue(row[c]);
+  for (const uint32_t r : rows) {
+    ApplyEpilogue({nullptr, /*relu=*/true}, cols, x->data() + r * cols);
   }
 }
 
@@ -311,28 +356,24 @@ void MaskedLogSoftmaxInto(const Matrix& scores, const std::vector<bool>& mask,
 }
 
 void MaskedRowSoftmaxInto(const Matrix& scores, const Matrix& mask,
-                          Matrix* out, const std::vector<bool>* out_rows) {
+                          RowList rows, Matrix* out) {
   RLQVO_CHECK(scores.SameShape(mask));
   RLQVO_DCHECK(out->SameShape(scores));
-  for (size_t r = 0; r < scores.rows(); ++r) {
-    if (!RowActive(out_rows, r)) continue;
+  for (const uint32_t r : rows) {
     double max_val = -1e300;
-    bool any = false;
     for (size_t c = 0; c < scores.cols(); ++c) {
-      if (mask.At(r, c) != 0.0) {
-        max_val = std::max(max_val, scores.At(r, c));
-        any = true;
-      }
+      if (mask.At(r, c) != 0.0) max_val = std::max(max_val, scores.At(r, c));
     }
-    if (!any) continue;  // row with no unmasked entries stays all-zero
     double denom = 0.0;
     for (size_t c = 0; c < scores.cols(); ++c) {
       if (mask.At(r, c) != 0.0) denom += std::exp(scores.At(r, c) - max_val);
     }
+    // Masked-out entries (a whole row, when the mask row is empty) are
+    // +0.0, as in the autograd op's zero-initialised output.
     for (size_t c = 0; c < scores.cols(); ++c) {
-      if (mask.At(r, c) != 0.0) {
-        out->At(r, c) = std::exp(scores.At(r, c) - max_val) / denom;
-      }
+      out->At(r, c) = mask.At(r, c) != 0.0
+                          ? std::exp(scores.At(r, c) - max_val) / denom
+                          : 0.0;
     }
   }
 }
@@ -340,111 +381,143 @@ void MaskedRowSoftmaxInto(const Matrix& scores, const Matrix& mask,
 // --- Layer forwards -------------------------------------------------------
 //
 // Scratch-slot usage is local to each call: slots are reshaped on entry and
-// dead once the function returns, so layers can be chained freely. Every
-// row restriction propagates backwards only where sound: an intermediate
-// that later rows mix across (e.g. the pre-propagation activations) is
-// always computed in full.
+// dead once the function returns, so layers can be chained freely. A layer
+// computes its output at `out_rows` and reads `h` only at `h_rows`, which
+// the caller guarantees hold the closed neighbourhood of `out_rows` (see
+// GraphLayer::ForwardInference); an intermediate that output rows mix
+// across (GAT's h W, LEConv's h W3) is computed at `h_rows`, everything
+// else at `out_rows`.
 
-void Linear::ForwardInference(const Matrix& x, Matrix* out,
-                              const std::vector<bool>* out_rows) const {
-  MatMulInto(x, weight_.value(), out, out_rows);
-  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
+namespace {
+
+/// x(r, ·) += y(r, ·), or -= when `subtract`, for every r in `rows` — the
+/// elementwise Add/Sub of the autograd layer forwards.
+void CombineRowsInPlace(Matrix* x, const Matrix& y, RowList rows,
+                        bool subtract) {
+  RLQVO_DCHECK(x->SameShape(y));
+  const size_t cols = x->cols();
+  for (const uint32_t r : rows) {
+    double* __restrict out = x->data() + r * cols;
+    const double* __restrict in = y.data() + r * cols;
+    if (subtract) {
+      for (size_t c = 0; c < cols; ++c) out[c] -= in[c];
+    } else {
+      for (size_t c = 0; c < cols; ++c) out[c] += in[c];
+    }
+  }
+}
+
+/// The bias and optional ReLU of a layer that sums several products, as
+/// passes over its output rows.
+void BiasReluInPlace(Matrix* out, const Matrix& bias, bool relu,
+                     RowList rows) {
+  RLQVO_CHECK_EQ(bias.rows(), 1u);
+  RLQVO_CHECK_EQ(bias.cols(), out->cols());
+  const size_t cols = out->cols();
+  for (const uint32_t r : rows) {
+    ApplyEpilogue({bias.data(), relu}, cols, out->data() + r * cols);
+  }
+}
+
+}  // namespace
+
+void Linear::ForwardInference(const Matrix& x, RowList rows, bool relu,
+                              Matrix* out) const {
+  MatMulInto(x, weight_.value(), rows, out, &bias_.value(), relu);
 }
 
 void GcnConv::ForwardInference(const GraphTensors& g, const Matrix& h,
-                               InferenceWorkspace* ws, Matrix* out,
-                               const std::vector<bool>* out_rows) const {
-  // H' = (D̃^-1/2 Ã D̃^-1/2 H) W + b. Output row i mixes only aggregate row
-  // i, so the row restriction applies to the propagation too.
+                               RowList, RowList out_rows, bool relu,
+                               InferenceWorkspace* ws, Matrix* out) const {
+  // H' = (D̃^-1/2 Ã D̃^-1/2 H) W + b. Output row i reads only aggregate row
+  // i, which reads the h rows of i's closed neighbourhood.
   Matrix* agg = ws->Scratch(0, h.rows(), h.cols());
-  MatMulInto(g.norm_adjacency.value(), h, agg, out_rows);
-  linear_.ForwardInference(*agg, out, out_rows);
+  MatMulInto(g.norm_adjacency.value(), h, out_rows, agg);
+  linear_.ForwardInference(*agg, out_rows, relu, out);
 }
 
-void MlpConv::ForwardInference(const GraphTensors&, const Matrix& h,
-                               InferenceWorkspace*, Matrix* out,
-                               const std::vector<bool>* out_rows) const {
-  linear_.ForwardInference(h, out, out_rows);
+void MlpConv::ForwardInference(const GraphTensors&, const Matrix& h, RowList,
+                               RowList out_rows, bool relu,
+                               InferenceWorkspace*, Matrix* out) const {
+  linear_.ForwardInference(h, out_rows, relu, out);
 }
 
 void SageConv::ForwardInference(const GraphTensors& g, const Matrix& h,
-                                InferenceWorkspace* ws, Matrix* out,
-                                const std::vector<bool>* out_rows) const {
+                                RowList, RowList out_rows, bool relu,
+                                InferenceWorkspace* ws, Matrix* out) const {
   // H' = H W_self + (D^-1 A H) W_neigh + b.
-  MatMulInto(h, w_self_.value(), out, out_rows);
+  MatMulInto(h, w_self_.value(), out_rows, out);
   Matrix* agg = ws->Scratch(0, h.rows(), h.cols());
-  MatMulInto(g.mean_adjacency.value(), h, agg, out_rows);
+  MatMulInto(g.mean_adjacency.value(), h, out_rows, agg);
   Matrix* neigh = ws->Scratch(1, h.rows(), w_neigh_.cols());
-  MatMulInto(*agg, w_neigh_.value(), neigh, out_rows);
-  out->AddInPlace(*neigh);
-  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
+  MatMulInto(*agg, w_neigh_.value(), out_rows, neigh);
+  CombineRowsInPlace(out, *neigh, out_rows, /*subtract=*/false);
+  BiasReluInPlace(out, bias_.value(), relu, out_rows);
 }
 
 void GatConv::ForwardInference(const GraphTensors& g, const Matrix& h,
-                               InferenceWorkspace* ws, Matrix* out,
-                               const std::vector<bool>* out_rows) const {
+                               RowList h_rows, RowList out_rows, bool relu,
+                               InferenceWorkspace* ws, Matrix* out) const {
   const size_t n = h.rows();
   const size_t d = weight_.cols();
-  // Attention output row i mixes every row of s = h W, so s and alpha_dst
-  // must be computed in full; only the per-row e/attention/mix work is
-  // restricted.
+  // Attention output row i mixes the rows of s = h W over i's closed
+  // neighbourhood, so s and alpha_dst are computed at h_rows; alpha_src,
+  // the logits, the softmax and the mix only at out_rows.
   Matrix* s = ws->Scratch(0, n, d);
-  MatMulInto(h, weight_.value(), s);
+  MatMulInto(h, weight_.value(), h_rows, s);
   Matrix* alpha_src = ws->Scratch(1, n, 1);
   Matrix* alpha_dst = ws->Scratch(2, n, 1);
-  MatMulInto(*s, att_src_.value(), alpha_src, out_rows);
-  MatMulInto(*s, att_dst_.value(), alpha_dst);
+  MatMulInto(*s, att_src_.value(), out_rows, alpha_src);
+  MatMulInto(*s, att_dst_.value(), h_rows, alpha_dst);
   // E(i, j) = alpha_src_i + alpha_dst_j, LeakyReLU'd then row-softmaxed
   // over A + I. The autograd path builds E with ones-vector outer products
   // whose entries are exactly alpha_src_i and alpha_dst_j, so summing them
-  // directly is bit-identical.
+  // directly is bit-identical. The softmax reads E only inside the mask,
+  // so only those entries are computed.
   Matrix* e = ws->Scratch(3, n, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!RowActive(out_rows, i)) continue;
+  for (const uint32_t i : out_rows) {
     for (size_t j = 0; j < n; ++j) {
+      if (g.attention_mask.At(i, j) == 0.0) continue;
       const double v = alpha_src->At(i, 0) + alpha_dst->At(j, 0);
       e->At(i, j) = v < 0.0 ? v * 0.2 : v;  // LeakyReLU(0.2)
     }
   }
-  // Reuse slot 1 (alpha_src is dead) for the attention matrix; inactive
-  // rows are skipped end to end and stay all-zero.
+  // Reuse slot 1 (alpha_src is dead) for the attention matrix.
   Matrix* attention = ws->Scratch(1, n, n);
-  MaskedRowSoftmaxInto(*e, g.attention_mask, attention, out_rows);
-  MatMulInto(*attention, *s, out, out_rows);
-  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
+  MaskedRowSoftmaxInto(*e, g.attention_mask, out_rows, attention);
+  // One product plus the bias: the fused epilogue applies.
+  MatMulInto(*attention, *s, out_rows, out, &bias_.value(), relu);
 }
 
 void GraphNNConv::ForwardInference(const GraphTensors& g, const Matrix& h,
-                                   InferenceWorkspace* ws, Matrix* out,
-                                   const std::vector<bool>* out_rows) const {
+                                   RowList, RowList out_rows, bool relu,
+                                   InferenceWorkspace* ws, Matrix* out) const {
   // H' = H W1 + A H W2 + b.
-  MatMulInto(h, w_root_.value(), out, out_rows);
+  MatMulInto(h, w_root_.value(), out_rows, out);
   Matrix* agg = ws->Scratch(0, h.rows(), h.cols());
-  MatMulInto(g.adjacency.value(), h, agg, out_rows);
+  MatMulInto(g.adjacency.value(), h, out_rows, agg);
   Matrix* neigh = ws->Scratch(1, h.rows(), w_neigh_.cols());
-  MatMulInto(*agg, w_neigh_.value(), neigh, out_rows);
-  out->AddInPlace(*neigh);
-  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
+  MatMulInto(*agg, w_neigh_.value(), out_rows, neigh);
+  CombineRowsInPlace(out, *neigh, out_rows, /*subtract=*/false);
+  BiasReluInPlace(out, bias_.value(), relu, out_rows);
 }
 
 void LEConv::ForwardInference(const GraphTensors& g, const Matrix& h,
-                              InferenceWorkspace* ws, Matrix* out,
-                              const std::vector<bool>* out_rows) const {
+                              RowList h_rows, RowList out_rows, bool relu,
+                              InferenceWorkspace* ws, Matrix* out) const {
   // H' = H W1 + diag(d) H W2 - A H W3 + b.
-  MatMulInto(h, w1_.value(), out, out_rows);
+  MatMulInto(h, w1_.value(), out_rows, out);
   Matrix* hw = ws->Scratch(0, h.rows(), w2_.cols());
-  MatMulInto(h, w2_.value(), hw, out_rows);  // diag: row i needs only row i
+  MatMulInto(h, w2_.value(), out_rows, hw);  // diag: row i needs only row i
   Matrix* part = ws->Scratch(1, h.rows(), w2_.cols());
-  MatMulInto(g.degree_diag.value(), *hw, part, out_rows);
-  out->AddInPlace(*part);
+  MatMulInto(g.degree_diag.value(), *hw, out_rows, part);
+  CombineRowsInPlace(out, *part, out_rows, /*subtract=*/false);
   Matrix* hw3 = ws->Scratch(2, h.rows(), w3_.cols());
-  MatMulInto(h, w3_.value(), hw3);  // adjacency mixes rows: compute in full
+  MatMulInto(h, w3_.value(), h_rows, hw3);  // A mixes neighbourhood rows
   Matrix* part3 = ws->Scratch(3, h.rows(), w3_.cols());
-  MatMulInto(g.adjacency.value(), *hw3, part3, out_rows);
-  for (size_t i = 0; i < out->values().size(); ++i) {
-    out->values()[i] -= part3->values()[i];
-  }
-  AddRowBroadcastInPlace(out, bias_.value(), out_rows);
+  MatMulInto(g.adjacency.value(), *hw3, out_rows, part3);
+  CombineRowsInPlace(out, *part3, out_rows, /*subtract=*/true);
+  BiasReluInPlace(out, bias_.value(), relu, out_rows);
 }
 
 }  // namespace nn

@@ -20,13 +20,14 @@ class Linear {
   /// x: (n, in) -> (n, out).
   Var Forward(const Var& x) const;
 
-  /// Tape-free forward into a caller-owned buffer: *out = x W + b. `out`
-  /// must be shaped (x.rows, out_features) and zeroed. Rows outside
-  /// `out_rows` (when non-null) are not computed and hold unspecified
-  /// values; computed rows are bit-identical to Forward. Implemented in
-  /// nn/inference.cc.
-  void ForwardInference(const Matrix& x, Matrix* out,
-                        const std::vector<bool>* out_rows = nullptr) const;
+  /// Tape-free forward into a caller-owned buffer: overwrites each row r in
+  /// `rows` of `out` (shaped (x.rows, out_features)) with x(r, ·) W + b,
+  /// passed through ReluValue when `relu` — bias and ReLU applied in the
+  /// matmul's registers, bit-identical to Forward (then Relu). Reads x
+  /// only at `rows`; other rows of `out` are left as they were.
+  /// Implemented in nn/inference.cc.
+  void ForwardInference(const Matrix& x, RowList rows, bool relu,
+                        Matrix* out) const;
 
   std::vector<Var> Parameters() const { return {weight_, bias_}; }
   size_t in_features() const { return weight_.rows(); }
@@ -53,16 +54,22 @@ class GraphLayer {
  public:
   virtual ~GraphLayer() = default;
   virtual Var Forward(const GraphTensors& g, const Var& h) const = 0;
-  /// Tape-free forward for serving: writes the layer output into *out
-  /// (shaped (h.rows, out_features), zeroed), using `ws` scratch slots for
-  /// intermediates. When `out_rows` is non-null only those output rows are
-  /// computed (the rest stay zeroed, values unspecified) — sound for the
-  /// network's last graph layer, whose other rows nothing reads. Computed
-  /// rows are bit-identical to the eval-mode Forward. All
-  /// implementations live in nn/inference.cc.
+  /// Tape-free forward for serving: overwrites each row in `out_rows` of
+  /// `out` (shaped (h.rows, out_features)) with the layer output, passed
+  /// through ReluValue when `relu`, using `ws` scratch slots for
+  /// intermediates; other rows of `out` are left as they were. `h` is read
+  /// only at `h_rows`, which must include every row that an `out_rows` row
+  /// reads: its closed neighbourhood in g.attention_mask (A + I), or the
+  /// row itself when !ReadsNeighbours(). Computed rows are bit-identical to
+  /// the eval-mode Forward (then Relu). All implementations live in
+  /// nn/inference.cc.
   virtual void ForwardInference(const GraphTensors& g, const Matrix& h,
-                                InferenceWorkspace* ws, Matrix* out,
-                                const std::vector<bool>* out_rows) const = 0;
+                                RowList h_rows, RowList out_rows, bool relu,
+                                InferenceWorkspace* ws, Matrix* out) const = 0;
+  /// Whether output row i reads rows of h other than row i (those of its
+  /// closed neighbourhood). False only for MlpConv, which ignores the
+  /// graph.
+  virtual bool ReadsNeighbours() const { return true; }
   virtual std::vector<Var> Parameters() const = 0;
 };
 
@@ -73,8 +80,8 @@ class GcnConv : public GraphLayer {
   GcnConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -88,8 +95,9 @@ class MlpConv : public GraphLayer {
   MlpConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
+  bool ReadsNeighbours() const override { return false; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -103,8 +111,8 @@ class SageConv : public GraphLayer {
   SageConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -121,8 +129,8 @@ class GatConv : public GraphLayer {
   GatConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -139,8 +147,8 @@ class GraphNNConv : public GraphLayer {
   GraphNNConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
   std::vector<Var> Parameters() const override;
 
  private:
@@ -156,8 +164,8 @@ class LEConv : public GraphLayer {
   LEConv(size_t in_features, size_t out_features, Rng* rng);
   Var Forward(const GraphTensors& g, const Var& h) const override;
   void ForwardInference(const GraphTensors& g, const Matrix& h,
-                        InferenceWorkspace* ws, Matrix* out,
-                        const std::vector<bool>* out_rows) const override;
+                        RowList h_rows, RowList out_rows, bool relu,
+                        InferenceWorkspace* ws, Matrix* out) const override;
   std::vector<Var> Parameters() const override;
 
  private:

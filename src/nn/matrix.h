@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,10 @@
 
 namespace rlqvo {
 namespace nn {
+
+/// Ascending row indexes of a Matrix: the rows a serving kernel computes
+/// (nn/inference.h).
+using RowList = std::span<const uint32_t>;
 
 /// \brief Dense row-major matrix of doubles — the numeric value type of the
 /// autograd engine.
@@ -56,14 +62,16 @@ class Matrix {
   std::vector<double>& values() { return data_; }
   const std::vector<double>& values() const { return data_; }
 
-  /// Reshapes in place to (rows, cols) with every entry zeroed. The backing
-  /// vector's capacity is never shrunk, so re-shaping to a size at or below
-  /// the high-water mark performs no allocation — the reuse contract the
-  /// inference workspace (nn/inference.h) is built on.
-  void Resize(size_t rows, size_t cols) {
+  /// Reshapes in place to (rows, cols) without filling: entries within the
+  /// old size keep their values, so every entry a caller reads must be
+  /// written first (std::vector zeroes only a tail the size grows into).
+  /// The backing vector's capacity is never shrunk, so re-shaping to a
+  /// size at or below the high-water mark performs no allocation — the
+  /// reuse contract the inference workspace (nn/inference.h) is built on.
+  void ResizeForOverwrite(size_t rows, size_t cols) {
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, 0.0);
+    data_.resize(rows * cols);
   }
 
   /// this += other (shapes must match).

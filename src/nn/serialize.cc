@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/failpoint.h"
@@ -16,13 +17,6 @@ namespace nn {
 
 namespace {
 constexpr char kMagic[] = "RLQVO-MODEL v1";
-
-// A corrupt header must not drive allocation: the largest real RLQVO
-// checkpoint in this repo is a few hundred thousand floats, so one matrix
-// claiming more than 2^28 elements (2 GiB of doubles) is garbage, not a
-// model. Rejecting it keeps a flipped byte from turning into a
-// std::bad_alloc abort.
-constexpr size_t kMaxMatrixElements = size_t{1} << 28;
 
 // std::stoull THROWS on non-numeric/overflowing input, which would escape
 // a Status-based loader as an uncaught exception. Parse defensively.
@@ -40,6 +34,35 @@ bool ParseSize(const std::string& token, size_t* out) {
 }
 
 }  // namespace
+
+bool ParseMetadataInt(const std::string& token, int* out) {
+  // strtol skips leading whitespace; a metadata value has none.
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long value = std::strtol(token.c_str(), &end, 10);
+  if (end != token.c_str() + token.size() || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool ParseMetadataDouble(const std::string& token, double* out) {
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
 
 Status SaveParameters(const std::vector<Var>& parameters,
                       const std::map<std::string, std::string>& metadata,

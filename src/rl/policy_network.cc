@@ -1,5 +1,7 @@
 #include "rl/policy_network.h"
 
+#include <algorithm>
+
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 
@@ -44,6 +46,24 @@ PolicyNetwork::ForwardResult PolicyNetwork::Forward(
   return result;
 }
 
+namespace {
+
+/// Appends to `out`, ascending, the closed neighbourhood of `rows` in
+/// `mask` (A + I): every j with mask(i, j) != 0 for some i in `rows`.
+void AppendClosedNeighbourhood(const nn::Matrix& mask, nn::RowList rows,
+                               std::vector<uint32_t>* out) {
+  for (uint32_t j = 0; j < mask.cols(); ++j) {
+    for (const uint32_t i : rows) {
+      if (mask.At(i, j) != 0.0) {
+        out->push_back(j);
+        break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
     nn::InferenceWorkspace* workspace, const nn::GraphTensors& tensors,
     const nn::Matrix& features, const std::vector<bool>& action_mask) const {
@@ -51,30 +71,48 @@ PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
   RLQVO_CHECK_EQ(features.cols(), static_cast<size_t>(config_.feature_dim));
   RLQVO_CHECK_EQ(features.rows(), action_mask.size());
   const size_t n = features.rows();
+  RLQVO_CHECK(tensors.attention_mask.rows() == n &&
+              tensors.attention_mask.cols() == n);
   const size_t hidden_dim = static_cast<size_t>(config_.hidden_dim);
+  const size_t num_layers = gnn_layers_.size();
+  // Row plan, derived backwards from the action mask: only the action
+  // rows of the scores are read (MaskedLogSoftmax ignores the rest), so
+  // plan[num_layers] holds them, and graph layer l computes plan[l + 1]
+  // from the rows plan[l] of its input — the closed query-graph
+  // neighbourhood of plan[l + 1], or plan[l + 1] itself for a layer that
+  // reads no neighbours (MlpConv). A serving-only cut the autograd forward
+  // cannot make: no row is computed that nothing reads.
+  std::vector<uint32_t>* plan = workspace->row_plan(num_layers + 1, n);
+  for (uint32_t u = 0; u < n; ++u) {
+    if (action_mask[u]) plan[num_layers].push_back(u);
+  }
+  for (size_t l = num_layers; l-- > 0;) {
+    if (gnn_layers_[l]->ReadsNeighbours()) {
+      AppendClosedNeighbourhood(tensors.attention_mask, plan[l + 1],
+                                &plan[l]);
+    } else {
+      plan[l] = plan[l + 1];
+    }
+  }
   // GNN stack: ping-pong between two activation buffers (a layer must not
-  // write into the matrix it reads). Only the action-space rows of the
-  // network's output are ever read (MaskedLogSoftmax ignores the rest), so
-  // the last graph layer and the MLP head compute just those rows — a
-  // serving-only cut the autograd forward cannot make.
+  // write into the matrix it reads); every layer is followed by a ReLU,
+  // which the layer applies before storing.
   const nn::Matrix* h = &features;
   bool into_ping = true;
-  for (size_t l = 0; l < gnn_layers_.size(); ++l) {
+  for (size_t l = 0; l < num_layers; ++l) {
     nn::Matrix* next = into_ping ? workspace->ping(n, hidden_dim)
                                  : workspace->pong(n, hidden_dim);
-    const std::vector<bool>* rows =
-        l + 1 == gnn_layers_.size() ? &action_mask : nullptr;
-    gnn_layers_[l]->ForwardInference(tensors, *h, workspace, next, rows);
-    nn::ReluInPlace(next, rows);
+    gnn_layers_[l]->ForwardInference(tensors, *h, plan[l], plan[l + 1],
+                                     /*relu=*/true, workspace, next);
     h = next;
     into_ping = !into_ping;
   }
   // Eq. 4 head: scores = W2 σ(W1 h), then masked log-softmax.
+  const nn::RowList action_rows = plan[num_layers];
   nn::Matrix* hidden = workspace->hidden(n, hidden_dim);
-  mlp_hidden_->ForwardInference(*h, hidden, &action_mask);
-  nn::ReluInPlace(hidden, &action_mask);
+  mlp_hidden_->ForwardInference(*h, action_rows, /*relu=*/true, hidden);
   nn::Matrix* scores = workspace->scores(n);
-  mlp_out_->ForwardInference(*hidden, scores, &action_mask);
+  mlp_out_->ForwardInference(*hidden, action_rows, /*relu=*/false, scores);
   nn::Matrix* log_probs = workspace->log_probs(n);
   nn::MaskedLogSoftmaxInto(*scores, action_mask, log_probs);
   InferenceResult result;
@@ -124,17 +162,41 @@ Result<PolicyConfig> PolicyNetwork::ConfigFromMetadata(
     }
     return it->second;
   };
+  // A corrupt value must come back as a Status, never as an exception or a
+  // constructor CHECK failure.
+  auto dimension = [&](const char* key, int* out) -> Status {
+    RLQVO_ASSIGN_OR_RETURN(std::string value, require(key));
+    if (!nn::ParseMetadataInt(value, out) || *out < 1) {
+      return Status::InvalidArgument(std::string("checkpoint '") + key +
+                                     "' must be a positive integer, got '" +
+                                     value + "'");
+    }
+    return Status::OK();
+  };
   PolicyConfig config;
   RLQVO_ASSIGN_OR_RETURN(std::string backbone_name, require("backbone"));
   RLQVO_ASSIGN_OR_RETURN(config.backbone, nn::ParseBackbone(backbone_name));
-  RLQVO_ASSIGN_OR_RETURN(std::string layers, require("num_gnn_layers"));
-  config.num_gnn_layers = std::stoi(layers);
-  RLQVO_ASSIGN_OR_RETURN(std::string hidden, require("hidden_dim"));
-  config.hidden_dim = std::stoi(hidden);
-  RLQVO_ASSIGN_OR_RETURN(std::string feature, require("feature_dim"));
-  config.feature_dim = std::stoi(feature);
+  RLQVO_RETURN_NOT_OK(dimension("num_gnn_layers", &config.num_gnn_layers));
+  RLQVO_RETURN_NOT_OK(dimension("hidden_dim", &config.hidden_dim));
+  RLQVO_RETURN_NOT_OK(dimension("feature_dim", &config.feature_dim));
+  // The widest weight matrix is (max(feature_dim, hidden_dim), hidden_dim);
+  // the loader caps every matrix it reads at kMaxMatrixElements.
+  const uint64_t widest =
+      static_cast<uint64_t>(std::max(config.feature_dim, config.hidden_dim)) *
+      static_cast<uint64_t>(config.hidden_dim);
+  if (widest > nn::kMaxMatrixElements) {
+    return Status::InvalidArgument(
+        "checkpoint dimensions hidden_dim " +
+        std::to_string(config.hidden_dim) + ", feature_dim " +
+        std::to_string(config.feature_dim) +
+        " exceed the per-matrix element cap");
+  }
   RLQVO_ASSIGN_OR_RETURN(std::string dropout, require("dropout"));
-  config.dropout = std::stod(dropout);
+  if (!nn::ParseMetadataDouble(dropout, &config.dropout) ||
+      !(config.dropout >= 0.0 && config.dropout < 1.0)) {
+    return Status::InvalidArgument(
+        "checkpoint 'dropout' must be in [0, 1), got '" + dropout + "'");
+  }
   return config;
 }
 
@@ -142,6 +204,15 @@ Result<PolicyNetwork> PolicyNetwork::FromCheckpoint(
     const std::map<std::string, std::string>& metadata,
     const std::vector<nn::Matrix>& matrices) {
   RLQVO_ASSIGN_OR_RETURN(PolicyConfig config, ConfigFromMetadata(metadata));
+  // Every graph layer has at least two parameter matrices and the MLP head
+  // four: reject a layer count the checkpoint cannot hold before building
+  // (and allocating) that many layers.
+  const size_t layers = static_cast<size_t>(config.num_gnn_layers);
+  if (matrices.size() < 4 || layers > (matrices.size() - 4) / 2) {
+    return Status::InvalidArgument(
+        "checkpoint has " + std::to_string(matrices.size()) +
+        " matrices, too few for " + std::to_string(layers) + " GNN layers");
+  }
   PolicyNetwork network(config);
   std::vector<nn::Var> params = network.Parameters();
   RLQVO_RETURN_NOT_OK(nn::AssignParameters(matrices, &params));

@@ -65,10 +65,16 @@ class PolicyNetwork {
   };
 
   /// Tape-free serving forward: masked scores/log-probs bit-identical to
-  /// the eval-mode (training=false) Forward, but with no Var tape, no
-  /// allocation once `workspace` buffers reach their high-water mark, and
-  /// the last graph layer + MLP head evaluated only on the action-space
-  /// rows. Dropout is off by construction (it only applies when training).
+  /// the eval-mode (training=false) Forward, with no Var tape and no
+  /// allocation once `workspace` buffers reach their high-water mark.
+  /// Computes only the rows something reads, from a row plan derived
+  /// backwards from `action_mask` and kept in the workspace: the MLP head
+  /// and the last graph layer compute the action rows, and each earlier
+  /// graph layer the closed query-graph neighbourhood (A + I, read from
+  /// tensors.attention_mask) of the next layer's rows — the same rows for
+  /// MlpConv. Linear layers apply bias and ReLU before the single store of
+  /// each row, and nothing is zero-filled. Dropout is off by construction
+  /// (it only applies when training).
   InferenceResult ForwardInference(nn::InferenceWorkspace* workspace,
                                    const nn::GraphTensors& tensors,
                                    const nn::Matrix& features,

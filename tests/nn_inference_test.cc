@@ -3,7 +3,11 @@
 // scores bit-identical to the eval-mode (training=false) autograd forward
 // across every backbone, layer depth, mask shape and ordering step — and
 // must stop allocating once the workspace buffers reach their high-water
-// mark. The kernels are pinned bit for bit against a naive triple loop.
+// mark. Workspace buffers are poisoned with NaN before every forward, so
+// reading a row the row plan skipped, or an entry a kernel expected to be
+// zero-filled, breaks the exact comparison. The kernels are pinned bit for
+// bit against a naive triple loop.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -42,8 +46,53 @@ const std::vector<nn::Backbone> kBackbones = {
     nn::Backbone::kGcn,  nn::Backbone::kMlp,     nn::Backbone::kGat,
     nn::Backbone::kSage, nn::Backbone::kGraphNN, nn::Backbone::kLEConv};
 
+/// A policy of `config` whose bias vectors are random instead of the
+/// initial zeros, as after training, so a kernel that drops or misplaces a
+/// bias changes the scores.
+PolicyNetwork MakePolicy(const PolicyConfig& config) {
+  PolicyNetwork policy(config);
+  Rng rng(config.init_seed + 1);
+  for (nn::Var& param : policy.Parameters()) {
+    if (param.rows() == 1) {
+      param.SetValue(nn::Matrix::Randn(1, param.cols(), 0.5, &rng));
+    }
+  }
+  return policy;
+}
+
+/// Every row index of an n-row matrix.
+std::vector<uint32_t> AllRows(size_t n) {
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+  return rows;
+}
+
+/// Fills every matrix buffer of `ws` with NaN at the largest shape a
+/// forward of `policy` on an n-vertex query gives it: n rows, and as many
+/// columns as the widest of n (GAT's attention), the hidden and the
+/// feature width. Whatever the forward reads without writing it first is
+/// then NaN — or +0.0 where a scratch slot that an earlier layer shrank
+/// grows back within the forward.
+void PoisonWorkspace(const PolicyNetwork& policy, size_t n,
+                     nn::InferenceWorkspace* ws) {
+  const double nan = std::nan("");
+  const size_t width =
+      std::max({n, static_cast<size_t>(policy.config().hidden_dim),
+                static_cast<size_t>(policy.config().feature_dim)});
+  for (size_t slot = 0; slot < nn::InferenceWorkspace::kScratchSlots;
+       ++slot) {
+    ws->Scratch(slot, n, width)->Fill(nan);
+  }
+  ws->ping(n, width)->Fill(nan);
+  ws->pong(n, width)->Fill(nan);
+  ws->hidden(n, width)->Fill(nan);
+  ws->scores(n)->Fill(nan);
+  ws->log_probs(n)->Fill(nan);
+}
+
 /// Asserts inference == autograd (eval mode) on every decision step of an
-/// ordering episode driven by the autograd path's argmax.
+/// ordering episode driven by the autograd path's argmax, with the
+/// workspace poisoned before each inference forward.
 void ExpectEpisodeEquivalence(const PolicyNetwork& policy,
                               nn::InferenceWorkspace* ws, const Graph& query,
                               const Graph& data) {
@@ -57,6 +106,7 @@ void ExpectEpisodeEquivalence(const PolicyNetwork& policy,
     const auto autograd = policy.Forward(env.tensors(), env.FeaturesView(),
                                          env.ActionMask(), /*training=*/false,
                                          nullptr);
+    PoisonWorkspace(policy, query.num_vertices(), ws);
     const auto inference = policy.ForwardInference(
         ws, env.tensors(), env.FeaturesView(), env.ActionMask());
     const uint32_t n = query.num_vertices();
@@ -92,7 +142,7 @@ TEST(InferenceEquivalence, AllBackbonesRandomizedQueries) {
     config.backbone = backbone;
     config.hidden_dim = 16;
     config.init_seed = 5 + static_cast<uint64_t>(backbone);
-    PolicyNetwork policy(config);
+    const PolicyNetwork policy = MakePolicy(config);
     nn::InferenceWorkspace ws;
     for (uint64_t seed = 0; seed < 4; ++seed) {
       const Graph query =
@@ -111,7 +161,7 @@ TEST(InferenceEquivalence, DeeperStacksAndWiderHidden) {
       PolicyConfig config;
       config.num_gnn_layers = layers;
       config.hidden_dim = hidden;
-      PolicyNetwork policy(config);
+      const PolicyNetwork policy = MakePolicy(config);
       nn::InferenceWorkspace ws;
       const Graph query = RandomQuery(data, 31 * layers + hidden, 8);
       SCOPED_TRACE("layers=" + std::to_string(layers) +
@@ -126,7 +176,7 @@ TEST(InferenceEquivalence, DropoutConfigIsInertAtInference) {
   // dropout must still match the eval-mode forward exactly.
   PolicyConfig config;
   config.dropout = 0.9;
-  PolicyNetwork policy(config);
+  const PolicyNetwork policy = MakePolicy(config);
   nn::InferenceWorkspace ws;
   const Graph data = RandomData(/*seed=*/17, /*n=*/50);
   const Graph query = RandomQuery(data, 23, 6);
@@ -136,7 +186,7 @@ TEST(InferenceEquivalence, DropoutConfigIsInertAtInference) {
 TEST(InferenceWorkspace, SteadyStateIsAllocationFree) {
   PolicyConfig config;
   config.backbone = nn::Backbone::kGat;  // exercises the (n, n) scratch too
-  PolicyNetwork policy(config);
+  const PolicyNetwork policy = MakePolicy(config);
   nn::InferenceWorkspace ws;
   const Graph data = RandomData(/*seed=*/19, /*n=*/90);
   // Warm up at the largest query size the steady state will see.
@@ -153,6 +203,51 @@ TEST(InferenceWorkspace, SteadyStateIsAllocationFree) {
   EXPECT_EQ(ws.buffer_grows(), grows_after_warmup);
 }
 
+TEST(InferenceRowPlan, FirstLayerSkipsRowsOutsideTheActionNeighbourhood) {
+  // A 32-vertex path whose action space is one end vertex: the head and
+  // the last layer need row 0 only, so the first layer computes the closed
+  // neighbourhood {0, 1} (just {0} for MlpConv) and must leave every other
+  // row of its output as the poisoned workspace held it.
+  const Graph data = RandomData(/*seed=*/37, /*n=*/120, /*avg_degree=*/5.0,
+                                /*labels=*/4);
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < 32; ++v) builder.AddVertex(v % 4);
+  for (uint32_t v = 0; v + 1 < 32; ++v) builder.AddEdge(v, v + 1);
+  const Graph path = builder.Build();
+  const nn::GraphTensors tensors = BuildGraphTensors(path);
+  const nn::Matrix features =
+      FeatureBuilder(&path, &data, FeatureConfig{})
+          .Build(std::vector<bool>(32, false), 0);
+  std::vector<bool> mask(32, false);
+  mask[0] = true;
+  for (nn::Backbone backbone : kBackbones) {
+    SCOPED_TRACE(nn::BackboneName(backbone));
+    PolicyConfig config;
+    config.backbone = backbone;
+    config.num_gnn_layers = 2;
+    config.hidden_dim = 64;
+    const PolicyNetwork policy = MakePolicy(config);
+    nn::InferenceWorkspace ws;
+    PoisonWorkspace(policy, 32, &ws);
+    const auto inference =
+        policy.ForwardInference(&ws, tensors, features, mask);
+    const auto autograd =
+        policy.Forward(tensors, features, mask, /*training=*/false, nullptr);
+    EXPECT_TRUE(SameDouble(inference.raw_scores->At(0, 0),
+                           autograd.raw_scores.value().At(0, 0)));
+    // The first graph layer writes the ping buffer; reshaping it to the
+    // shape it already has leaves its contents as the forward left them.
+    const nn::Matrix& first = *ws.ping(32, 64);
+    const uint32_t computed = backbone == nn::Backbone::kMlp ? 1 : 2;
+    for (uint32_t r = 0; r < 32; ++r) {
+      for (size_t c = 0; c < 64; ++c) {
+        ASSERT_EQ(std::isnan(first.At(r, c)), r >= computed)
+            << "row " << r << " column " << c;
+      }
+    }
+  }
+}
+
 TEST(InferenceEquivalence, PaperDefaultOn32VertexQueries) {
   // The paper's architecture (2 layers, hidden 64) is the only shape whose
   // 64-wide matmuls run full 32-column register tiles; pin it on every
@@ -165,7 +260,7 @@ TEST(InferenceEquivalence, PaperDefaultOn32VertexQueries) {
     config.num_gnn_layers = 2;
     config.hidden_dim = 64;
     config.init_seed = 11 + static_cast<uint64_t>(backbone);
-    PolicyNetwork policy(config);
+    const PolicyNetwork policy = MakePolicy(config);
     nn::InferenceWorkspace ws;
     const Graph query =
         RandomQuery(data, 400 + static_cast<uint64_t>(backbone), 32);
@@ -204,23 +299,36 @@ nn::Matrix SparseRandom(size_t rows, size_t cols, size_t zero_row, Rng* rng) {
   return m;
 }
 
-/// Runs MatMulInto on a workspace buffer and checks it bit for bit against
-/// the naive loop (and the autograd MatMul) at every active row; inactive
-/// rows must stay untouched (+0.0).
+/// Runs MatMulInto on a NaN-filled buffer and checks it bit for bit against
+/// the naive loop (and the autograd MatMul) — followed by the autograd
+/// AddRowBroadcast when `bias` is non-null and Relu when `relu` — at every
+/// row in `rows`; every other row must keep its NaN.
 void ExpectMatMulIntoExact(const nn::Matrix& a, const nn::Matrix& b,
-                           const std::vector<bool>* out_rows) {
-  const nn::Matrix expected = NaiveMatMul(a, b);
+                           const std::vector<uint32_t>& rows,
+                           const nn::Matrix* bias = nullptr,
+                           bool relu = false) {
+  const nn::Matrix naive = NaiveMatMul(a, b);
   const nn::Matrix autograd = nn::MatMul(a, b);
-  nn::InferenceWorkspace ws;
-  nn::Matrix* out = ws.Scratch(0, a.rows(), b.cols());
-  nn::MatMulInto(a, b, out, out_rows);
-  for (size_t r = 0; r < expected.rows(); ++r) {
-    const bool active = out_rows == nullptr || (*out_rows)[r];
-    for (size_t c = 0; c < expected.cols(); ++c) {
-      ASSERT_TRUE(SameDouble(autograd.At(r, c), expected.At(r, c)))
+  nn::Var expected = nn::Var::Constant(naive);
+  if (bias != nullptr) {
+    expected = nn::AddRowBroadcast(expected, nn::Var::Constant(*bias));
+  }
+  if (relu) expected = nn::Relu(expected);
+  nn::Matrix out(a.rows(), b.cols(), std::nan(""));
+  nn::MatMulInto(a, b, rows, &out, bias, relu);
+  std::vector<bool> active(a.rows(), false);
+  for (uint32_t r : rows) active[r] = true;
+  for (size_t r = 0; r < naive.rows(); ++r) {
+    for (size_t c = 0; c < naive.cols(); ++c) {
+      ASSERT_TRUE(SameDouble(autograd.At(r, c), naive.At(r, c)))
           << "autograd MatMul at (" << r << ", " << c << ")";
-      ASSERT_TRUE(SameDouble(out->At(r, c), active ? expected.At(r, c) : 0.0))
-          << "(" << r << ", " << c << ")" << (active ? "" : " inactive");
+      if (active[r]) {
+        ASSERT_TRUE(SameDouble(out.At(r, c), expected.value().At(r, c)))
+            << "(" << r << ", " << c << ")";
+      } else {
+        ASSERT_TRUE(std::isnan(out.At(r, c)))
+            << "(" << r << ", " << c << ") inactive, overwritten";
+      }
     }
   }
 }
@@ -228,6 +336,14 @@ void ExpectMatMulIntoExact(const nn::Matrix& a, const nn::Matrix& b,
 TEST(InferenceKernels, MatMulIntoMatchesNaiveLoopBitForBit) {
   Rng rng(3);
   const size_t kRows = 6;
+  const double nan = std::nan("");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Bias entries cycle through the values an epilogue can get wrong: -0.0
+  // (on the all-zero row the sum is +0.0, and +0.0 + -0.0 = +0.0 — a tile
+  // seeded with the bias would store -0.0), NaN and ±inf pre-activations
+  // (ReLU keeps NaN and +inf, maps -inf to +0.0), then random values that
+  // leave some sums negative and some positive.
+  const std::vector<double> special_bias = {-0.0, 0.0, nan, kInf, -kInf};
   // Inner widths: one coefficient, a feature-sized row, a query-sized row,
   // and one wider than a single compaction pass.
   for (size_t inner : {1, 7, 40, 300}) {
@@ -237,10 +353,18 @@ TEST(InferenceKernels, MatMulIntoMatchesNaiveLoopBitForBit) {
                    std::to_string(width));
       const nn::Matrix a = SparseRandom(kRows, inner, /*zero_row=*/2, &rng);
       const nn::Matrix b = SparseRandom(inner, width, /*zero_row=*/0, &rng);
-      ExpectMatMulIntoExact(a, b, nullptr);
-      std::vector<bool> rows(kRows, false);
-      rows[0] = rows[3] = rows[5] = true;
-      ExpectMatMulIntoExact(a, b, &rows);
+      nn::Matrix bias = nn::Matrix::Randn(1, width, 1.0, &rng);
+      for (size_t c = 0; c < width; c += 2) {
+        bias.At(0, c) = special_bias[(c / 2) % special_bias.size()];
+      }
+      for (const std::vector<uint32_t>& rows :
+           {AllRows(kRows), std::vector<uint32_t>{0, 3, 5}}) {
+        SCOPED_TRACE(std::to_string(rows.size()) + " rows");
+        ExpectMatMulIntoExact(a, b, rows);
+        ExpectMatMulIntoExact(a, b, rows, nullptr, /*relu=*/true);
+        ExpectMatMulIntoExact(a, b, rows, &bias, /*relu=*/false);
+        ExpectMatMulIntoExact(a, b, rows, &bias, /*relu=*/true);
+      }
     }
   }
 }
@@ -262,13 +386,12 @@ TEST(InferenceKernels, MatMulIntoSignedZeros) {
       b.At(1, c) = c % 2 == 0 ? 0.0 : -0.0;
       b.At(2, c) = 0.0;
     }
-    ExpectMatMulIntoExact(a, b, nullptr);
-    nn::InferenceWorkspace ws;
-    nn::Matrix* out = ws.Scratch(0, 2, width);
-    nn::MatMulInto(a, b, out);
+    ExpectMatMulIntoExact(a, b, AllRows(2));
+    nn::Matrix out(2, width, -0.0);
+    nn::MatMulInto(a, b, AllRows(2), &out);
     for (size_t c = 0; c < width; ++c) {
-      EXPECT_FALSE(std::signbit(out->At(0, c))) << c;
-      EXPECT_FALSE(std::signbit(out->At(1, c))) << c;
+      EXPECT_FALSE(std::signbit(out.At(0, c))) << c;
+      EXPECT_FALSE(std::signbit(out.At(1, c))) << c;
     }
   }
 }
@@ -306,15 +429,14 @@ TEST(InferenceKernels, MatMulIntoSkipsOrPropagatesNonFiniteRhsRows) {
       // Row 3: a NaN coefficient is not zero and propagates too (placed
       // last, so pads 1 and 3 put it in the scalar tail).
       a.At(3, pad + 3) = nan;
-      ExpectMatMulIntoExact(a, b, nullptr);
-      nn::InferenceWorkspace ws;
-      nn::Matrix* out = ws.Scratch(0, 4, width);
-      nn::MatMulInto(a, b, out);
+      ExpectMatMulIntoExact(a, b, AllRows(4));
+      nn::Matrix out(4, width);
+      nn::MatMulInto(a, b, AllRows(4), &out);
       for (size_t c = 0; c < width; ++c) {
-        EXPECT_TRUE(std::isfinite(out->At(0, c))) << c;
-        EXPECT_TRUE(std::isinf(out->At(1, c))) << c;
-        EXPECT_TRUE(std::isnan(out->At(2, c))) << c;
-        EXPECT_TRUE(std::isnan(out->At(3, c))) << c;
+        EXPECT_TRUE(std::isfinite(out.At(0, c))) << c;
+        EXPECT_TRUE(std::isinf(out.At(1, c))) << c;
+        EXPECT_TRUE(std::isnan(out.At(2, c))) << c;
+        EXPECT_TRUE(std::isnan(out.At(3, c))) << c;
       }
     }
   }
@@ -329,10 +451,10 @@ TEST(InferenceKernels, ReluInPlacePropagatesNanLikeAutograd) {
   for (size_t c = 0; c < in.size(); ++c) x.At(0, c) = x.At(1, c) = in[c];
   const nn::Var autograd = nn::Relu(nn::Var::Constant(x));
   nn::Matrix full = x;
-  nn::ReluInPlace(&full);
+  nn::ReluInPlace(&full, AllRows(2));
   nn::Matrix restricted = x;
-  const std::vector<bool> rows = {false, true};
-  nn::ReluInPlace(&restricted, &rows);
+  const std::vector<uint32_t> rows = {1};
+  nn::ReluInPlace(&restricted, rows);
   for (size_t c = 0; c < in.size(); ++c) {
     for (size_t r = 0; r < 2; ++r) {
       EXPECT_TRUE(SameDouble(full.At(r, c), want[c])) << c;
@@ -350,11 +472,10 @@ TEST(InferenceKernels, MaskedLogSoftmaxMatchesAutogradOp) {
   mask[1] = mask[4] = mask[8] = true;
   const nn::Var autograd =
       nn::MaskedLogSoftmax(nn::Var::Constant(scores), mask);
-  nn::InferenceWorkspace ws;
-  nn::Matrix* out = ws.Scratch(0, 9, 1);
-  nn::MaskedLogSoftmaxInto(scores, mask, out);
+  nn::Matrix out(9, 1, std::nan(""));
+  nn::MaskedLogSoftmaxInto(scores, mask, &out);
   for (size_t i = 0; i < 9; ++i) {
-    EXPECT_TRUE(SameDouble(out->At(i, 0), autograd.value().At(i, 0))) << i;
+    EXPECT_TRUE(SameDouble(out.At(i, 0), autograd.value().At(i, 0))) << i;
   }
 }
 

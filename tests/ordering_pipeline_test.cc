@@ -329,28 +329,22 @@ TEST(RLQVOFallbackTest, NonFinitePolicyScoresFallBackToRiOrder) {
   poisoned.Fill(std::nan(""));
   params[0].SetValue(poisoned);
 
-  // Both forward paths share one NaN-propagating ReLU, so the serving
-  // kernels and the autograd forward must fall back alike.
   RIOrdering ri;
-  for (bool inference_path : {true, false}) {
-    for (uint64_t seed = 0; seed < 4; ++seed) {
-      SCOPED_TRACE(std::string(inference_path ? "inference" : "autograd") +
-                   " seed " + std::to_string(seed));
-      const Graph q = RandomQuery(data, 200 + seed, 6);
-      OrderingContext ctx;
-      ctx.query = &q;
-      ctx.data = &data;
-      // MakeOrdering shares the (poisoned) policy.
-      auto ordering = std::static_pointer_cast<RLQVOOrdering>(
-          std::static_pointer_cast<Ordering>(model.MakeOrdering()));
-      ordering->set_use_inference_path(inference_path);
-      auto order = ordering->MakeOrder(ctx);
-      ASSERT_TRUE(order.ok()) << order.status().ToString();
-      EXPECT_EQ(ordering->fallback_count(), 1u);
-      const auto expected = ri.MakeOrder(ctx);
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ(order.ValueOrDie(), expected.ValueOrDie());
-    }
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph q = RandomQuery(data, 200 + seed, 6);
+    OrderingContext ctx;
+    ctx.query = &q;
+    ctx.data = &data;
+    // MakeOrdering shares the (poisoned) policy.
+    auto ordering = std::static_pointer_cast<RLQVOOrdering>(
+        std::static_pointer_cast<Ordering>(model.MakeOrdering()));
+    auto order = ordering->MakeOrder(ctx);
+    ASSERT_TRUE(order.ok()) << order.status().ToString();
+    EXPECT_EQ(ordering->fallback_count(), 1u);
+    const auto expected = ri.MakeOrder(ctx);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(order.ValueOrDie(), expected.ValueOrDie());
   }
 }
 

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/rlqvo.h"
 #include "graph/graph_io.h"
@@ -54,6 +56,47 @@ TEST(RobustnessTest, ModelLoadRejectsTamperedCheckpoints) {
   std::ofstream(path) << "RLQVO-MODEL v1\nmeta backbone Quantum\nparams 0\n";
   auto bad_backbone = RLQVOModel::Load(path);
   EXPECT_FALSE(bad_backbone.ok());
+
+  // Rewrite one meta line of the intact checkpoint per case: each value
+  // must come back as InvalidArgument, never as an uncaught exception, a
+  // CHECK failure or a huge allocation.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"hidden_dim", "abc"},          // non-numeric
+      {"hidden_dim", "64abc"},        // trailing garbage
+      {"hidden_dim", "99999999999"},  // overflows int
+      {"hidden_dim", "0"},            // dimension below 1
+      {"hidden_dim", "1000000"},      // weights beyond the per-matrix cap
+      {"feature_dim", "-7"},
+      {"num_gnn_layers", "0"},
+      {"num_gnn_layers", "2.5"},
+      {"num_gnn_layers", "100000"},   // more layers than matrices
+      {"dropout", "1"},               // outside [0, 1)
+      {"dropout", "-0.5"},
+      {"dropout", "nan"},
+      {"feature_alpha_d", "x"},       // non-numeric
+      {"feature_alpha_degree", "0"},  // non-positive
+      {"feature_alpha_l", "-1"},
+      {"feature_alpha_l", "inf"},     // non-finite
+      {"feature_alpha_d", "nan"},
+      {"feature_edge_labels", "1"},   // 8 feature columns for a 7-wide net
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key + " " + value);
+    const std::string prefix = "meta " + key + " ";
+    const size_t begin = contents.find(prefix);
+    ASSERT_NE(begin, std::string::npos);
+    const size_t end = contents.find('\n', begin);
+    std::string tampered = contents;
+    tampered.replace(begin, end - begin, prefix + value);
+    std::ofstream(path) << tampered;
+    auto loaded = RLQVOModel::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+  // The untouched checkpoint still loads.
+  std::ofstream(path) << contents;
+  EXPECT_TRUE(RLQVOModel::Load(path).ok());
   std::remove(path.c_str());
 }
 
