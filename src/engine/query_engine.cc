@@ -49,13 +49,12 @@ QueryEngine::QueryEngine(EngineConfig config, const EngineOptions& options)
 
   // Both caches charge the process memory budget per entry; a denied
   // charge skips the insert (the value is still served), so cache growth
-  // degrades before the process OOMs.
+  // degrades before the process OOMs. A candidate set is charged what its
+  // lists hold, slack capacity included.
   candidate_cache_.cache()->SetBudget(
       &MemoryBudget::Global(),
       [](const std::shared_ptr<const CandidateSet>& v) -> size_t {
-        if (!v) return 0;
-        return v->TotalSize() * sizeof(VertexId) +
-               v->num_query_vertices() * sizeof(std::vector<VertexId>);
+        return v ? v->AllocatedBytes() : 0;
       });
   order_cache_.cache()->SetBudget(
       &MemoryBudget::Global(),

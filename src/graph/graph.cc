@@ -138,6 +138,50 @@ uint64_t Graph::EdgeLabelFrequency(Label la, Label lb) const {
   return count;
 }
 
+Mutex Graph::LabelMaskSlot::mu_;
+
+Graph::LabelMaskSlot& Graph::LabelMaskSlot::operator=(
+    const LabelMaskSlot& other) noexcept {
+  MutexLock lock(&mu_);
+  masks_ = other.masks_;
+  return *this;
+}
+
+Graph::LabelMaskSlot& Graph::LabelMaskSlot::operator=(
+    LabelMaskSlot&& other) noexcept {
+  MutexLock lock(&mu_);
+  masks_ = std::move(other.masks_);
+  return *this;
+}
+
+std::span<const uint64_t> Graph::LabelMaskSlot::GetOrBuild(
+    const Graph& g) const {
+  MutexLock lock(&mu_);
+  if (masks_ == nullptr) {
+    std::vector<uint64_t> masks(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      masks[v] = g.NeighborLabelMask(v);
+    }
+    masks_ = std::make_shared<const std::vector<uint64_t>>(std::move(masks));
+  }
+  return *masks_;
+}
+
+size_t Graph::LabelMaskSlot::bytes() const {
+  MutexLock lock(&mu_);
+  return masks_ == nullptr ? 0 : masks_->size() * sizeof(uint64_t);
+}
+
+uint64_t Graph::NeighborLabelMask(VertexId v) const {
+  uint64_t mask = 0;
+  for (Label l : NeighborLabels(v)) mask |= uint64_t{1} << (l % 64);
+  return mask;
+}
+
+std::span<const uint64_t> Graph::NeighborLabelMasks() const {
+  return label_masks_.GetOrBuild(*this);
+}
+
 size_t Graph::MemoryFootprintBytes() const {
   return offsets_.size() * sizeof(uint64_t) + adj_.size() * sizeof(VertexId) +
          labels_.size() * sizeof(Label) +
@@ -148,7 +192,8 @@ size_t Graph::MemoryFootprintBytes() const {
          slice_offsets_.size() * sizeof(uint64_t) +
          slice_labels_.size() * sizeof(Label) +
          slice_begins_.size() * sizeof(uint64_t) + DirCsrBytes(out_) +
-         DirCsrBytes(in_) + edge_label_freq_.size() * sizeof(uint64_t);
+         DirCsrBytes(in_) + edge_label_freq_.size() * sizeof(uint64_t) +
+         label_masks_.bytes();
 }
 
 size_t Graph::DirCsrBytes(const DirCsr& csr) {

@@ -1,11 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/thread_annotations.h"
 
 namespace rlqvo {
 
@@ -73,7 +76,14 @@ constexpr EdgeDir Reverse(EdgeDir dir) {
 /// counter and embedding is bit-identical to the purely undirected
 /// representation.
 ///
-/// Construct via GraphBuilder or the loaders in graph_io.h.
+/// **Neighbour-label signatures (data graphs only).** NeighborLabelMasks()
+/// gives each vertex a 64-bit summary of the labels in its skeleton
+/// neighbourhood, which the NLF-based filters use to reject candidates
+/// before counting. It is built on the graph's first use as a data graph,
+/// so query graphs never carry it.
+///
+/// Construct via GraphBuilder or the loaders in graph_io.h. Graphs are
+/// copyable; a copy shares the signatures built so far.
 class Graph {
  public:
   Graph() = default;
@@ -247,7 +257,28 @@ class Graph {
   /// label-slice lengths over the less frequent label's vertices.
   uint64_t EdgeLabelFrequency(Label la, Label lb) const;
 
-  /// \brief Approximate in-memory footprint in bytes (Table IV).
+  /// \brief Neighbour-label signature of v: bit `l mod 64` is set iff some
+  /// neighbour of v in the skeleton (any direction, any edge label) carries
+  /// label l, so labels that differ by a multiple of 64 share a bit.
+  /// Computed from the slice index on every call.
+  ///
+  /// The signature is monotone: if every label of N(u) occurs in N(v), then
+  /// sig(u) & ~sig(v) == 0. A query vertex u whose signature is not covered
+  /// by v's can therefore not pass NLF's count test at v, and skipping the
+  /// pair is exact; folding labels >= 64 onto shared bits keeps that true.
+  uint64_t NeighborLabelMask(VertexId v) const;
+
+  /// \brief NeighborLabelMask(v) of every vertex v, for data graphs.
+  ///
+  /// The first call builds the array for the whole graph (8 bytes per
+  /// vertex; thread-safe: concurrent first calls build it once) and later
+  /// calls return it; copies made after the build share it. A graph that
+  /// never has this called builds and allocates nothing, which is why the
+  /// filters call NeighborLabelMask(u) on the query graph instead.
+  std::span<const uint64_t> NeighborLabelMasks() const;
+
+  /// \brief Approximate in-memory footprint in bytes (Table IV), including
+  /// the neighbour-label signatures once they are built.
   size_t MemoryFootprintBytes() const;
 
   /// Human-readable one-line summary.
@@ -318,6 +349,28 @@ class Graph {
   std::vector<uint64_t> edge_label_freq_;  // size num_edge_labels_
   DirCsr out_;
   DirCsr in_;  // directed graphs only
+
+  // Holder of the lazily built neighbour-label signatures: null until the
+  // first NeighborLabelMasks() call, then one array shared by every copy.
+  // All holders share one process-wide mutex, so a graph that is never a
+  // data graph pays only this shared_ptr; the lock is taken once per filter
+  // call and per copy or move, never per candidate.
+  class LabelMaskSlot {
+   public:
+    LabelMaskSlot() = default;
+    LabelMaskSlot(const LabelMaskSlot& other) noexcept { *this = other; }
+    LabelMaskSlot(LabelMaskSlot&& other) noexcept { *this = std::move(other); }
+    LabelMaskSlot& operator=(const LabelMaskSlot& other) noexcept EXCLUDES(mu_);
+    LabelMaskSlot& operator=(LabelMaskSlot&& other) noexcept EXCLUDES(mu_);
+
+    std::span<const uint64_t> GetOrBuild(const Graph& g) const EXCLUDES(mu_);
+    size_t bytes() const EXCLUDES(mu_);
+
+   private:
+    static Mutex mu_;
+    mutable std::shared_ptr<const std::vector<uint64_t>> masks_ GUARDED_BY(mu_);
+  };
+  LabelMaskSlot label_masks_;
 };
 
 /// \brief Incremental builder for Graph.

@@ -28,7 +28,9 @@ class CandidateSet {
     return sets_[u];
   }
 
-  /// Replaces C(u); the list is sorted by this call.
+  /// Replaces C(u). A strictly ascending list, which every filter emits, is
+  /// stored as is after one O(n) check; any other list is sorted and
+  /// deduplicated first.
   void Set(VertexId u, std::vector<VertexId> candidates);
 
   /// O(log |C(u)|) membership test.
@@ -36,6 +38,11 @@ class CandidateSet {
 
   /// Sum of candidate-list sizes.
   size_t TotalSize() const;
+
+  /// Heap bytes the set holds: every list's capacity, which exceeds its
+  /// size for lists grown by push_back, plus the per-vertex list headers.
+  /// The engine's candidate cache charges this to the memory budget.
+  size_t AllocatedBytes() const;
 
   /// True iff some query vertex has an empty candidate list (no match can
   /// exist; the enumeration can be skipped entirely).

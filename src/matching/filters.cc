@@ -106,11 +106,17 @@ CandidateSet LdfCandidates(const Graph& query, const Graph& data) {
 CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
   CandidateSet result(query.num_vertices());
   const bool labeled = UseLabeledChecks(query, data);
+  const std::span<const uint64_t> data_masks = data.NeighborLabelMasks();
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
     const LabelCounts u_counts = NeighborLabelCounts(query, u);
+    // Computed, not looked up: the query graph builds no signature array.
+    const uint64_t u_mask = query.NeighborLabelMask(u);
     std::vector<VertexId> c;
     for (VertexId v : data.VerticesWithLabel(query.label(u))) {
       if (data.degree(v) < query.degree(u)) continue;
+      // Exact screen: a label of N(u) whose bit v lacks is absent from N(v),
+      // so DominatedBy would reject v too, at one lookup per label.
+      if ((u_mask & ~data_masks[v]) != 0) continue;
       if (!DominatedBy(u_counts, data, v)) continue;
       if (labeled && (!LabeledDegreesDominate(query, data, u, v) ||
                       !LabeledSlicesDominate(query, data, u, v))) {

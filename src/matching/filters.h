@@ -40,6 +40,15 @@ class LDFFilter : public CandidateFilter {
 
 /// \brief Neighborhood Label Frequency filter: LDF plus, for each label l,
 /// u must not have more l-labeled neighbors than v does.
+///
+/// Before that count test, a (u, v) pair is screened with neighbour-label
+/// signatures (Graph::NeighborLabelMasks): v is skipped when u's signature
+/// has a bit v's lacks. The screen is exact, since a dominated histogram
+/// implies a covered signature, so candidate sets equal the count test's.
+/// The data graph builds its signatures on its first use here and keeps
+/// them; u's is computed (Graph::NeighborLabelMask), so query graphs build
+/// nothing. GQLFilter and DagDpFilter start from these
+/// candidates and share the screen.
 class NLFFilter : public CandidateFilter {
  public:
   std::string name() const override { return "NLF"; }
@@ -69,7 +78,7 @@ class GQLFilter : public CandidateFilter {
 
 /// \brief DAG dynamic-programming filter in the style of CFL / DP-iso / VEQ:
 /// builds a BFS DAG of the query rooted at the vertex minimising
-/// |C_LDF(u)|/d(u), then alternately sweeps the DAG top-down and bottom-up,
+/// |C_NLF(u)|/d(u), then alternately sweeps the DAG top-down and bottom-up,
 /// keeping v in C(u) only if every DAG parent (resp. child) u' of u has a
 /// candidate adjacent to v. Used as the candidate generator for VEQ.
 class DagDpFilter : public CandidateFilter {

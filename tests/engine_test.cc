@@ -3,10 +3,12 @@
 #include <atomic>
 #include <set>
 
+#include "common/memory_budget.h"
 #include "common/thread_pool.h"
 #include "core/rlqvo.h"
 #include "engine/candidate_cache.h"
 #include "engine/query_engine.h"
+#include "matching/filters.h"
 #include "test_util.h"
 
 namespace rlqvo {
@@ -316,6 +318,41 @@ TEST(QueryEngineTest, CacheHitAndMissCounters) {
 
   engine->ClearCache();
   EXPECT_EQ(engine->counters().cache.entries, 0u);
+}
+
+TEST(QueryEngineTest, CandidateCacheChargesWhatItsEntriesHold) {
+  // RI serves LDF candidates, whose lists grow by push_back and keep slack
+  // capacity; the budget must be charged for that capacity too.
+  Graph data = RandomData(57, 200, 6.0, 3);
+  std::vector<Graph> warmup = MakeQueries(data, 360, 1, 5);
+  std::vector<Graph> cold = MakeQueries(data, 361, 1, 5);
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.order_cache_capacity = 0;  // only candidate sets charge
+  auto engine = MakeEngineByName("RI", std::make_shared<const Graph>(data),
+                                 engine_options)
+                    .ValueOrDie();
+  // An uncached query of the same size first grows the worker's
+  // enumeration workspace, whose stamp table also charges the budget.
+  BatchOptions skip;
+  skip.skip_cache = true;
+  ASSERT_TRUE(engine->MatchBatch(warmup, skip).ok());
+
+  const size_t before = MemoryBudget::Global().used_bytes();
+  ASSERT_TRUE(engine->MatchBatch(cold).ok());
+  ASSERT_EQ(engine->counters().cache.entries, 1u);
+  const size_t charged = MemoryBudget::Global().used_bytes() - before;
+
+  const CandidateSet cached = LDFFilter().Filter(cold[0], data).ValueOrDie();
+  size_t slack = 0;
+  for (VertexId u = 0; u < cached.num_query_vertices(); ++u) {
+    slack += cached.candidates(u).capacity() - cached.candidates(u).size();
+  }
+  ASSERT_GT(slack, 0u) << "no slack capacity to account for";
+  EXPECT_EQ(charged, cached.AllocatedBytes());
+
+  engine->ClearCache();
+  EXPECT_EQ(MemoryBudget::Global().used_bytes(), before);
 }
 
 TEST(QueryEngineTest, ColdBatchOfDuplicateQueriesIsSingleFlighted) {

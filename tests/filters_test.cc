@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <map>
+#include <thread>
+#include <tuple>
+
+#include "graph/generators.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "test_util.h"
@@ -135,12 +141,17 @@ TEST(FiltersTest, NamesAreStable) {
 
 /// Property sweep: every filter is complete (Definition II.2) — no data
 /// vertex participating in a brute-force match is ever pruned — and the
-/// stronger filters are subsets of the weaker ones.
-class FilterPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+/// stronger filters are subsets of the weaker ones. The parameter is
+/// (seed, number of vertex labels).
+class FilterPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
 
 TEST_P(FilterPropertyTest, CompletenessAndContainment) {
-  const uint64_t seed = GetParam();
-  Graph data = RandomData(seed);
+  const auto [seed, num_labels] = GetParam();
+  // More than 64 labels put labels that share a signature bit into one
+  // graph; a larger graph keeps such labels on both sides of the screen.
+  Graph data = num_labels > 64 ? RandomData(seed, 300, 6.0, num_labels)
+                               : RandomData(seed, 60, 4.0, num_labels);
   Graph query = RandomQuery(data, seed * 31 + 1, 3 + seed % 3);
 
   auto matches = BruteForceMatch(query, data);
@@ -174,7 +185,133 @@ TEST_P(FilterPropertyTest, CompletenessAndContainment) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterPropertyTest,
-                         ::testing::Range<uint64_t>(1, 21));
+                         ::testing::Combine(::testing::Range<uint64_t>(1, 21),
+                                            ::testing::Values(3u)));
+INSTANTIATE_TEST_SUITE_P(ManyLabels, FilterPropertyTest,
+                         ::testing::Combine(::testing::Range<uint64_t>(1, 11),
+                                            ::testing::Values(130u)));
+
+/// NLF the slow way: label and degree test, then per-label neighbour counts
+/// read straight from neighbors(), with no slice index and no signature.
+std::vector<std::vector<VertexId>> NaiveNlf(const Graph& query,
+                                            const Graph& data) {
+  auto label_counts = [](const Graph& g, VertexId v) {
+    std::map<Label, uint32_t> counts;
+    for (VertexId w : g.neighbors(v)) ++counts[g.label(w)];
+    return counts;
+  };
+  std::vector<std::vector<VertexId>> result(query.num_vertices());
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    const auto needed = label_counts(query, u);
+    for (VertexId v = 0; v < data.num_vertices(); ++v) {
+      if (data.label(v) != query.label(u)) continue;
+      if (data.degree(v) < query.degree(u)) continue;
+      const auto available = label_counts(data, v);
+      bool dominated = true;
+      for (const auto& [label, count] : needed) {
+        const auto it = available.find(label);
+        if (it == available.end() || it->second < count) dominated = false;
+      }
+      if (dominated) result[u].push_back(v);
+    }
+  }
+  return result;
+}
+
+TEST(NlfFilterTest, EqualsNaiveReferenceWithMoreThan64Labels) {
+  // 130 labels: labels l and l + 64 share a signature bit, so the data
+  // graph's signatures must set a bit for every label, 64 and up included.
+  LabelConfig labels;
+  labels.num_labels = 130;
+  labels.zipf_exponent = 0.3;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph data = GenerateErdosRenyi(400, 8.0, labels, seed).ValueOrDie();
+    ASSERT_GT(data.num_labels(), 64u);
+    for (uint64_t i = 0; i < 5; ++i) {
+      const Graph query = RandomQuery(data, seed * 100 + i, 8);
+      const CandidateSet nlf = NLFFilter().Filter(query, data).ValueOrDie();
+      const auto expected = NaiveNlf(query, data);
+      for (VertexId u = 0; u < query.num_vertices(); ++u) {
+        EXPECT_EQ(nlf.candidates(u), expected[u])
+            << "seed " << seed << " query " << i << " vertex " << u;
+      }
+    }
+  }
+}
+
+/// A one-edge query whose vertex 0 (label 0) needs one neighbour labelled
+/// `needed`, against a data graph with three label-0 vertices: v0 whose
+/// only neighbour is labelled `aliased`, v2 with neighbours labelled
+/// `needed` and `aliased`, and v5 with two `aliased` neighbours.
+void ExpectAliasedLabelIsRejected(Label needed, Label aliased) {
+  ASSERT_EQ(needed % 64, aliased % 64);
+  GraphBuilder qb;
+  qb.AddVertex(0);
+  qb.AddVertex(needed);
+  qb.AddEdge(0, 1);
+  const Graph q = qb.Build();
+
+  GraphBuilder gb;
+  gb.AddVertex(0);        // v0
+  gb.AddVertex(aliased);  // v1
+  gb.AddVertex(0);        // v2
+  gb.AddVertex(needed);   // v3
+  gb.AddVertex(aliased);  // v4
+  gb.AddVertex(0);        // v5
+  gb.AddVertex(aliased);  // v6
+  gb.AddEdge(0, 1);
+  gb.AddEdge(2, 3);
+  gb.AddEdge(2, 4);
+  gb.AddEdge(5, 1);
+  gb.AddEdge(5, 6);
+  const Graph g = gb.Build();
+  // The screen cannot tell the labels apart: v0 and v5 cover u0's bit.
+  const auto masks = g.NeighborLabelMasks();
+  EXPECT_EQ(masks[0], q.NeighborLabelMask(0));
+  EXPECT_EQ(masks[5], q.NeighborLabelMask(0));
+
+  EXPECT_EQ(LDFFilter().Filter(q, g).ValueOrDie().candidates(0),
+            (std::vector<VertexId>{0, 2, 5}));
+  const CandidateSet nlf = NLFFilter().Filter(q, g).ValueOrDie();
+  const CandidateSet gql = GQLFilter().Filter(q, g).ValueOrDie();
+  const CandidateSet dag = DagDpFilter().Filter(q, g).ValueOrDie();
+  for (const CandidateSet* cs : {&nlf, &gql, &dag}) {
+    EXPECT_EQ(cs->candidates(0), (std::vector<VertexId>{2}))
+        << "needed " << needed << ", aliased " << aliased;
+  }
+}
+
+TEST(NlfFilterTest, CountTestRejectsWhatTheSignatureAliases) {
+  ExpectAliasedLabelIsRejected(/*needed=*/6, /*aliased=*/70);
+  ExpectAliasedLabelIsRejected(/*needed=*/70, /*aliased=*/6);
+}
+
+TEST(GqlFilterTest, ConcurrentFirstUseOfADataGraphMatchesSerial) {
+  const Graph reference_data = RandomData(7, 300, 6.0, 100);
+  const Graph query = RandomQuery(reference_data, 71, 6);
+  const CandidateSet serial =
+      GQLFilter().Filter(query, reference_data).ValueOrDie();
+
+  // A fresh graph, so the four threads race to build its signatures.
+  const Graph data = RandomData(7, 300, 6.0, 100);
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<CandidateSet> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[t] = GQLFilter().Filter(query, data).ValueOrDie();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const CandidateSet& result : results) {
+    ASSERT_EQ(result.num_query_vertices(), query.num_vertices());
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      EXPECT_EQ(result.candidates(u), serial.candidates(u));
+    }
+  }
+}
 
 TEST(FiltersTest, CandidateSetBasics) {
   CandidateSet cs(2);
@@ -187,6 +324,26 @@ TEST(FiltersTest, CandidateSetBasics) {
   EXPECT_FALSE(cs.AnyEmpty());
   EXPECT_EQ(cs.TotalSize(), 4u);
   EXPECT_NE(cs.ToString().find("C(0)=3"), std::string::npos);
+}
+
+TEST(FiltersTest, CandidateSetSortsOnlyWhatIsNotStrictlyAscending) {
+  CandidateSet cs(1);
+  cs.Set(0, {1, 2, 2, 7});  // ascending, but with a duplicate
+  EXPECT_EQ(cs.candidates(0), (std::vector<VertexId>{1, 2, 7}));
+  cs.Set(0, {4, 9, 6});  // one descent
+  EXPECT_EQ(cs.candidates(0), (std::vector<VertexId>{4, 6, 9}));
+  cs.Set(0, {2, 3, 8});
+  EXPECT_EQ(cs.candidates(0), (std::vector<VertexId>{2, 3, 8}));
+
+  // A strictly ascending list is kept as is, capacity included, and the
+  // set accounts for that capacity.
+  std::vector<VertexId> sorted = {1, 4, 5};
+  sorted.reserve(64);
+  const VertexId* storage = sorted.data();
+  cs.Set(0, std::move(sorted));
+  EXPECT_EQ(cs.candidates(0).data(), storage);
+  EXPECT_EQ(cs.AllocatedBytes(),
+            sizeof(std::vector<VertexId>) + 64 * sizeof(VertexId));
 }
 
 }  // namespace

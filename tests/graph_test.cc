@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "graph/graph.h"
+#include "matching/filters.h"
 
 namespace rlqvo {
 namespace {
@@ -171,6 +172,84 @@ TEST(GraphTest, MemoryFootprintGrowsWithGraph) {
   Graph big = MakeTriangleWithTail();
   EXPECT_GT(small.MemoryFootprintBytes(), 0u);
   EXPECT_GT(big.MemoryFootprintBytes(), small.MemoryFootprintBytes());
+}
+
+/// Labels chosen so that two pairs share a signature bit: 3 and 67, 0 and
+/// 64. Edges 0-1, 0-2, 0-3, 3-4; vertex 5 is isolated.
+Graph MakeSignatureGraph() {
+  GraphBuilder b;
+  for (Label l : {0u, 3u, 67u, 5u, 64u, 2u}) b.AddVertex(l);
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(0, 3);
+  b.AddEdge(3, 4);
+  return b.Build();
+}
+
+TEST(NeighborLabelMasksTest, BitIsLabelModulo64) {
+  const Graph g = MakeSignatureGraph();
+  const auto masks = g.NeighborLabelMasks();
+  ASSERT_EQ(masks.size(), g.num_vertices());
+  EXPECT_EQ(masks[0], (uint64_t{1} << 3) | (uint64_t{1} << 5));  // 3, 67, 5
+  EXPECT_EQ(masks[1], uint64_t{1});                              // 0
+  EXPECT_EQ(masks[2], uint64_t{1});                              // 0
+  EXPECT_EQ(masks[3], uint64_t{1});                              // 0, 64
+  EXPECT_EQ(masks[4], uint64_t{1} << 5);                         // 5
+  EXPECT_EQ(masks[5], uint64_t{0});                              // isolated
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(g.NeighborLabelMask(v), masks[v]) << "vertex " << v;
+  }
+
+  // Label 63 takes the top bit.
+  GraphBuilder b;
+  b.AddVertex(0);
+  b.AddVertex(63);
+  b.AddEdge(0, 1);
+  EXPECT_EQ(b.Build().NeighborLabelMask(0), uint64_t{1} << 63);
+}
+
+TEST(NeighborLabelMasksTest, CopiesOfAUsedGraphShareItsSignatures) {
+  const Graph g = MakeSignatureGraph();
+  const auto masks = g.NeighborLabelMasks();
+  const std::vector<uint64_t> expected(masks.begin(), masks.end());
+
+  Graph copy = g;
+  Graph assigned;
+  assigned = g;
+  for (const Graph* other : {&copy, &assigned}) {
+    const auto other_masks = other->NeighborLabelMasks();
+    EXPECT_EQ(other_masks.data(), masks.data());  // shared, not rebuilt
+    EXPECT_EQ(std::vector<uint64_t>(other_masks.begin(), other_masks.end()),
+              expected);
+    EXPECT_EQ(other->MemoryFootprintBytes(), g.MemoryFootprintBytes());
+  }
+  const Graph moved = std::move(copy);
+  EXPECT_EQ(moved.NeighborLabelMasks().data(), masks.data());
+
+  // A copy taken before the first use builds its own, equal array.
+  const Graph fresh = MakeSignatureGraph();
+  const Graph early_copy = fresh;
+  const auto early = early_copy.NeighborLabelMasks();
+  EXPECT_EQ(std::vector<uint64_t>(early.begin(), early.end()), expected);
+}
+
+TEST(NeighborLabelMasksTest, OnlyTheDataGraphBuildsSignatures) {
+  const Graph data = MakeSignatureGraph();
+  const Graph query = MakePath3();
+  const size_t data_bytes = data.MemoryFootprintBytes();
+  const size_t query_bytes = query.MemoryFootprintBytes();
+
+  ASSERT_TRUE(NLFFilter().Filter(query, data).ok());
+  EXPECT_EQ(query.MemoryFootprintBytes(), query_bytes);
+  EXPECT_EQ(data.MemoryFootprintBytes(),
+            data_bytes + data.num_vertices() * sizeof(uint64_t));
+
+  // Later filter calls reuse the array: the data graph grows only once.
+  ASSERT_TRUE(GQLFilter().Filter(query, data).ok());
+  ASSERT_TRUE(DagDpFilter().Filter(query, data).ok());
+  EXPECT_EQ(query.MemoryFootprintBytes(), query_bytes);
+  EXPECT_EQ(data.MemoryFootprintBytes(),
+            data_bytes + data.num_vertices() * sizeof(uint64_t));
 }
 
 TEST(GraphTest, ToStringMentionsCounts) {
