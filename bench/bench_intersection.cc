@@ -25,7 +25,9 @@
 // land in BENCH_intersection.json.
 //
 // --smoke shrinks everything for CI: a seconds-long run that still verifies
-// probe/intersection agreement and JSON emission.
+// probe/intersection agreement and JSON emission, into
+// BENCH_intersection_smoke.json so a default run's file is never
+// overwritten with smoke-sized numbers.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -187,7 +189,7 @@ struct CaseResult {
   double scalar_us_per_query = 0.0;     // forced kScalar (the PR 3 baseline)
   double speedup = 0.0;                 // probe / auto
   double kernel_speedup = 0.0;          // forced-scalar / auto
-  EnumerateResult accumulated;  // counters summed over the query set (auto)
+  EnumWorkCounters accumulated;  // merged over the query set (auto kernel)
 };
 
 CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
@@ -240,11 +242,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
         enumerator.Run(queries[i], data, css[i], orders[i], eopts, &ws),
         "enumerate");
     expected[i] = r.num_matches;
-    out.accumulated.num_intersections += r.num_intersections;
-    out.accumulated.num_probe_comparisons += r.num_probe_comparisons;
-    out.accumulated.local_candidates_total += r.local_candidates_total;
-    out.accumulated.local_candidate_sets += r.local_candidate_sets;
-    out.accumulated.num_simd_intersections += r.num_simd_intersections;
+    out.accumulated.Merge(r);
   }
   for (uint32_t i = 0; i < num_queries; ++i) {
     RLQVO_CHECK(ws.Prepare(queries[i], data, css[i], orders[i]).ok());
@@ -541,15 +539,7 @@ int main(int argc, char** argv) {
                          r.scalar_us_per_query);
     metrics.emplace_back("speedup_" + c.name, r.speedup);
     metrics.emplace_back("enum_kernel_speedup_" + c.name, r.kernel_speedup);
-    AppendEnumWorkMetrics(&metrics, c.name,
-                          r.accumulated.num_intersections,
-                          r.accumulated.num_probe_comparisons,
-                          r.accumulated.local_candidates_total,
-                          r.accumulated.local_candidate_sets,
-                          r.accumulated.num_simd_intersections,
-                          /*steals=*/0, /*splits=*/0,
-                          /*max_segment_depth=*/0, /*min_worker_work=*/0,
-                          /*max_worker_work=*/0);
+    AppendEnumWorkMetrics(&metrics, c.name, r.accumulated);
     if (c.name == "skewed_s1.0") skewed_full_speedup = r.speedup;
   }
 
@@ -560,6 +550,7 @@ int main(int argc, char** argv) {
 
   KernelMicrobench(&metrics, opts, smoke);
 
-  WriteBenchJson("intersection", opts, metrics);
+  WriteBenchJson(smoke ? "intersection_smoke" : "intersection", opts,
+                 metrics);
   return 0;
 }

@@ -22,7 +22,7 @@
 // lower because the shared env walk and the full-mask first step dilute
 // the forward savings). Metrics land in BENCH_ordering_latency.json;
 // --smoke shrinks query counts/reps for the CI smoke step but keeps the
-// full size range.
+// full size range, and writes BENCH_ordering_latency_smoke.json instead.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -281,13 +281,13 @@ int main(int argc, char** argv) {
   MustOk(engine_off->MatchBatch(batch), "warmup");
   const BatchResult on = MustOk(engine_on->MatchBatch(batch), "batch");
   const BatchResult off = MustOk(engine_off->MatchBatch(batch), "batch");
-  if (on.total_matches != off.total_matches ||
-      on.total_enumerations != off.total_enumerations) {
+  if (on.totals.num_matches != off.totals.num_matches ||
+      on.totals.num_enumerations != off.totals.num_enumerations) {
     std::fprintf(stderr,
                  "FATAL: order cache changed batch results "
                  "(matches %llu vs %llu)\n",
-                 static_cast<unsigned long long>(on.total_matches),
-                 static_cast<unsigned long long>(off.total_matches));
+                 static_cast<unsigned long long>(on.totals.num_matches),
+                 static_cast<unsigned long long>(off.totals.num_matches));
     return 1;
   }
   if (on.order_cache_hits + on.order_cache_misses != batch.size()) {
@@ -321,6 +321,7 @@ int main(int argc, char** argv) {
       aggregate_speedup,
       aggregate_speedup >= 3.0 ? "(PASS >= 3x)" : "(below 3x bar)",
       worst_speedup);
-  WriteBenchJson("ordering_latency", opts, metrics);
+  WriteBenchJson(smoke ? "ordering_latency_smoke" : "ordering_latency", opts,
+                 metrics);
   return 0;
 }

@@ -16,14 +16,18 @@
 // measured against the serial baseline; the multi-core acceptance bars
 // (>= 2x absolute at 4 threads; >= 1.5x over PR 4's static chunking on the
 // power-law config) are only observable on >= 4 hardware cores — the JSON
-// records hardware_concurrency plus the scheduler's steal/split/depth and
-// per-worker work-spread counters so results are interpretable per
-// machine, and the 1-thread column doubles as the parallel-machinery
+// records hardware_concurrency plus every EnumWorkCounters field of the
+// serial runs (`<case>_serial_<field>`) and of each thread count's merged
+// parallel runs (`<case>_<t>t_<field>`: steals, splits, depth, per-worker
+// work spread) so results are interpretable per machine, and the 1-thread
+// column doubles as the parallel-machinery
 // overhead check (<= 3% vs serial; serial must stay unregressed: compare
 // serial_us against previous runs).
 //
 // --smoke shrinks everything for CI: a seconds-long run that still
-// verifies serial/parallel agreement and JSON emission, and — when the CI
+// verifies serial/parallel agreement and JSON emission (into
+// BENCH_parallel_enum_smoke.json, so the committed default-run file is
+// never overwritten with smoke-sized numbers), and — when the CI
 // machine has > 1 core — fatally asserts that steals actually fire on the
 // power-law config (a scheduler that never steals is PR 4 with overhead).
 #include <algorithm>
@@ -65,23 +69,14 @@ struct PreparedQuery {
   std::vector<VertexId> order;
 };
 
-/// Scheduler diagnostics accumulated over every parallel run at one thread
-/// count (warm-up + timed reps): steals/splits are summed, depth and the
-/// per-worker work spread are maxima over runs — "did the schedule ever
-/// go deep / how unbalanced did a single run get".
-struct SchedStats {
-  uint64_t steals = 0;
-  uint64_t splits = 0;
-  uint64_t max_segment_depth = 0;
-  uint64_t min_worker_work = 0;  // min over workers, max over runs
-  uint64_t max_worker_work = 0;
-};
-
 struct CaseResult {
   double serial_us = 0.0;
   std::vector<std::pair<uint32_t, double>> parallel_us;  // (threads, us)
-  std::vector<std::pair<uint32_t, SchedStats>> sched;    // (threads, stats)
-  EnumerateResult accumulated;  // serial work counters over the query set
+  /// Counters of every parallel run at one thread count (warm-up + timed
+  /// reps), merged: work counters, steals and splits summed; depth and
+  /// max_worker_work the maxima over runs; min_worker_work the minimum.
+  std::vector<std::pair<uint32_t, EnumWorkCounters>> parallel;
+  EnumWorkCounters serial;  // one serial run per query, merged
 };
 
 CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
@@ -136,11 +131,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
                                    eopts, &serial_ws),
                     "serial enumerate");
     expected[i] = r.num_matches;
-    out.accumulated.num_intersections += r.num_intersections;
-    out.accumulated.num_probe_comparisons += r.num_probe_comparisons;
-    out.accumulated.local_candidates_total += r.local_candidates_total;
-    out.accumulated.local_candidate_sets += r.local_candidate_sets;
-    out.accumulated.num_simd_intersections += r.num_simd_intersections;
+    out.serial.Merge(r);
   }
 
   auto run_serial = [&] {
@@ -171,7 +162,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     resources.worker_workspaces = &workspaces;
     resources.caller_workspace = &caller_ws;
 
-    SchedStats sched;
+    EnumWorkCounters merged;
     auto run_parallel = [&] {
       for (uint32_t i = 0; i < num_queries; ++i) {
         const PreparedQuery& pq = queries[i];
@@ -179,14 +170,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
             enumerator.RunParallel(pq.query, data, pq.candidates, pq.order,
                                    popts, resources),
             "parallel enumerate");
-        sched.steals += r.num_steals;
-        sched.splits += r.num_splits;
-        sched.max_segment_depth =
-            std::max<uint64_t>(sched.max_segment_depth, r.max_segment_depth);
-        sched.min_worker_work =
-            std::max(sched.min_worker_work, r.min_worker_work);
-        sched.max_worker_work =
-            std::max(sched.max_worker_work, r.max_worker_work);
+        merged.Merge(r);
         if (r.num_matches != expected[i]) {
           std::fprintf(
               stderr,
@@ -204,7 +188,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     for (int r = 0; r < reps; ++r) run_parallel();
     out.parallel_us.emplace_back(
         threads, pw.ElapsedSeconds() / (reps * num_queries) * 1e6);
-    out.sched.emplace_back(threads, sched);
+    out.parallel.emplace_back(threads, merged);
   }
   return out;
 }
@@ -254,41 +238,27 @@ int main(int argc, char** argv) {
                 c.name.c_str(), r.serial_us, us[0], us[1], us[2],
                 r.serial_us / us[0], r.serial_us / us[1],
                 r.serial_us / us[2]);
-    // Per-thread-count scheduler diagnostics (summed over all timed runs).
-    const SchedStats* widest = nullptr;
-    for (const auto& [threads, s] : r.sched) {
-      const std::string t = std::to_string(threads) + "t_" + c.name;
-      metrics.emplace_back("steals_" + t, static_cast<double>(s.steals));
-      metrics.emplace_back("splits_" + t, static_cast<double>(s.splits));
-      metrics.emplace_back("segment_depth_" + t,
-                           static_cast<double>(s.max_segment_depth));
-      if (c.power_law && threads >= 2) powerlaw_multithread_steals += s.steals;
-      widest = &s;
+    AppendEnumWorkMetrics(&metrics, c.name + "_serial", r.serial);
+    for (const auto& [threads, counters] : r.parallel) {
+      AppendEnumWorkMetrics(
+          &metrics, c.name + "_" + std::to_string(threads) + "t", counters);
+      if (c.power_law && threads >= 2) {
+        powerlaw_multithread_steals += counters.num_steals;
+      }
     }
-    // Serial work counters plus the widest parallel run's scheduler stats.
-    AppendEnumWorkMetrics(&metrics, c.name, r.accumulated.num_intersections,
-                          r.accumulated.num_probe_comparisons,
-                          r.accumulated.local_candidates_total,
-                          r.accumulated.local_candidate_sets,
-                          r.accumulated.num_simd_intersections,
-                          widest ? widest->steals : 0,
-                          widest ? widest->splits : 0,
-                          widest ? widest->max_segment_depth : 0,
-                          widest ? widest->min_worker_work : 0,
-                          widest ? widest->max_worker_work : 0);
     if (c.name == "powerlaw") heavy_speedup_4t = r.serial_us / us[2];
     results.emplace_back(c.name, std::move(r));
   }
 
-  std::printf("\n-- scheduler counters (summed over timed runs) --\n");
+  std::printf("\n-- scheduler counters (merged over all parallel runs) --\n");
   std::printf("%10s %7s %12s %12s %10s\n", "case", "threads", "steals",
               "splits", "max_depth");
   for (const auto& [name, r] : results) {
-    for (const auto& [threads, s] : r.sched) {
+    for (const auto& [threads, counters] : r.parallel) {
       std::printf("%10s %7u %12llu %12llu %10llu\n", name.c_str(), threads,
-                  static_cast<unsigned long long>(s.steals),
-                  static_cast<unsigned long long>(s.splits),
-                  static_cast<unsigned long long>(s.max_segment_depth));
+                  static_cast<unsigned long long>(counters.num_steals),
+                  static_cast<unsigned long long>(counters.num_splits),
+                  static_cast<unsigned long long>(counters.max_segment_depth));
     }
   }
 
@@ -312,6 +282,7 @@ int main(int argc, char** argv) {
                  hw);
     std::exit(1);
   }
-  WriteBenchJson("parallel_enum", opts, metrics);
+  WriteBenchJson(smoke ? "parallel_enum_smoke" : "parallel_enum", opts,
+                 metrics);
   return 0;
 }

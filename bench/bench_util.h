@@ -144,44 +144,19 @@ T MustOk(Result<T> result, const char* what) {
   return std::move(result).ValueOrDie();
 }
 
-/// \brief Appends the intersection-core enumeration counters of a batch (or
-/// any accumulated totals) to a bench's metrics under `<prefix>_...` keys:
-/// intersections, probe comparisons, and the average local-candidate size.
-/// Keeping these in every BENCH_*.json lets the perf trajectory track work
-/// done, not just wall time. Every counter is a required argument, so a
-/// caller passes each one explicitly (a literal 0 with its parameter name
-/// in a comment where it has none).
+/// \brief Appends every EnumWorkCounters field of a run (or of merged
+/// totals) to a bench's metrics as `<prefix>_<field>`, through
+/// EnumWorkCounters::ForEachField. Keeping these in every BENCH_*.json lets
+/// the perf trajectory track work done, not just wall time.
 inline void AppendEnumWorkMetrics(
     std::vector<std::pair<std::string, double>>* metrics,
-    const std::string& prefix, uint64_t intersections,
-    uint64_t probe_comparisons, uint64_t local_candidates,
-    uint64_t local_candidate_sets, uint64_t simd_intersections,
-    uint64_t steals, uint64_t splits, uint64_t max_segment_depth,
-    uint64_t min_worker_work, uint64_t max_worker_work) {
-  metrics->emplace_back(prefix + "_intersections",
-                        static_cast<double>(intersections));
-  metrics->emplace_back(prefix + "_probe_comparisons",
-                        static_cast<double>(probe_comparisons));
-  metrics->emplace_back(prefix + "_avg_local_candidates",
-                        local_candidate_sets == 0
-                            ? 0.0
-                            : static_cast<double>(local_candidates) /
-                                  static_cast<double>(local_candidate_sets));
-  // Kernel-dispatch split: how many of the intersections the SIMD family
-  // served (the remainder ran scalar).
-  metrics->emplace_back(prefix + "_simd_intersections",
-                        static_cast<double>(simd_intersections));
-  // Work-stealing scheduler diagnostics (all zero for serial runs):
-  // cross-deque steals, lazy splits, deepest resumed segment and the
-  // per-worker work-unit spread the schedule achieved.
-  metrics->emplace_back(prefix + "_steals", static_cast<double>(steals));
-  metrics->emplace_back(prefix + "_splits", static_cast<double>(splits));
-  metrics->emplace_back(prefix + "_max_segment_depth",
-                        static_cast<double>(max_segment_depth));
-  metrics->emplace_back(prefix + "_min_worker_work",
-                        static_cast<double>(min_worker_work));
-  metrics->emplace_back(prefix + "_max_worker_work",
-                        static_cast<double>(max_worker_work));
+    const std::string& prefix, const EnumWorkCounters& counters) {
+  EnumWorkCounters::ForEachField(
+      [&](const char* name, uint64_t EnumWorkCounters::*field,
+          EnumWorkCounters::Rule) {
+        metrics->emplace_back(prefix + "_" + name,
+                              static_cast<double>(counters.*field));
+      });
 }
 
 /// \brief Appends the serving-side ordering metrics of a batch under

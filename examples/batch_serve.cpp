@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                 queries.size() / batch.wall_seconds);
     std::printf("        %llu total matches, %u failed, %u unsolved, "
                 "cache %llu hits / %llu misses\n",
-                static_cast<unsigned long long>(batch.total_matches),
+                static_cast<unsigned long long>(batch.totals.num_matches),
                 batch.failed, batch.unsolved,
                 static_cast<unsigned long long>(batch.cache_hits),
                 static_cast<unsigned long long>(batch.cache_misses));
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   std::printf("\npattern wave: \"%s\"\n", pattern_text.c_str());
   std::printf("        %zu query vertices, %llu matches in %.3f s\n",
               static_cast<size_t>(pattern.query.num_vertices()),
-              static_cast<unsigned long long>(pattern_batch.total_matches),
+              static_cast<unsigned long long>(pattern_batch.totals.num_matches),
               pattern_batch.wall_seconds);
 
   const EngineCounters counters = engine->counters();

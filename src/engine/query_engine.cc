@@ -1,6 +1,5 @@
 #include "engine/query_engine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -124,24 +123,26 @@ Result<MatchRunStats> QueryEngine::RunQuery(
       ResolveOrder(query, fingerprint, *candidates, skip_cache, ordering,
                    &stats));
 
-  // Phase 3 shares SubgraphMatcher's implementation (per-worker workspace,
-  // deadline budget = whatever the per-query limit has left). Intra-query
-  // parallel enumeration (enum_options.parallel_threads > 0) seeds frontier
-  // segments into the engine-wide pool's work-stealing scheduler: idle batch
-  // workers steal a straggler query's segments (shallowest-first), busy
-  // workers split their deepest remaining frontier when the budget reports
-  // hungry peers, and this worker help-runs queued tasks while its own
-  // segments finish. Segment tasks pick the workspace of whichever pool
-  // worker executes them, so they reuse the same per-worker state as
-  // whole-query tasks without locking.
+  // Phase 3 is RunOrderedEnumeration, which SubgraphMatcher::Match also
+  // calls (per-worker workspace, deadline budget = whatever the per-query
+  // limit has left). Intra-query parallel enumeration
+  // (enum_options.parallel_threads > 0) seeds frontier segments into the
+  // engine-wide pool's work-stealing scheduler: idle batch workers steal a
+  // straggler query's segments (shallowest-first), busy workers split their
+  // deepest remaining frontier when the budget reports hungry peers, and
+  // this worker help-runs queued tasks while its own segments finish.
+  // Segment tasks pick the workspace of whichever pool worker executes
+  // them, so they reuse the same per-worker state as whole-query tasks
+  // without locking. With parallel_threads == 0 the query enumerates
+  // serially on this worker's workspace.
   RLQVO_FAILPOINT("engine.enumerate");
   ParallelEnumResources resources;
   resources.pool = &pool_;
   resources.worker_workspaces = &worker_workspaces_;
   resources.caller_workspace = workspace;
-  return RunOrderedEnumeration(query, *config_.data, *candidates, ordering,
+  return RunOrderedEnumeration(query, *config_.data, *candidates, *order,
                                enum_options, std::move(stats), total,
-                               workspace, &resources, order.get());
+                               resources);
 }
 
 Result<BatchResult> QueryEngine::MatchBatch(const std::vector<Graph>& queries,
@@ -230,26 +231,7 @@ Result<BatchResult> QueryEngine::MatchBatch(const std::vector<Graph>& queries,
       continue;
     }
     const MatchRunStats& stats = batch.per_query[i];
-    batch.total_matches += stats.num_matches;
-    batch.total_enumerations += stats.num_enumerations;
-    batch.total_intersections += stats.num_intersections;
-    batch.total_probe_comparisons += stats.num_probe_comparisons;
-    batch.total_local_candidates += stats.local_candidates_total;
-    batch.total_local_candidate_sets += stats.local_candidate_sets;
-    batch.total_simd_intersections += stats.num_simd_intersections;
-    batch.total_steals += stats.num_steals;
-    batch.total_splits += stats.num_splits;
-    batch.max_segment_depth =
-        std::max(batch.max_segment_depth, stats.max_segment_depth);
-    batch.max_worker_work =
-        std::max(batch.max_worker_work, stats.max_worker_work);
-    // Min over queries that ran parallel segments: a serial query's zero
-    // would otherwise mask the real spread.
-    if (stats.max_worker_work > 0 &&
-        (batch.min_worker_work == 0 ||
-         stats.min_worker_work < batch.min_worker_work)) {
-      batch.min_worker_work = stats.min_worker_work;
-    }
+    batch.totals.Merge(stats);
     batch.total_order_seconds += stats.order_time_seconds;
     if (!stats.solved) ++batch.unsolved;
   }

@@ -83,33 +83,13 @@ struct BatchResult {
   std::vector<Status> statuses;
   /// Number of non-OK entries in statuses.
   uint32_t failed = 0;
-  /// Sum of per-query num_matches (successful queries only).
-  uint64_t total_matches = 0;
-  /// Sum of per-query num_enumerations (successful queries only).
-  uint64_t total_enumerations = 0;
-  /// Intersection-core work aggregates over successful queries (see
-  /// EnumerateResult): slice intersections, merge/gallop comparisons, and
-  /// summed local-candidate sizes with their sample count
-  /// (total_local_candidates / total_local_candidate_sets = batch average
-  /// local-candidate size).
-  uint64_t total_intersections = 0;
-  uint64_t total_probe_comparisons = 0;
-  uint64_t total_local_candidates = 0;
-  uint64_t total_local_candidate_sets = 0;
-  /// Of total_intersections, how many the SIMD kernel families served (see
-  /// EnumerateResult).
-  uint64_t total_simd_intersections = 0;
-  /// Work-stealing scheduler aggregates. Steals/splits are summed across
-  /// queries (zero for serial batches); max_segment_depth and
-  /// max_worker_work are batch maxima; min_worker_work is the minimum
-  /// over queries that did any enumeration work (serial queries report
-  /// min == max == their own work total). Schedule-dependent diagnostics,
-  /// not covered by the bit-identity contract.
-  uint64_t total_steals = 0;
-  uint64_t total_splits = 0;
-  size_t max_segment_depth = 0;
-  uint64_t min_worker_work = 0;
-  uint64_t max_worker_work = 0;
+  /// The EnumWorkCounters of the successful queries, merged once per query
+  /// (EnumWorkCounters::Merge): work counters and steals/splits summed,
+  /// max_segment_depth and max_worker_work batch maxima, min_worker_work
+  /// the minimum over queries that did any enumeration work. The scheduler
+  /// fields are schedule-dependent diagnostics, not covered by the
+  /// bit-identity contract.
+  EnumWorkCounters totals;
   /// Number of queries whose deadline fired before completion.
   uint32_t unsolved = 0;
   /// Candidate-cache hits/misses incurred by this batch.
@@ -158,7 +138,9 @@ struct EngineCounters {
 /// bypasses it so sampling stays independent per query.
 ///
 /// With enum_options.parallel_threads > 0 (engine default or per-query
-/// override) a query additionally parallelizes *within* its enumeration:
+/// override) a query additionally parallelizes *within* its enumeration —
+/// the engine is the one owner of intra-query parallelism (SubgraphMatcher
+/// rejects the option):
 /// Enumerator::RunParallel seeds the search tree as frontier segments over
 /// the root candidate set and fans one work-stealing worker loop per
 /// requested thread into the same engine pool. A worker that drains its
@@ -172,8 +154,9 @@ struct EngineCounters {
 ///
 /// With a deterministic ordering_factory — every built-in one:
 /// MakeEngineByName's baselines and RLQVOModel::MakeEngine's greedy-argmax
-/// RL-QVO — results are identical to running the same SubgraphMatcher
-/// configuration sequentially, because queries never share mutable state:
+/// RL-QVO — results are identical to running the same configuration
+/// through a serial SubgraphMatcher (parallel_threads = 0) query by query,
+/// because queries never share mutable state:
 /// the data graph and candidate sets are immutable, and each worker has its
 /// own ordering. Only timing fields vary run to run. Three caveats forfeit
 /// this guarantee: (1) a *stochastic* factory (e.g.
@@ -225,8 +208,9 @@ class QueryEngine {
 
  private:
   /// Runs one query through filter (or cache) → order (or cache) →
-  /// enumerate on the calling worker thread, reusing that worker's
-  /// enumeration workspace.
+  /// RunOrderedEnumeration on the calling worker thread, reusing that
+  /// worker's enumeration workspace and, for parallel_threads > 0, the
+  /// engine pool.
   Result<MatchRunStats> RunQuery(const Graph& query,
                                  const EnumerateOptions& enum_options,
                                  bool skip_cache, Ordering* ordering,

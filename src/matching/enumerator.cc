@@ -820,6 +820,24 @@ EnumeratorWorkspace* PickWorkerWorkspace(const ParallelEnumResources& res) {
 
 }  // namespace
 
+void EnumWorkCounters::Merge(const EnumWorkCounters& other) {
+  ForEachField([&](const char*, uint64_t EnumWorkCounters::*field, Rule rule) {
+    uint64_t& mine = this->*field;
+    const uint64_t theirs = other.*field;
+    switch (rule) {
+      case Rule::kSum:
+        mine += theirs;
+        break;
+      case Rule::kMax:
+        mine = std::max(mine, theirs);
+        break;
+      case Rule::kMinNonZero:
+        if (theirs != 0 && (mine == 0 || theirs < mine)) mine = theirs;
+        break;
+    }
+  });
+}
+
 Result<EnumerateResult> Enumerator::Run(const Graph& query, const Graph& data,
                                         const CandidateSet& candidates,
                                         const std::vector<VertexId>& order,
@@ -1013,30 +1031,26 @@ Result<EnumerateResult> Enumerator::RunParallel(
     if (!worker_status[t].ok()) return worker_status[t];
   }
 
-  // Stitch. Counters sum in any order: every loop iteration (and the
-  // Extend call that opened each level) ran exactly once, in exactly one
-  // segment. Embeddings are ordered by their blocks' index paths —
-  // serial enumeration emits in strictly increasing lexicographic
-  // index-path order, each block is a maximal consecutive run with no
-  // other segment's emission inside its interval (segments break blocks
-  // exactly where splits carved their stream, see EmissionBlock), so the
-  // sorted concatenation *is* the serial emission sequence — for any
-  // thread count, steal schedule and split timing.
+  // Stitch. Work counters merge (sum) in any order: every loop iteration
+  // (and the Extend call that opened each level) ran exactly once, in
+  // exactly one segment; a segment's scheduler diagnostics are all zero,
+  // and the scheduler fills in the run's own below. Embeddings are
+  // ordered by their blocks' index paths — serial enumeration emits in
+  // strictly increasing lexicographic index-path order, each block is a
+  // maximal consecutive run with no other segment's emission inside its
+  // interval (segments break blocks exactly where splits carved their
+  // stream, see EmissionBlock), so the sorted concatenation *is* the
+  // serial emission sequence — for any thread count, steal schedule and
+  // split timing.
   std::vector<std::unique_ptr<FrontierSegment>> segments =
       scheduler.TakeSegments();
   merged.num_enumerations = 1;  // the root recursive call, charged once
   std::vector<EmissionBlock*> blocks;
   for (std::unique_ptr<FrontierSegment>& sp : segments) {
-    EnumerateResult& r = sp->result;
-    merged.num_matches += r.num_matches;
-    merged.num_enumerations += r.num_enumerations;
-    merged.num_intersections += r.num_intersections;
-    merged.num_probe_comparisons += r.num_probe_comparisons;
-    merged.local_candidates_total += r.local_candidates_total;
-    merged.local_candidate_sets += r.local_candidate_sets;
-    merged.num_simd_intersections += r.num_simd_intersections;
-    merged.timed_out |= r.timed_out;
-    merged.max_segment_depth = std::max(merged.max_segment_depth, sp->depth);
+    merged.Merge(sp->result);
+    merged.timed_out |= sp->result.timed_out;
+    merged.max_segment_depth =
+        std::max<uint64_t>(merged.max_segment_depth, sp->depth);
     for (EmissionBlock& block : sp->blocks) blocks.push_back(&block);
   }
   std::sort(blocks.begin(), blocks.end(),

@@ -44,25 +44,32 @@ struct EnumerateOptions {
   /// stealable segment when idle workers are observed. match_limit and
   /// time_limit_seconds stay *global* across segments via a shared
   /// EnumBudget. See Enumerator::RunParallel for the determinism contract.
-  /// Serial callers (Enumerator::Run) ignore this field; SubgraphMatcher
-  /// and QueryEngine honor it.
+  /// Enumerator::RunParallel and QueryEngine (which owns the pool) honor
+  /// this field; Enumerator::Run ignores it, and SubgraphMatcher, the
+  /// serial reference pipeline, rejects a non-zero value.
   uint32_t parallel_threads = 0;
 };
 
-/// \brief Outcome of one enumeration run.
-struct EnumerateResult {
+/// \brief The work and scheduler counters of an enumeration: #enum and the
+/// counters that travel with it from Enumerator through MatchRunStats to
+/// BatchResult and the bench JSON. Every field is a uint64_t, and
+/// ForEachField is the only list of them besides the declarations below:
+/// Merge, the bench metric keys and the tests all go through it, so adding a
+/// counter takes its declaration and one ForEachField line.
+struct EnumWorkCounters {
+  /// How Merge folds a field across runs.
+  enum class Rule {
+    kSum,
+    kMax,
+    /// The minimum over non-zero values: a run that did no work cannot
+    /// mask the spread of the runs that did.
+    kMinNonZero,
+  };
+
   /// Number of embeddings found (capped by match_limit).
   uint64_t num_matches = 0;
   /// #enum (Definition II.6): recursive calls of the enumeration procedure.
   uint64_t num_enumerations = 0;
-  /// True iff the time limit fired before completion. num_matches and
-  /// num_enumerations then hold the partial counts at the cutoff.
-  bool timed_out = false;
-  /// True iff the match limit fired (num_matches == match_limit).
-  bool hit_match_limit = false;
-  /// Wall-clock seconds spent enumerating (including per-query workspace
-  /// setup).
-  double enum_time_seconds = 0.0;
 
   /// \name Intersection-core work counters.
   /// The local-candidate computation intersects label-restricted adjacency
@@ -89,9 +96,6 @@ struct EnumerateResult {
   /// num_probe_comparisons is kernel-specific (each kernel charges the work
   /// it actually performed, deterministically for a given input).
   uint64_t num_simd_intersections = 0;
-  /// Always 0: no IntersectPath is bitmap-based. Kept only because
-  /// perfbench/perfbench.cc reads it; remove it together with that read.
-  uint64_t num_bitmap_intersections = 0;
   /// @}
 
   /// \name Work-stealing scheduler diagnostics (parallel runs only).
@@ -110,7 +114,7 @@ struct EnumerateResult {
   uint64_t num_splits = 0;
   /// Deepest order position any executed segment resumed at (0 = all work
   /// stayed in root-level segments).
-  size_t max_segment_depth = 0;
+  uint64_t max_segment_depth = 0;
   /// Minimum / maximum per-worker charged work units across the workers
   /// that participated in the run — the load-balance spread the scheduler
   /// achieved (equal values = perfectly even).
@@ -118,16 +122,55 @@ struct EnumerateResult {
   uint64_t max_worker_work = 0;
   /// @}
 
+  /// Calls fn(name, member, rule) once per field, in declaration order.
+  template <typename Fn>
+  static void ForEachField(Fn&& fn) {
+    using C = EnumWorkCounters;
+    fn("num_matches", &C::num_matches, Rule::kSum);
+    fn("num_enumerations", &C::num_enumerations, Rule::kSum);
+    fn("num_intersections", &C::num_intersections, Rule::kSum);
+    fn("num_probe_comparisons", &C::num_probe_comparisons, Rule::kSum);
+    fn("local_candidates_total", &C::local_candidates_total, Rule::kSum);
+    fn("local_candidate_sets", &C::local_candidate_sets, Rule::kSum);
+    fn("num_simd_intersections", &C::num_simd_intersections, Rule::kSum);
+    fn("num_steals", &C::num_steals, Rule::kSum);
+    fn("num_splits", &C::num_splits, Rule::kSum);
+    fn("max_segment_depth", &C::max_segment_depth, Rule::kMax);
+    fn("min_worker_work", &C::min_worker_work, Rule::kMinNonZero);
+    fn("max_worker_work", &C::max_worker_work, Rule::kMax);
+  }
+
+  /// Folds `other` into this value, field by field, by each field's Rule.
+  void Merge(const EnumWorkCounters& other);
+};
+
+/// \brief Outcome of one enumeration run: its EnumWorkCounters plus how the
+/// run ended.
+struct EnumerateResult : EnumWorkCounters {
+  /// True iff the time limit fired before completion. num_matches and
+  /// num_enumerations then hold the partial counts at the cutoff.
+  bool timed_out = false;
+  /// True iff the match limit fired (num_matches == match_limit).
+  bool hit_match_limit = false;
+  /// Wall-clock seconds spent enumerating (including per-query workspace
+  /// setup).
+  double enum_time_seconds = 0.0;
+  /// Always 0: no IntersectPath is bitmap-based. Kept only because
+  /// perfbench/perfbench.cc reads it; remove it together with that read.
+  uint64_t num_bitmap_intersections = 0;
+
   /// Embeddings as query-vertex-indexed data-vertex vectors, if requested.
   std::vector<std::vector<VertexId>> embeddings;
 };
 
-/// \brief Execution resources for Enumerator::RunParallel.
+/// \brief Execution resources for Enumerator::RunParallel (and for
+/// RunOrderedEnumeration, which always enumerates through it).
 ///
 /// The pool is shared infrastructure: QueryEngine hands every query the
 /// engine-wide pool (so idle batch workers pick up a straggler query's
 /// worker-loop tasks and keep donating — stealing segments — until the run
-/// drains), while SubgraphMatcher lazily owns a private one. Worker loops
+/// drains), while SubgraphMatcher passes no pool and only its own reusable
+/// caller_workspace, so its runs take the serial fallback. Worker loops
 /// pick their scratch workspace by the executing thread:
 /// `(*worker_workspaces)[ThreadPool::CurrentWorkerIndex()]` on pool workers
 /// and `caller_workspace` on the coordinating external thread (which donates

@@ -1,8 +1,5 @@
 #include "matching/matcher.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace rlqvo {
@@ -16,10 +13,14 @@ SubgraphMatcher::SubgraphMatcher(MatcherConfig config)
   }
 }
 
-SubgraphMatcher::~SubgraphMatcher() = default;
-
 Result<MatchRunStats> SubgraphMatcher::Match(const Graph& query,
                                              const Graph& data) const {
+  if (config_.enum_options.parallel_threads > 0) {
+    return Status::InvalidArgument(
+        "SubgraphMatcher is the serial pipeline; parallel_threads = " +
+        std::to_string(config_.enum_options.parallel_threads) +
+        " needs QueryEngine, which owns the enumeration pool");
+  }
   MatchRunStats stats;
   Stopwatch total;
 
@@ -29,53 +30,31 @@ Result<MatchRunStats> SubgraphMatcher::Match(const Graph& query,
   stats.filter_time_seconds = phase.ElapsedSeconds();
   stats.candidate_total = candidates.TotalSize();
 
-  // Intra-query parallelism: a private pool of parallel_threads workers,
-  // created on first use and rebuilt if the knob changes. The pool (and
-  // its per-worker workspaces) outlives the call, so steady-state parallel
-  // matching pays no per-query thread spawn.
-  ParallelEnumResources resources;
-  const uint32_t threads = config_.enum_options.parallel_threads;
-  if (threads > 0) {
-    if (enum_pool_ == nullptr || enum_pool_->size() != threads) {
-      enum_pool_ = std::make_unique<ThreadPool>(threads);
-      enum_worker_workspaces_ =
-          std::vector<EnumeratorWorkspace>(enum_pool_->size());
-    }
-    resources.pool = enum_pool_.get();
-    resources.worker_workspaces = &enum_worker_workspaces_;
-    resources.caller_workspace = &workspace_;
-  }
+  phase.Restart();
+  OrderingContext ctx;
+  ctx.query = &query;
+  ctx.data = &data;
+  ctx.candidates = &candidates;
+  RLQVO_ASSIGN_OR_RETURN(std::vector<VertexId> order,
+                         config_.ordering->MakeOrder(ctx));
+  stats.order_time_seconds = phase.ElapsedSeconds();
 
-  return RunOrderedEnumeration(query, data, candidates,
-                               config_.ordering.get(), config_.enum_options,
-                               std::move(stats), total, &workspace_,
-                               threads > 0 ? &resources : nullptr);
+  ParallelEnumResources resources;
+  resources.caller_workspace = &workspace_;
+  return RunOrderedEnumeration(query, data, candidates, order,
+                               config_.enum_options, std::move(stats), total,
+                               resources);
 }
 
 Result<MatchRunStats> RunOrderedEnumeration(
     const Graph& query, const Graph& data, const CandidateSet& candidates,
-    Ordering* ordering, const EnumerateOptions& options, MatchRunStats stats,
-    const Stopwatch& total, EnumeratorWorkspace* workspace,
-    const ParallelEnumResources* parallel,
-    const std::vector<VertexId>* precomputed_order) {
-  std::vector<VertexId> order;
-  if (precomputed_order != nullptr) {
-    // Phase 2 already ran in the caller (QueryEngine's unified ordering
-    // pipeline, possibly an order-cache hit); the caller timed it.
-    order = *precomputed_order;
-  } else {
-    Stopwatch phase;
-    OrderingContext ctx;
-    ctx.query = &query;
-    ctx.data = &data;
-    ctx.candidates = &candidates;
-    RLQVO_ASSIGN_OR_RETURN(order, ordering->MakeOrder(ctx));
-    stats.order_time_seconds = phase.ElapsedSeconds();
-  }
+    const std::vector<VertexId>& order, const EnumerateOptions& options,
+    MatchRunStats stats, const Stopwatch& total,
+    const ParallelEnumResources& resources) {
   stats.order = order;
 
   // The enumeration budget is whatever remains of the query's time limit.
-  // The deadline starts ticking here — before Enumerator::Run's per-query
+  // The deadline starts ticking here — before the enumerator's per-query
   // workspace setup — so setup cost counts against the budget.
   EnumerateOptions enum_options = options;
   Deadline deadline = Deadline::Unlimited();
@@ -91,38 +70,13 @@ Result<MatchRunStats> RunOrderedEnumeration(
     deadline = Deadline(remaining);
   }
 
-  EnumeratorWorkspace local_workspace;
-  if (workspace == nullptr) workspace = &local_workspace;
-  Enumerator enumerator;  // stateless: all scratch lives in the workspace
-  Result<EnumerateResult> enum_run =
-      (options.parallel_threads > 0 && parallel != nullptr &&
-       parallel->pool != nullptr)
-          ? [&] {
-              ParallelEnumResources resources = *parallel;
-              if (resources.caller_workspace == nullptr) {
-                resources.caller_workspace = workspace;
-              }
-              return enumerator.RunParallel(query, data, candidates, order,
-                                            enum_options, resources,
-                                            &deadline);
-            }()
-          : enumerator.Run(query, data, candidates, order, enum_options,
-                           workspace, &deadline);
-  RLQVO_RETURN_NOT_OK(enum_run.status());
-  EnumerateResult enum_result = std::move(enum_run).ValueOrDie();
+  Enumerator enumerator;  // stateless: all scratch lives in the workspaces
+  RLQVO_ASSIGN_OR_RETURN(
+      EnumerateResult enum_result,
+      enumerator.RunParallel(query, data, candidates, order, enum_options,
+                             resources, &deadline));
+  static_cast<EnumWorkCounters&>(stats) = enum_result;
   stats.enum_time_seconds = enum_result.enum_time_seconds;
-  stats.num_matches = enum_result.num_matches;
-  stats.num_enumerations = enum_result.num_enumerations;
-  stats.num_intersections = enum_result.num_intersections;
-  stats.num_probe_comparisons = enum_result.num_probe_comparisons;
-  stats.local_candidates_total = enum_result.local_candidates_total;
-  stats.local_candidate_sets = enum_result.local_candidate_sets;
-  stats.num_simd_intersections = enum_result.num_simd_intersections;
-  stats.num_steals = enum_result.num_steals;
-  stats.num_splits = enum_result.num_splits;
-  stats.max_segment_depth = enum_result.max_segment_depth;
-  stats.min_worker_work = enum_result.min_worker_work;
-  stats.max_worker_work = enum_result.max_worker_work;
   stats.solved = !enum_result.timed_out;
   stats.hit_match_limit = enum_result.hit_match_limit;
   stats.embeddings = std::move(enum_result.embeddings);

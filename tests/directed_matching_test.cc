@@ -5,10 +5,12 @@
 // constraints — it checks mappings against flat edge sets only.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/query_sampler.h"
 #include "matching/enumerator.h"
@@ -308,35 +310,52 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectedDifferentialTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 TEST(DirectedMatchingTest, ThreadCountsAgreeOnDirectedGraphs) {
-  // The chunked parallel enumerator on a directed edge-labeled workload:
-  // untruncated runs are bit-identical to serial at every thread count.
+  // The work-stealing enumerator on a directed edge-labeled workload, run
+  // by its one owner, a 4-thread QueryEngine: untruncated runs are
+  // bit-identical to the serial matcher at every thread count, and a
+  // second batch of the same queries is served from the candidate cache
+  // with identical results.
   Graph data = GenerateErdosRenyi(80, 4.5, DirectedLabels(3, 4, true), 97)
                    .ValueOrDie();
   QuerySampler sampler(&data, 41);
+  std::vector<Graph> queries;
+  for (int i = 0; i < 4; ++i) {
+    auto query_or = sampler.SampleQuery(5);
+    ASSERT_TRUE(query_or.ok()) << query_or.status().ToString();
+    queries.push_back(std::move(query_or).ValueOrDie());
+  }
 
   EnumerateOptions serial_options;
   serial_options.match_limit = 0;
   serial_options.store_embeddings = true;
   auto serial = MakeMatcherByName("Hybrid", serial_options).ValueOrDie();
+  std::vector<MatchRunStats> expected;
+  for (const Graph& query : queries) {
+    expected.push_back(serial->Match(query, data).ValueOrDie());
+    EXPECT_GE(expected.back().num_matches, 1u);  // identity embedding
+  }
 
-  for (int i = 0; i < 4; ++i) {
-    auto query_or = sampler.SampleQuery(5);
-    ASSERT_TRUE(query_or.ok()) << query_or.status().ToString();
-    const Graph query = std::move(query_or).ValueOrDie();
-    const MatchRunStats expected =
-        serial->Match(query, data).ValueOrDie();
-    EXPECT_GE(expected.num_matches, 1u);  // identity embedding
-    for (uint32_t threads : {1u, 3u, 8u}) {
-      EnumerateOptions parallel_options = serial_options;
-      parallel_options.parallel_threads = threads;
-      auto parallel =
-          MakeMatcherByName("Hybrid", parallel_options).ValueOrDie();
-      const MatchRunStats got = parallel->Match(query, data).ValueOrDie();
-      EXPECT_EQ(got.num_matches, expected.num_matches)
-          << "query " << i << " threads " << threads;
-      EXPECT_EQ(got.num_enumerations, expected.num_enumerations);
-      EXPECT_EQ(got.num_intersections, expected.num_intersections);
-      EXPECT_EQ(got.embeddings, expected.embeddings);
+  const auto shared_data = std::make_shared<const Graph>(data);
+  for (uint32_t threads : {1u, 3u, 8u}) {
+    EnumerateOptions parallel_options = serial_options;
+    parallel_options.parallel_threads = threads;
+    auto engine = MakeEngineByName("Hybrid", shared_data, {.num_threads = 4},
+                                   parallel_options)
+                      .ValueOrDie();
+    const BatchResult first = engine->MatchBatch(queries).ValueOrDie();
+    const BatchResult cached = engine->MatchBatch(queries).ValueOrDie();
+    EXPECT_EQ(cached.cache_hits, queries.size()) << "threads " << threads;
+    for (const BatchResult* batch : {&first, &cached}) {
+      EXPECT_EQ(batch->failed, 0u) << "threads " << threads;
+      ASSERT_EQ(batch->per_query.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const MatchRunStats& got = batch->per_query[i];
+        EXPECT_EQ(got.num_matches, expected[i].num_matches)
+            << "query " << i << " threads " << threads;
+        EXPECT_EQ(got.num_enumerations, expected[i].num_enumerations);
+        EXPECT_EQ(got.num_intersections, expected[i].num_intersections);
+        EXPECT_EQ(got.embeddings, expected[i].embeddings);
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "matching/enumerator.h"
 #include "matching/filters.h"
@@ -251,6 +252,94 @@ TEST(EnumeratorTest, IntersectionCountersTrackBackwardStructure) {
     EXPECT_GT(tresult.num_probe_comparisons, 0u);
   }
   EXPECT_GE(tresult.local_candidates_total, tresult.num_matches);
+}
+
+// --- EnumWorkCounters ---
+
+TEST(EnumWorkCountersTest, MergeSumsTakesMaximaAndIgnoresZeroMinima) {
+  EnumWorkCounters a;
+  a.num_matches = 3;
+  a.num_enumerations = 10;
+  a.num_intersections = 2;
+  a.num_probe_comparisons = 5;
+  a.local_candidates_total = 7;
+  a.local_candidate_sets = 4;
+  a.num_simd_intersections = 1;
+  a.num_steals = 2;
+  a.num_splits = 1;
+  a.max_segment_depth = 3;
+  a.min_worker_work = 40;
+  a.max_worker_work = 90;
+
+  EnumWorkCounters b;  // a run that did no enumeration work of its own
+  b.num_matches = 1;
+  b.num_enumerations = 20;
+  b.num_intersections = 30;
+  b.num_probe_comparisons = 40;
+  b.local_candidates_total = 50;
+  b.local_candidate_sets = 60;
+  b.num_simd_intersections = 70;
+  b.num_steals = 80;
+  b.num_splits = 90;
+  b.max_segment_depth = 5;
+  b.min_worker_work = 0;
+  b.max_worker_work = 60;
+
+  a.Merge(b);
+  EXPECT_EQ(a.num_matches, 4u);
+  EXPECT_EQ(a.num_enumerations, 30u);
+  EXPECT_EQ(a.num_intersections, 32u);
+  EXPECT_EQ(a.num_probe_comparisons, 45u);
+  EXPECT_EQ(a.local_candidates_total, 57u);
+  EXPECT_EQ(a.local_candidate_sets, 64u);
+  EXPECT_EQ(a.num_simd_intersections, 71u);
+  EXPECT_EQ(a.num_steals, 82u);
+  EXPECT_EQ(a.num_splits, 91u);
+  EXPECT_EQ(a.max_segment_depth, 5u);  // maximum, not sum
+  EXPECT_EQ(a.max_worker_work, 90u);   // maximum, not sum
+  EXPECT_EQ(a.min_worker_work, 40u);   // b's 0 cannot mask the spread
+
+  EnumWorkCounters c;
+  c.min_worker_work = 25;
+  a.Merge(c);
+  EXPECT_EQ(a.min_worker_work, 25u);  // a smaller non-zero minimum wins
+
+  // Merging into a default value takes the other side's values, including
+  // a non-zero minimum over the default's 0.
+  EnumWorkCounters empty;
+  empty.Merge(a);
+  EnumWorkCounters::ForEachField(
+      [&](const char* name, uint64_t EnumWorkCounters::*field,
+          EnumWorkCounters::Rule) {
+        EXPECT_EQ(empty.*field, a.*field) << name;
+      });
+}
+
+TEST(EnumWorkCountersTest, ForEachFieldVisitsEveryFieldExactlyOnce) {
+  EnumWorkCounters probe;
+  std::set<std::string> names;
+  std::set<const void*> members;
+  size_t visits = 0;
+  size_t bytes = 0;
+  size_t maxima = 0;
+  size_t minima = 0;
+  EnumWorkCounters::ForEachField([&](const char* name,
+                                     uint64_t EnumWorkCounters::*field,
+                                     EnumWorkCounters::Rule rule) {
+    ++visits;
+    names.insert(name);
+    members.insert(&(probe.*field));
+    bytes += sizeof(probe.*field);
+    if (rule == EnumWorkCounters::Rule::kMax) ++maxima;
+    if (rule == EnumWorkCounters::Rule::kMinNonZero) ++minima;
+  });
+  EXPECT_EQ(names.size(), visits);
+  EXPECT_EQ(members.size(), visits);
+  // A field declared without its ForEachField entry leaves bytes unvisited.
+  EXPECT_EQ(bytes, sizeof(EnumWorkCounters));
+  EXPECT_EQ(maxima, 2u);  // max_segment_depth, max_worker_work
+  EXPECT_EQ(minima, 1u);  // min_worker_work
+  EXPECT_TRUE(names.count("num_enumerations"));
 }
 
 /// Heavily skewed label distributions exercise the gallop path (tiny rare-

@@ -85,6 +85,29 @@ TEST(MatcherTest, MutableEnumOptions) {
   EXPECT_EQ(matcher->config().enum_options.match_limit, 3u);
 }
 
+// The matcher is the serial reference pipeline: intra-query parallelism
+// belongs to QueryEngine, so a parallel request fails loudly instead of
+// silently running serial — whether it came in through the factory's
+// options or was set later through mutable_enum_options().
+TEST(MatcherTest, ParallelThreadsAreRejectedNamingQueryEngine) {
+  Graph data = RandomData(57);
+  Graph q = RandomQuery(data, 58, 4);
+  EnumerateOptions parallel;
+  parallel.parallel_threads = 2;
+  auto from_factory = MakeMatcherByName("Hybrid", parallel).ValueOrDie();
+  const Status status = from_factory->Match(q, data).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.ToString().find("QueryEngine"), std::string::npos)
+      << status.ToString();
+
+  auto matcher = MakeMatcherByName("Hybrid").ValueOrDie();
+  ASSERT_TRUE(matcher->Match(q, data).ok());
+  matcher->mutable_enum_options()->parallel_threads = 1;
+  EXPECT_TRUE(matcher->Match(q, data).status().IsInvalidArgument());
+  matcher->mutable_enum_options()->parallel_threads = 0;
+  EXPECT_TRUE(matcher->Match(q, data).ok());
+}
+
 TEST(MatcherTest, DefaultNameFromComponents) {
   MatcherConfig config;
   config.filter = std::make_shared<LDFFilter>();

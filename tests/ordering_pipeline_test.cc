@@ -276,8 +276,8 @@ TEST(OrderCacheTest, BatchResultsBitIdenticalWithCacheOnAndOff) {
   const BatchResult a = cached->MatchBatch(queries).ValueOrDie();
   const BatchResult b = uncached->MatchBatch(queries).ValueOrDie();
   ASSERT_EQ(a.per_query.size(), b.per_query.size());
-  EXPECT_EQ(a.total_matches, b.total_matches);
-  EXPECT_EQ(a.total_enumerations, b.total_enumerations);
+  EXPECT_EQ(a.totals.num_matches, b.totals.num_matches);
+  EXPECT_EQ(a.totals.num_enumerations, b.totals.num_enumerations);
   EXPECT_EQ(b.order_cache_hits, 0u);
   EXPECT_EQ(b.order_cache_misses, 0u);
   for (size_t i = 0; i < a.per_query.size(); ++i) {

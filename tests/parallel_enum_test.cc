@@ -1,5 +1,5 @@
-// Parallel/serial equivalence for Enumerator::RunParallel and the
-// parallel_threads plumbing through SubgraphMatcher and QueryEngine.
+// Parallel/serial equivalence for Enumerator::RunParallel, the scheduler
+// that QueryEngine drives for parallel_threads > 0.
 //
 // The determinism contract under test (see enumerator.h): an untruncated
 // parallel run is bit-identical to the serial path — same embeddings in the
@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -191,12 +192,31 @@ TEST(ParallelEnumTest, SerialAndOneThreadRunsReportNoSchedulerActivity) {
   EXPECT_EQ(one.min_worker_work, one.max_worker_work);
 }
 
-// The steal path actually runs — and changes nothing. A heavy skewed
-// workload with delay-injected steal/split sites (latency only, never an
-// error) perturbs the schedule differently every attempt; each run must
-// still be bit-identical to serial, and across a handful of attempts at
-// least one schedule must have stolen work (seeds are uneven, so a drained
-// worker goes hungry and a split + steal is the only way it gets more).
+// The steals a run cannot avoid when its loop tasks oversubscribe the
+// pool. RunParallel seeds min(|C(order[0])|, threads) root segments, one
+// per slot, and fans out `threads` loop tasks; at most pool.size() + 1 of
+// them run at once (the pool's workers plus the help-waiting coordinator),
+// and a started loop exits only when the run drains. The seeds of the slots
+// that no running loop claimed can therefore only leave their deques by
+// being stolen. (Orphan adoption under an *error*-mode steal failpoint is
+// not counted as a steal, so callers must not inject errors there.) Zero
+// when the pool is as large as the fan-out.
+uint64_t ForcedSteals(const PreparedQuery& pq, uint32_t threads,
+                      const ThreadPool& pool) {
+  const uint64_t seeds = std::min<uint64_t>(
+      pq.candidates.candidates(pq.order[0]).size(), threads);
+  const uint64_t loops = uint64_t{pool.size()} + 1;
+  return seeds > loops ? seeds - loops : 0;
+}
+
+// The steal path actually runs — and changes nothing. Delay-injected
+// steal/split sites (latency only, never an error) perturb the schedule
+// differently every run, at 3 and 8 threads on pools as large as the
+// fan-out; each run must still be bit-identical to serial. Those schedules
+// may or may not steal (every loop can start on its own seed), so the
+// steal assertion runs on oversubscribed schedules, where it is
+// deterministic: 8 loop tasks on a 1- or 2-worker pool, with and without
+// the delays, must steal at least ForcedSteals times on every run.
 TEST(ParallelEnumTest, StealsFireAndStayBitIdenticalUnderSkewedSchedules) {
   Graph data = MakeData(31, 260, 10.0, 2, 0.0);
   PreparedQuery pq = PrepareQuery(data, 32, 5);
@@ -205,35 +225,49 @@ TEST(ParallelEnumTest, StealsFireAndStayBitIdenticalUnderSkewedSchedules) {
   opts.store_embeddings = true;
   const EnumerateResult serial = RunSerial(data, pq, opts);
   ASSERT_GT(serial.num_matches, 0u);
+  constexpr uint32_t kFanOut = 8;
+  ASSERT_GE(pq.candidates.candidates(pq.order[0]).size(), kFanOut)
+      << "every root seed must exist for the forced-steal bound";
 
   ASSERT_TRUE(failpoint::Activate("enumerate.steal", "delay:1").ok());
   ASSERT_TRUE(failpoint::Activate("enumerate.split", "delay:1").ok());
-  uint64_t total_steals = 0;
-  for (uint32_t threads : {3u, 8u}) {
-    // Steal counts are schedule-dependent; retry a few times rather than
-    // demanding every single schedule steals.
+  for (uint32_t threads : {3u, kFanOut}) {
     for (int attempt = 0; attempt < 5; ++attempt) {
       ThreadPool pool(threads);
       std::vector<EnumeratorWorkspace> workspaces(pool.size());
       EnumeratorWorkspace caller_ws;
-      const EnumerateResult parallel = RunParallelWith(
-          data, pq, opts, threads, &pool, &workspaces, &caller_ws);
-      ExpectBitIdentical(serial, parallel, threads);
-      // Note a steal needs no split when it grabs an unstarted seed
-      // segment, so only steals are asserted on, not splits.
-      total_steals += parallel.num_steals;
-      if (parallel.num_steals > 0) break;
+      ExpectBitIdentical(serial,
+                         RunParallelWith(data, pq, opts, threads, &pool,
+                                         &workspaces, &caller_ws),
+                         threads);
+    }
+  }
+  for (const bool delayed : {true, false}) {
+    if (!delayed) failpoint::DeactivateAll();
+    for (uint32_t pool_size : {1u, 2u}) {
+      for (int attempt = 0; attempt < 5; ++attempt) {
+        ThreadPool pool(pool_size);
+        std::vector<EnumeratorWorkspace> workspaces(pool.size());
+        EnumeratorWorkspace caller_ws;
+        const EnumerateResult parallel = RunParallelWith(
+            data, pq, opts, kFanOut, &pool, &workspaces, &caller_ws);
+        ExpectBitIdentical(serial, parallel, kFanOut);
+        const uint64_t forced = ForcedSteals(pq, kFanOut, pool);
+        EXPECT_GT(forced, 0u);
+        EXPECT_GE(parallel.num_steals, forced)
+            << "pool " << pool_size << " delayed " << delayed << " attempt "
+            << attempt;
+      }
     }
   }
   failpoint::DeactivateAll();
-  EXPECT_GT(total_steals, 0u)
-      << "no schedule stole work; the scheduler degenerated to static "
-         "seed partitioning";
 }
 
 // A finite match_limit stays exact while stealing is active: the shared
 // budget hands out claims, so concurrent segments can never over- or
-// under-emit no matter how work migrated between workers.
+// under-emit no matter how work migrated between workers. On the
+// oversubscribed pools every run is forced to steal (see ForcedSteals); the
+// 8-worker pool runs all 8 loops concurrently.
 TEST(ParallelEnumTest, ExactLimitWithActiveStealing) {
   Graph data = MakeData(43, 260, 10.0, 2, 0.0);
   PreparedQuery pq = PrepareQuery(data, 44, 5);
@@ -241,32 +275,34 @@ TEST(ParallelEnumTest, ExactLimitWithActiveStealing) {
   unlimited.match_limit = 0;
   const uint64_t total = RunSerial(data, pq, unlimited).num_matches;
   ASSERT_GT(total, 100u) << "workload too small to exercise limits";
+  constexpr uint32_t kFanOut = 8;
+  ASSERT_GE(pq.candidates.candidates(pq.order[0]).size(), kFanOut)
+      << "every root seed must exist for the forced-steal bound";
 
   EnumerateOptions opts;
   opts.match_limit = total - 1;  // nearly all the work, then exact cutoff
   opts.store_embeddings = true;
-  uint64_t total_steals = 0;
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    ThreadPool pool(8);
-    std::vector<EnumeratorWorkspace> workspaces(pool.size());
-    EnumeratorWorkspace caller_ws;
-    const EnumerateResult parallel =
-        RunParallelWith(data, pq, opts, 8, &pool, &workspaces, &caller_ws);
-    EXPECT_EQ(parallel.num_matches, total - 1);
-    EXPECT_TRUE(parallel.hit_match_limit);
-    EXPECT_EQ(parallel.embeddings.size(), total - 1);
-    std::set<std::vector<VertexId>> distinct(parallel.embeddings.begin(),
-                                             parallel.embeddings.end());
-    EXPECT_EQ(distinct.size(), total - 1);  // no duplicate emissions
-    for (const auto& embedding : parallel.embeddings) {
-      ASSERT_TRUE(IsIsomorphism(pq.query, data, embedding));
+  for (uint32_t pool_size : {1u, 2u, kFanOut}) {
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      SCOPED_TRACE("pool " + std::to_string(pool_size) + " attempt " +
+                   std::to_string(attempt));
+      ThreadPool pool(pool_size);
+      std::vector<EnumeratorWorkspace> workspaces(pool.size());
+      EnumeratorWorkspace caller_ws;
+      const EnumerateResult parallel = RunParallelWith(
+          data, pq, opts, kFanOut, &pool, &workspaces, &caller_ws);
+      EXPECT_EQ(parallel.num_matches, total - 1);
+      EXPECT_TRUE(parallel.hit_match_limit);
+      EXPECT_EQ(parallel.embeddings.size(), total - 1);
+      std::set<std::vector<VertexId>> distinct(parallel.embeddings.begin(),
+                                               parallel.embeddings.end());
+      EXPECT_EQ(distinct.size(), total - 1);  // no duplicate emissions
+      for (const auto& embedding : parallel.embeddings) {
+        ASSERT_TRUE(IsIsomorphism(pq.query, data, embedding));
+      }
+      EXPECT_GE(parallel.num_steals, ForcedSteals(pq, kFanOut, pool));
     }
-    total_steals += parallel.num_steals;
-    if (total_steals > 0) break;
   }
-  failpoint::DeactivateAll();
-  EXPECT_GT(total_steals, 0u)
-      << "limit runs never stole; test is not exercising limit+steal";
 }
 
 TEST(ParallelEnumTest, MatchesBruteForceGroundTruth) {
