@@ -8,19 +8,20 @@
 //      growing size ratios — the measurement behind intersect.h's
 //      kGallopRatio.
 //   2. Full enumeration runs on generated workloads, timing the current
-//      Enumerator (auto kernel), the same enumeration under the forced
-//      scalar kernel (the PR 3 baseline), and a faithful re-implementation
+//      Enumerator (the CPU's kernel), the same enumeration under the forced
+//      scalar kernel (the pre-SIMD baseline), and a faithful re-implementation
 //      of the pre-change probe loop on identical inputs (same workspace
 //      machinery, same candidate sets, same orders). All traverse the
 //      identical recursion tree, so match counts must agree exactly —
 //      checked fatally.
-//   3. Forced-kernel dispatch (scalar/sse/avx2/auto) on harvested
-//      hub-slice pairs — the dense slices where intersection time
-//      concentrates — with fatal output-equality per kernel.
+//   3. Dispatch under every supported kernel (SupportedIntersectKernels():
+//      scalar, plus avx2 on AVX2 hardware) on harvested hub-slice pairs —
+//      the dense slices where intersection time concentrates — with fatal
+//      output-equality per kernel.
 //
 // Acceptance bars: >= 2x over the probe loop on the skewed-label
-// configuration at scale >= 1.0 (ISSUE 3), and auto >= 2x over the forced
-// scalar kernel on both part 3 configurations on AVX2 hardware (ISSUE 6).
+// configuration at scale >= 1.0, and avx2 >= 2x scalar on both degenerate
+// part 3 configurations on AVX2 hardware.
 // Metrics (including the enumeration work counters and the kernel grid)
 // land in BENCH_intersection.json.
 //
@@ -185,11 +186,11 @@ struct WorkloadCase {
 
 struct CaseResult {
   double probe_us_per_query = 0.0;
-  double intersect_us_per_query = 0.0;  // auto kernel dispatch
-  double scalar_us_per_query = 0.0;     // forced kScalar (the PR 3 baseline)
-  double speedup = 0.0;                 // probe / auto
-  double kernel_speedup = 0.0;          // forced-scalar / auto
-  EnumWorkCounters accumulated;  // merged over the query set (auto kernel)
+  double intersect_us_per_query = 0.0;  // the CPU's kernel
+  double scalar_us_per_query = 0.0;     // forced kScalar (pre-SIMD baseline)
+  double speedup = 0.0;                 // probe / CPU kernel
+  double kernel_speedup = 0.0;          // forced-scalar / CPU kernel
+  EnumWorkCounters accumulated;  // merged over the query set (CPU kernel)
 };
 
 CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
@@ -292,8 +293,10 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
       iw.ElapsedSeconds() / (reps * num_queries) * 1e6;
   out.speedup = out.probe_us_per_query / out.intersect_us_per_query;
 
-  // Same enumeration under the forced scalar kernel — the PR 3 baseline —
-  // with a fatal equality gate (kernel choice must not change results).
+  // Same enumeration under the forced scalar kernel — the pre-SIMD
+  // baseline — with a fatal equality gate (kernel choice must not change
+  // results).
+  const IntersectKernel cpu_kernel = GetIntersectKernel();
   RLQVO_CHECK(SetIntersectKernel(IntersectKernel::kScalar).ok());
   for (uint32_t i = 0; i < num_queries; ++i) {
     auto r = MustOk(
@@ -301,9 +304,10 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
         "enumerate");
     if (r.num_matches != expected[i]) {
       std::fprintf(stderr,
-                   "FATAL: scalar/auto kernel mismatch on query %u "
+                   "FATAL: scalar/%s kernel mismatch on query %u "
                    "(%llu vs %llu)\n",
-                   i, static_cast<unsigned long long>(r.num_matches),
+                   IntersectKernelName(cpu_kernel), i,
+                   static_cast<unsigned long long>(r.num_matches),
                    static_cast<unsigned long long>(expected[i]));
       std::exit(1);
     }
@@ -312,13 +316,13 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
   for (int r = 0; r < reps; ++r) run_intersection();
   out.scalar_us_per_query =
       sw.ElapsedSeconds() / (reps * num_queries) * 1e6;
-  RLQVO_CHECK(SetIntersectKernel(IntersectKernel::kAuto).ok());
+  RLQVO_CHECK(SetIntersectKernel(cpu_kernel).ok());
   out.kernel_speedup = out.scalar_us_per_query / out.intersect_us_per_query;
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: forced-kernel comparison on hub-slice intersections.
+// Part 3: per-kernel comparison on hub-slice intersections.
 // ---------------------------------------------------------------------------
 
 /// Harvests the slice pairs where enumeration time concentrates: for the
@@ -370,6 +374,7 @@ std::vector<SlicePair> HarvestHubPairs(const Graph& g, size_t max_pairs) {
 
 void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
                       const BenchOptions& opts, bool smoke) {
+  const IntersectKernel cpu_kernel = GetIntersectKernel();
   struct KernelConfig {
     std::string name;
     bool power_law;
@@ -392,7 +397,7 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
       {"directed", true, 32.0, /*num_labels=*/8, /*num_edge_labels=*/4,
        /*directed=*/true},
   };
-  std::printf("\n-- forced-kernel dispatch on hub-slice pairs (ns/op) --\n");
+  std::printf("\n-- per-kernel dispatch on hub-slice pairs (ns/op) --\n");
   std::printf("%10s %14s %12s %10s %10s\n", "config", "kernel", "ns/op",
               "vs scalar", "paths");
   for (const KernelConfig& cfg : configs) {
@@ -421,16 +426,10 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
       IntersectDispatch(pairs[p].first, pairs[p].second, &reference[p], &cmp);
     }
 
-    // Scalar first (it is the baseline every row is normalized against),
-    // auto last so its row can carry the PASS verdict.
-    std::vector<IntersectKernel> kernels = {IntersectKernel::kScalar};
-    for (IntersectKernel k : {IntersectKernel::kSse, IntersectKernel::kAvx2}) {
-      if (IntersectKernelSupported(k)) kernels.push_back(k);
-    }
-    kernels.push_back(IntersectKernel::kAuto);
-
+    // Scalar comes first: it is the baseline every row is normalized
+    // against.
     double scalar_ns = 0.0;
-    for (IntersectKernel kernel : kernels) {
+    for (IntersectKernel kernel : SupportedIntersectKernels()) {
       RLQVO_CHECK(SetIntersectKernel(kernel).ok());
       std::vector<VertexId> out;
       uint64_t simd_paths = 0;
@@ -478,16 +477,17 @@ void KernelMicrobench(std::vector<std::pair<std::string, double>>* metrics,
       metrics->emplace_back(
           "kernel_speedup_" + cfg.name + "_" + IntersectKernelName(kernel),
           vs_scalar);
-      // The ISSUE 6 bar covers the two degenerate acceptance configs; the
-      // directed config is informational (its finer slice key thins every
-      // slice, so the kernels are overhead-bound at smoke scale).
-      if (kernel == IntersectKernel::kAuto && !cfg.directed) {
-        std::printf("%10s auto >= 2x scalar: %s\n", cfg.name.c_str(),
+      // The avx2 >= 2x scalar bar covers the two degenerate acceptance
+      // configs; the directed config is informational (its finer slice key
+      // thins every slice, so the kernels are overhead-bound at smoke
+      // scale).
+      if (kernel == IntersectKernel::kAvx2 && !cfg.directed) {
+        std::printf("%10s avx2 >= 2x scalar: %s\n", cfg.name.c_str(),
                     vs_scalar >= 2.0 ? "PASS" : "below bar");
       }
     }
-    RLQVO_CHECK(SetIntersectKernel(IntersectKernel::kAuto).ok());
   }
+  RLQVO_CHECK(SetIntersectKernel(cpu_kernel).ok());
 }
 
 }  // namespace
@@ -521,10 +521,12 @@ int main(int argc, char** argv) {
       {"fewlabels_s1.0", 4, 0.0, 1.0},
       {"powerlaw_s1.0", 32, 1.2, 1.0, 16.0, true},
   };
-  std::printf("\n-- enumeration: probe vs scalar vs auto kernels (us/query) "
-              "--\n");
+  const char* cpu_kernel = IntersectKernelName(GetIntersectKernel());
+  std::printf("\n-- enumeration: probe vs scalar vs %s kernels (us/query) "
+              "--\n",
+              cpu_kernel);
   std::printf("%16s %10s %10s %10s %8s %8s %12s\n", "case", "probe", "scalar",
-              "auto", "vs probe", "vs scal", "simd");
+              cpu_kernel, "vs probe", "vs scal", "simd");
   double skewed_full_speedup = 0.0;
   for (const WorkloadCase& c : cases) {
     const CaseResult r = RunCase(c, opts, smoke);

@@ -93,20 +93,10 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   if (visited_stamp_.size() < nv) visited_stamp_.resize(nv, 0);
 
   const size_t stamp_bytes = static_cast<size_t>(nq) * nv;
-  switch (mode_) {
-    case MembershipMode::kForceStamped:
-      dense_ = true;
-      break;
-    case MembershipMode::kForceBinarySearch:
-      dense_ = false;
-      break;
-    case MembershipMode::kAuto:
-      dense_ = nv <= kDenseVertexCutoff ||
-               (stamp_bytes <= kMaxStampBytes &&
-                static_cast<double>(total_candidates) >=
-                    kDenseMinFill * static_cast<double>(stamp_bytes));
-      break;
-  }
+  dense_ = nv <= kDenseVertexCutoff ||
+           (stamp_bytes <= kMaxStampBytes &&
+            static_cast<double>(total_candidates) >=
+                kDenseMinFill * static_cast<double>(stamp_bytes));
 
   nv_ = nv;
   if (dense_ && cand_stamp_.size() < stamp_bytes) {
@@ -114,15 +104,9 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
     // the degradation point: charge the *whole* new footprint (replacing
     // the previous footprint's charge) and, when the budget or the
     // `workspace.grow` failpoint denies it, fall back to binary-search
-    // membership — identical results, slower membership check. Only a
-    // caller that explicitly pinned kForceStamped gets an error instead.
+    // membership — identical results, slower membership check.
     MemoryCharge charge = MemoryBudget::Global().TryCharge(stamp_bytes);
     if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
-      if (mode_ == MembershipMode::kForceStamped) {
-        return Status::ResourceExhausted(
-            "stamp-array growth denied (" + std::to_string(stamp_bytes) +
-            " bytes) with membership pinned to kForceStamped");
-      }
       dense_ = false;
       ++stats_.sparse_fallbacks;
     } else {

@@ -39,44 +39,32 @@ namespace rlqvo {
 /// (QueryEngine keeps one per ThreadPool worker).
 class EnumeratorWorkspace {
  public:
-  /// How candidate membership is answered during enumeration.
-  enum class MembershipMode {
-    /// Pick stamped vs binary search from the thresholds below (default).
-    kAuto,
-    /// Always stamp (the seed bitmap semantics). Tests use this to pin the
-    /// dense code path; unbounded memory on huge graphs.
-    kForceStamped,
-    /// Always binary-search CandidateSet::Contains. Zero setup beyond the
-    /// backward/mapping buffers.
-    kForceBinarySearch,
-  };
-
   /// Counters for benchmarks and reuse tests.
   struct Stats {
     uint64_t prepares = 0;        ///< total Prepare() calls (one per query)
     uint64_t dense_prepares = 0;  ///< prepares that used the stamped path
     uint64_t epoch_resets = 0;    ///< full zero-fills from uint8 epoch wrap
     uint64_t stamp_grows = 0;     ///< stamp-array reallocations
-    /// kAuto prepares that wanted the dense path but degraded to binary
-    /// search because the memory budget (or the `workspace.grow`
-    /// failpoint) denied the stamp-array growth. Results are identical
-    /// either way; only the membership check gets slower.
+    /// Prepares that wanted the dense path but degraded to binary search
+    /// because the memory budget (or the `workspace.grow` failpoint)
+    /// denied the stamp-array growth. Results are identical either way;
+    /// only the membership check gets slower.
     uint64_t sparse_fallbacks = 0;
     size_t stamp_bytes = 0;       ///< current stamp-array allocation
     bool last_dense = false;      ///< membership mode of the last prepare
   };
 
   /// Below this many data vertices the stamp rows fit comfortably in cache
-  /// and stamping always wins (kAuto picks dense). Covers the paper's
+  /// and stamping always wins (Prepare picks dense). Covers the paper's
   /// benchmark graphs (yeast ≈ 3k vertices); larger graphs decide by fill.
   static constexpr uint32_t kDenseVertexCutoff = 8192;
-  /// Minimum fill ratio Σ|C(u)| / (nq·|V(G)|) for kAuto to pick dense on
+  /// Minimum fill ratio Σ|C(u)| / (nq·|V(G)|) for Prepare to pick dense on
   /// graphs above the cutoff: below ~1.6% the stamped cells are too sparse
   /// to amortize the scattered writes, and binary search's log factor on
   /// the hot membership check is cheaper than the setup. Chosen from
   /// bench_enum_setup sweeps in this container (see docs/BENCHMARKS.md).
   static constexpr double kDenseMinFill = 1.0 / 64.0;
-  /// Hard cap on the stamp-array footprint; kAuto never allocates more.
+  /// Hard cap on the stamp-array footprint; Prepare never allocates more.
   static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
 
   EnumeratorWorkspace() = default;
@@ -171,8 +159,6 @@ class EnumeratorWorkspace {
   }
   /// @}
 
-  void set_mode(MembershipMode mode) { mode_ = mode; }
-  MembershipMode mode() const { return mode_; }
   const Stats& stats() const { return stats_; }
 
   /// \name Parallel-run prepare dedupe (used by Enumerator::RunParallel).
@@ -190,8 +176,6 @@ class EnumeratorWorkspace {
   /// @}
 
  private:
-  MembershipMode mode_ = MembershipMode::kAuto;
-
   // Stamps equal to epoch_ mean "member"/"visited"; anything else (older
   // epochs, or 0 from the wrap-around clear and from unmarking) means "no".
   std::vector<uint8_t> cand_stamp_;     // row-major nq x |V(G)| when dense

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "matching/intersect_simd.h"
 
@@ -80,48 +79,21 @@ void IntersectGalloping(std::span<const VertexId> small,
 
 namespace {
 
-/// The process-global kernel selection. Initialised (once, thread-safe via
-/// the function-local static) from RLQVO_INTERSECT_KERNEL; unknown or
-/// unsupported values warn on stderr and fall back to kAuto.
+/// The process-global kernel selection, starting at the kernel this build
+/// and CPU serve (the function-local static gives it a once-only,
+/// data-race-free init).
 ///
 /// Lock-free protocol: the enum value is the entire state — no other data
 /// hangs off a kernel change, every kernel computes byte-identical output,
 /// and dispatch re-reads the atomic per intersection. Relaxed loads/stores
 /// therefore suffice (SetIntersectKernel racing a running enumeration can
 /// at worst serve some intersections with the old kernel, which is
-/// indistinguishable from calling Set a moment later). The function-local
-/// static gives the env-var read its once-only, data-race-free init
-/// (C++11 magic static).
+/// indistinguishable from calling Set a moment later).
 std::atomic<IntersectKernel>& GlobalKernel() {
-  static std::atomic<IntersectKernel> kernel{[] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once during magic-static
-    // init, and nothing in the process ever calls setenv/putenv.
-    const char* env = std::getenv("RLQVO_INTERSECT_KERNEL");
-    if (env == nullptr || *env == '\0') return IntersectKernel::kAuto;
-    const Result<IntersectKernel> parsed = IntersectKernelFromName(env);
-    if (!parsed.ok()) {
-      std::fprintf(stderr,
-                   "rlqvo: unknown RLQVO_INTERSECT_KERNEL=%s, using auto\n",
-                   env);
-      return IntersectKernel::kAuto;
-    }
-    if (!IntersectKernelSupported(*parsed)) {
-      std::fprintf(
-          stderr,
-          "rlqvo: RLQVO_INTERSECT_KERNEL=%s unsupported here, using auto\n",
-          env);
-      return IntersectKernel::kAuto;
-    }
-    return *parsed;
-  }()};
+  static std::atomic<IntersectKernel> kernel{
+      simd::CpuHasAvx2() ? IntersectKernel::kAvx2 : IntersectKernel::kScalar};
   return kernel;
 }
-
-/// Every kernel, kAuto first: the order SupportedIntersectKernels reports.
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kAuto,        IntersectKernel::kScalar,
-    IntersectKernel::kScalarMerge, IntersectKernel::kScalarGallop,
-    IntersectKernel::kSse,         IntersectKernel::kAvx2};
 
 /// IntersectAdaptive with the executed path reported (merge vs gallop), so
 /// dispatch can attribute it.
@@ -142,10 +114,9 @@ IntersectPath ScalarAdaptivePath(std::span<const VertexId> a,
   return IntersectPath::kScalarMerge;
 }
 
-/// SIMD family with the scalar adaptive shape heuristic: gallop past
+/// The AVX2 kernels with the scalar adaptive shape heuristic: gallop past
 /// kGallopRatio skew, shuffle merge otherwise.
-IntersectPath SimdAdaptivePath(IntersectKernel family,
-                               std::span<const VertexId> a,
+IntersectPath Avx2AdaptivePath(std::span<const VertexId> a,
                                std::span<const VertexId> b,
                                std::vector<VertexId>* out,
                                uint64_t* comparisons) {
@@ -155,18 +126,10 @@ IntersectPath SimdAdaptivePath(IntersectKernel family,
     return IntersectPath::kSimdMerge;
   }
   if (b.size() / a.size() >= kGallopRatio) {
-    if (family == IntersectKernel::kAvx2) {
-      simd::IntersectAvx2Gallop(a, b, out, comparisons);
-    } else {
-      simd::IntersectSseGallop(a, b, out, comparisons);
-    }
+    simd::IntersectAvx2Gallop(a, b, out, comparisons);
     return IntersectPath::kSimdGallop;
   }
-  if (family == IntersectKernel::kAvx2) {
-    simd::IntersectAvx2Merge(a, b, out, comparisons);
-  } else {
-    simd::IntersectSseMerge(a, b, out, comparisons);
-  }
+  simd::IntersectAvx2Merge(a, b, out, comparisons);
   return IntersectPath::kSimdMerge;
 }
 
@@ -177,31 +140,18 @@ void IntersectAdaptive(std::span<const VertexId> a, std::span<const VertexId> b,
   ScalarAdaptivePath(a, b, out, comparisons);
 }
 
-bool IntersectKernelSupported(IntersectKernel kernel) {
-  switch (kernel) {
-    case IntersectKernel::kAuto:
-    case IntersectKernel::kScalar:
-    case IntersectKernel::kScalarMerge:
-    case IntersectKernel::kScalarGallop:
-      return true;
-    case IntersectKernel::kSse:
-      return simd::CpuHasSse();
-    case IntersectKernel::kAvx2:
-      return simd::CpuHasAvx2();
-  }
-  return false;
-}
-
 std::vector<IntersectKernel> SupportedIntersectKernels() {
-  std::vector<IntersectKernel> kernels;
-  for (IntersectKernel k : kAllKernels) {
-    if (IntersectKernelSupported(k)) kernels.push_back(k);
+  if (simd::CpuHasAvx2()) {
+    return {IntersectKernel::kScalar, IntersectKernel::kAvx2};
   }
-  return kernels;
+  return {IntersectKernel::kScalar};
 }
 
 Status SetIntersectKernel(IntersectKernel kernel) {
-  if (!IntersectKernelSupported(kernel)) {
+  const bool supported =
+      kernel == IntersectKernel::kScalar ||
+      (kernel == IntersectKernel::kAvx2 && simd::CpuHasAvx2());
+  if (!supported) {
     return Status::InvalidArgument(
         std::string("intersect kernel not supported on this build/CPU: ") +
         IntersectKernelName(kernel));
@@ -214,52 +164,20 @@ IntersectKernel GetIntersectKernel() {
   return GlobalKernel().load(std::memory_order_relaxed);
 }
 
-IntersectKernel AutoSimdKernel() {
-  if (simd::CpuHasAvx2()) return IntersectKernel::kAvx2;
-  if (simd::CpuHasSse()) return IntersectKernel::kSse;
-  return IntersectKernel::kScalar;
-}
-
 const char* IntersectKernelName(IntersectKernel kernel) {
   switch (kernel) {
-    case IntersectKernel::kAuto: return "auto";
     case IntersectKernel::kScalar: return "scalar";
-    case IntersectKernel::kScalarMerge: return "scalar_merge";
-    case IntersectKernel::kScalarGallop: return "scalar_gallop";
-    case IntersectKernel::kSse: return "sse";
     case IntersectKernel::kAvx2: return "avx2";
   }
   return "unknown";
-}
-
-Result<IntersectKernel> IntersectKernelFromName(const std::string& name) {
-  for (IntersectKernel k : kAllKernels) {
-    if (name == IntersectKernelName(k)) return k;
-  }
-  return Status::InvalidArgument("unknown intersect kernel name: " + name);
 }
 
 IntersectPath IntersectDispatch(std::span<const VertexId> a,
                                 std::span<const VertexId> b,
                                 std::vector<VertexId>* out,
                                 uint64_t* comparisons) {
-  IntersectKernel kernel = GetIntersectKernel();
-  if (kernel == IntersectKernel::kAuto) kernel = AutoSimdKernel();
-  switch (kernel) {
-    case IntersectKernel::kAuto:  // resolved above
-    case IntersectKernel::kScalar:
-      return ScalarAdaptivePath(a, b, out, comparisons);
-    case IntersectKernel::kScalarMerge:
-      IntersectLinear(a, b, out, comparisons);
-      return IntersectPath::kScalarMerge;
-    case IntersectKernel::kScalarGallop: {
-      const bool a_small = a.size() <= b.size();
-      IntersectGalloping(a_small ? a : b, a_small ? b : a, out, comparisons);
-      return IntersectPath::kScalarGallop;
-    }
-    case IntersectKernel::kSse:
-    case IntersectKernel::kAvx2:
-      return SimdAdaptivePath(kernel, a, b, out, comparisons);
+  if (GetIntersectKernel() == IntersectKernel::kAvx2) {
+    return Avx2AdaptivePath(a, b, out, comparisons);
   }
   return ScalarAdaptivePath(a, b, out, comparisons);
 }

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -27,8 +26,8 @@ namespace rlqvo {
 ///   (see docs/BENCHMARKS.md): gallop wins from roughly 8–16× onward;
 ///   16 is the conservative middle of that band.
 ///
-/// On top of the scalar primitives sits a runtime-dispatched kernel layer
-/// (IntersectDispatch below): SSE/AVX2 shuffle-based merge and SIMD-probe
+/// On top of the scalar primitives sits the kernel layer
+/// (IntersectDispatch below): AVX2 shuffle-based merge and SIMD-probe
 /// galloping (intersect_simd.h). Every kernel produces the identical
 /// ascending output, so enumeration results are bit-identical whatever
 /// kernel serves them; only the comparisons *charged* (the work metric) are
@@ -57,26 +56,21 @@ void IntersectGalloping(std::span<const VertexId> small,
 void IntersectAdaptive(std::span<const VertexId> a, std::span<const VertexId> b,
                        std::vector<VertexId>* out, uint64_t* comparisons);
 
-/// \name Runtime kernel dispatch.
+/// \name Kernel dispatch.
 ///
-/// One process-global kernel selection serves every enumeration. The
-/// default (kAuto) is AutoSimdKernel(): the widest SIMD family this CPU
-/// supports (AVX2 > SSE), else the scalar adaptive code — the only family
-/// in -DRLQVO_SIMD=OFF builds and on non-x86. Overridable for tests/benches
-/// via SetIntersectKernel or the RLQVO_INTERSECT_KERNEL environment
-/// variable (read once, at first dispatch): auto | scalar | scalar_merge |
-/// scalar_gallop | sse | avx2. Selection is NOT synchronized against
-/// concurrently running enumerations: set it before starting work (tests
-/// and benches do).
+/// The kernel is a property of the build and the CPU: AVX2 when the build
+/// carries SIMD kernels and simd::CpuHasAvx2(), else the scalar adaptive
+/// merge/gallop — the only kernel in -DRLQVO_SIMD=OFF builds and on
+/// non-x86. One process-global selection starts at that kernel and serves
+/// every enumeration; SetIntersectKernel exists so tests and benches can
+/// pin the scalar kernel on an AVX2 host. Selection is NOT synchronized
+/// against concurrently running enumerations: set it before starting work
+/// (tests and benches do).
 /// @{
 
 enum class IntersectKernel : uint8_t {
-  kAuto = 0,      ///< AutoSimdKernel(): best SIMD family, else scalar
-  kScalar,        ///< scalar adaptive merge/gallop (the pre-SIMD behavior)
-  kScalarMerge,   ///< always the two-pointer merge
-  kScalarGallop,  ///< always galloping (smaller side drives)
-  kSse,           ///< 4-lane shuffle merge + SIMD-probe gallop (SSSE3)
-  kAvx2,          ///< 8-lane shuffle merge + SIMD-probe gallop (AVX2)
+  kScalar,  ///< scalar adaptive merge/gallop (IntersectAdaptive)
+  kAvx2,    ///< 8-lane shuffle merge + SIMD-probe gallop (AVX2)
 };
 
 /// The code path one dispatched intersection actually took (the SIMD hit
@@ -88,32 +82,21 @@ enum class IntersectPath : uint8_t {
   kSimdGallop,
 };
 
-/// True iff this build + CPU can execute `kernel`. kAuto/kScalar* are
-/// always supported; kSse/kAvx2 require an RLQVO_SIMD build on x86 with
-/// the matching CPU feature.
-bool IntersectKernelSupported(IntersectKernel kernel);
-
-/// Every supported kernel, kAuto first — what forced-dispatch test suites
-/// iterate.
+/// Every kernel this build + CPU can execute, kScalar first: {kScalar,
+/// kAvx2} when simd::CpuHasAvx2(), else {kScalar}. What the kernel-
+/// invariance tests iterate.
 std::vector<IntersectKernel> SupportedIntersectKernels();
 
 /// Selects the process-global kernel; InvalidArgument for kernels this
 /// build/CPU cannot execute (the selection is left unchanged).
 Status SetIntersectKernel(IntersectKernel kernel);
 
-/// The currently configured kernel (kAuto unless overridden by
-/// SetIntersectKernel or RLQVO_INTERSECT_KERNEL).
+/// The currently selected kernel: the CPU's kernel unless a
+/// SetIntersectKernel call changed it.
 IntersectKernel GetIntersectKernel();
 
-/// What kAuto resolves to on this machine: kAvx2, kSse or kScalar.
-IntersectKernel AutoSimdKernel();
-
-/// Lower-case display name ("avx2", "scalar_merge", ...).
+/// Lower-case display name ("scalar", "avx2").
 const char* IntersectKernelName(IntersectKernel kernel);
-
-/// Parses a kernel name (the RLQVO_INTERSECT_KERNEL values); Invalid-
-/// Argument on unknown names.
-Result<IntersectKernel> IntersectKernelFromName(const std::string& name);
 
 /// \brief The enumerator's intersection entry point: routes (a ∩ b) to the
 /// globally selected kernel. Output is the ascending intersection

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/failpoint.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "matching/matcher.h"
@@ -17,7 +18,28 @@ using testing_util::IsIsomorphism;
 using testing_util::RandomData;
 using testing_util::RandomQuery;
 
-using MembershipMode = EnumeratorWorkspace::MembershipMode;
+/// When `active`, pins binary-search membership for its lifetime: the
+/// `workspace.grow` failpoint denies every stamp-array growth, so a
+/// workspace that has not grown a stamp array yet degrades to the sparse
+/// path (the production fallback under memory pressure). Without it the
+/// small test graphs (|V(G)| <= kDenseVertexCutoff) always take the stamped
+/// path.
+class DenyStampGrowth {
+ public:
+  explicit DenyStampGrowth(bool active) : active_(active) {
+    if (active_) {
+      EXPECT_TRUE(failpoint::Activate("workspace.grow", "error").ok());
+    }
+  }
+  ~DenyStampGrowth() {
+    if (active_) failpoint::Deactivate("workspace.grow");
+  }
+  DenyStampGrowth(const DenyStampGrowth&) = delete;
+  DenyStampGrowth& operator=(const DenyStampGrowth&) = delete;
+
+ private:
+  bool active_;
+};
 
 EnumerateOptions Unlimited() {
   EnumerateOptions opts;
@@ -31,7 +53,7 @@ std::vector<VertexId> IdentityOrder(const Graph& q) {
   return order;
 }
 
-/// Randomized equivalence: one reused workspace, every membership mode, the
+/// Randomized equivalence: one reused workspace, both membership paths, the
 /// result always equals BruteForceMatch — the reference the seed bitmap path
 /// was validated against.
 class WorkspaceEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
@@ -51,19 +73,20 @@ TEST_P(WorkspaceEquivalenceTest, AllModesAgreeWithBruteForce) {
   auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
 
   Enumerator enumerator;
-  EnumeratorWorkspace ws;  // shared across all modes: epochs must isolate
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch,
-                              MembershipMode::kAuto}) {
-    ws.set_mode(mode);
+  EnumeratorWorkspace ws;  // shared by both paths: epochs must isolate
+  // Sparse first: denied growth pins binary search only while the workspace
+  // has no stamp array. The dense runs then grow one and reuse it.
+  for (const bool sparse : {true, false, false}) {
+    const DenyStampGrowth deny(sparse);
     auto result =
         enumerator.Run(query, data, cs, order, Unlimited(), &ws).ValueOrDie();
-    EXPECT_EQ(result.num_matches, expected)
-        << "mode=" << static_cast<int>(mode);
+    EXPECT_EQ(ws.stats().last_dense, !sparse);
+    EXPECT_EQ(result.num_matches, expected) << "sparse=" << sparse;
     EXPECT_FALSE(result.timed_out);
   }
   EXPECT_EQ(ws.stats().prepares, 3u);
-  EXPECT_EQ(ws.stats().dense_prepares, 2u);  // forced-stamped + auto (small)
+  EXPECT_EQ(ws.stats().dense_prepares, 2u);
+  EXPECT_EQ(ws.stats().sparse_fallbacks, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkspaceEquivalenceTest,
@@ -90,13 +113,13 @@ TEST(EnumWorkspaceTest, DisconnectedQueryMatchesBruteForce) {
   CandidateSet cs = LDFFilter().Filter(query, data).ValueOrDie();
   Enumerator enumerator;
   EnumeratorWorkspace ws;
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch}) {
-    ws.set_mode(mode);
+  for (const bool sparse : {true, false}) {
+    const DenyStampGrowth deny(sparse);
     auto result =
         enumerator.Run(query, data, cs, IdentityOrder(query), Unlimited(), &ws)
             .ValueOrDie();
-    EXPECT_EQ(result.num_matches, expected);
+    EXPECT_EQ(ws.stats().last_dense, !sparse);
+    EXPECT_EQ(result.num_matches, expected) << "sparse=" << sparse;
   }
 }
 
@@ -215,8 +238,8 @@ TEST(EnumWorkspaceTest, ExpiredExternalDeadlineCountsSetupAgainstBudget) {
 
 TEST(EnumWorkspaceTest, AutoModePicksBinarySearchOnLargeSparseGraph) {
   // 70k vertices (> kDenseVertexCutoff) with 200 uniform labels: every
-  // candidate row fills ~0.5% < kDenseMinFill, so kAuto must skip the stamp
-  // array entirely.
+  // candidate row fills ~0.5% < kDenseMinFill, so Prepare must skip the
+  // stamp array entirely.
   LabelConfig labels;
   labels.num_labels = 200;
   labels.zipf_exponent = 0.0;  // uniform
@@ -231,19 +254,11 @@ TEST(EnumWorkspaceTest, AutoModePicksBinarySearchOnLargeSparseGraph) {
   auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
 
   Enumerator enumerator;
-  EnumeratorWorkspace sparse_ws;
-  auto sparse =
-      enumerator.Run(query, data, cs, order, {}, &sparse_ws).ValueOrDie();
-  EXPECT_FALSE(sparse_ws.stats().last_dense);
-  EXPECT_EQ(sparse_ws.stats().stamp_bytes, 0u);  // never allocated
-
-  EnumeratorWorkspace dense_ws;
-  dense_ws.set_mode(MembershipMode::kForceStamped);
-  auto dense =
-      enumerator.Run(query, data, cs, order, {}, &dense_ws).ValueOrDie();
-  EXPECT_TRUE(dense_ws.stats().last_dense);
-  EXPECT_EQ(sparse.num_matches, dense.num_matches);
-  EXPECT_EQ(sparse.num_enumerations, dense.num_enumerations);
+  EnumeratorWorkspace ws;
+  ASSERT_TRUE(enumerator.Run(query, data, cs, order, {}, &ws).ok());
+  EXPECT_FALSE(ws.stats().last_dense);
+  EXPECT_EQ(ws.stats().sparse_fallbacks, 0u);  // chosen, not denied
+  EXPECT_EQ(ws.stats().stamp_bytes, 0u);       // never allocated
 }
 
 TEST(EnumWorkspaceTest, StoredEmbeddingsAreIsomorphismsAcrossReuse) {
@@ -279,13 +294,12 @@ TEST(EnumWorkspaceTest, OutOfRangeCandidatesRejectedOnBothPaths) {
   }
   Enumerator enumerator;
   EnumeratorWorkspace ws;
-  for (MembershipMode mode : {MembershipMode::kForceStamped,
-                              MembershipMode::kForceBinarySearch}) {
-    ws.set_mode(mode);
+  for (const bool sparse : {true, false}) {
+    const DenyStampGrowth deny(sparse);
     auto result =
         enumerator.Run(query, data, cs, IdentityOrder(query), {}, &ws);
     EXPECT_FALSE(result.ok());
-    EXPECT_TRUE(result.status().IsInvalidArgument());
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << "sparse=" << sparse;
   }
 }
 

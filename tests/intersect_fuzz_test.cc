@@ -1,14 +1,13 @@
-/// \file Differential kernel fuzz: every intersection dispatch path — scalar
-/// merge, scalar gallop, SSE, AVX2, and IntersectDispatch under every
-/// supported forced kernel — against std::set_intersection on the same
-/// inputs. The randomized sweeps are seeded and every assertion
+/// \file Differential kernel fuzz: every intersection entry point — scalar
+/// merge, gallop and adaptive, AVX2 merge and gallop, and IntersectDispatch
+/// under every supported kernel — against std::set_intersection on the
+/// same inputs. The randomized sweeps are seeded and every assertion
 /// carries the seed, so a failure line is a complete reproducer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,14 +46,9 @@ void CheckAllKernels(const std::vector<VertexId>& a,
   IntersectAdaptive(a, b, &out, &cmp);
   ASSERT_EQ(out, expected) << "scalar adaptive";
 
-  // SIMD families. On CPUs without the feature these fall back to scalar —
-  // still a valid differential run, just not an independent one.
-  simd::IntersectSseMerge(a, b, &out, &cmp);
-  ASSERT_EQ(out, expected) << "sse merge";
-  simd::IntersectSseGallop(a, b, &out, &cmp);
-  ASSERT_EQ(out, expected) << "sse gallop a->b";
-  simd::IntersectSseGallop(b, a, &out, &cmp);
-  ASSERT_EQ(out, expected) << "sse gallop b->a";
+  // AVX2 entry points. On CPUs without AVX2 (and in -DRLQVO_SIMD=OFF builds)
+  // these fall back to scalar — still a valid differential run, just not an
+  // independent one.
   simd::IntersectAvx2Merge(a, b, &out, &cmp);
   ASSERT_EQ(out, expected) << "avx2 merge";
   simd::IntersectAvx2Gallop(a, b, &out, &cmp);
@@ -70,22 +64,6 @@ void CheckAllKernels(const std::vector<VertexId>& a,
     ASSERT_EQ(out, expected)
         << "dispatch kernel=" << IntersectKernelName(kernel);
   }
-
-  // Auto has no policy of its own: it must take exactly the path, charge
-  // exactly the comparisons and produce exactly the output of forcing the
-  // kernel AutoSimdKernel() names.
-  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kAuto).ok());
-  std::vector<VertexId> auto_out;
-  uint64_t auto_cmp = 0;
-  const IntersectPath auto_path = IntersectDispatch(a, b, &auto_out, &auto_cmp);
-  ASSERT_TRUE(SetIntersectKernel(AutoSimdKernel()).ok());
-  std::vector<VertexId> forced_out;
-  uint64_t forced_cmp = 0;
-  const IntersectPath forced_path =
-      IntersectDispatch(a, b, &forced_out, &forced_cmp);
-  ASSERT_EQ(auto_out, forced_out) << "auto vs forced output";
-  ASSERT_EQ(auto_path, forced_path) << "auto vs forced path";
-  ASSERT_EQ(auto_cmp, forced_cmp) << "auto vs forced comparisons";
   ASSERT_TRUE(SetIntersectKernel(saved).ok());
 }
 
@@ -134,9 +112,9 @@ TEST(IntersectFuzzTest, DisjointIdenticalAndNestedSets) {
 }
 
 TEST(IntersectFuzzTest, LengthsStraddlingSimdWidths) {
-  // 15/16/17 and 31/32/33 straddle the 4-lane (SSE) and 8-lane (AVX2) block
-  // boundaries in both the ×1 and ×2 unroll positions; the full cross
-  // product also covers equal-length and slightly-skewed block tails.
+  // 15/16/17 and 31/32/33 straddle the 8-lane AVX2 block boundary after
+  // two and four full blocks; the full cross product also covers
+  // equal-length and slightly-skewed block tails.
   Rng rng(202);
   const size_t lengths[] = {15, 16, 17, 31, 32, 33};
   for (size_t na : lengths) {
@@ -266,51 +244,36 @@ TEST(IntersectFuzzTest, KernelsAreDeterministicOnRepeatedRuns) {
   ASSERT_TRUE(SetIntersectKernel(saved).ok());
 }
 
-/// Kernel selection plumbing: names round-trip, unsupported kernels are
-/// rejected without changing the selection, the supported list always
-/// contains the portable kernels, and removed kernel names stay rejected.
-TEST(IntersectFuzzTest, KernelSelectionApi) {
-  const auto supported = SupportedIntersectKernels();
-  ASSERT_FALSE(supported.empty());
-  EXPECT_EQ(supported.front(), IntersectKernel::kAuto);
-  for (IntersectKernel k :
-       {IntersectKernel::kScalar, IntersectKernel::kScalarMerge,
-        IntersectKernel::kScalarGallop}) {
-    EXPECT_TRUE(IntersectKernelSupported(k)) << IntersectKernelName(k);
-  }
-  for (IntersectKernel k : supported) {
-    const auto parsed = IntersectKernelFromName(IntersectKernelName(k));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, k);
-  }
-  EXPECT_FALSE(IntersectKernelFromName("avx512").ok());
-  EXPECT_FALSE(IntersectKernelFromName("bitmap").ok());
-  EXPECT_FALSE(IntersectKernelFromName("").ok());
+/// The kernel follows the build and the CPU: the process starts on AVX2
+/// iff the build carries the AVX2 kernels and the CPU has AVX2, the
+/// supported list is exactly the scalar kernel plus that one, and a
+/// rejected selection leaves the current one in force.
+TEST(IntersectFuzzTest, KernelFollowsBuildAndCpu) {
+#if RLQVO_SIMD_X86
+  const bool has_avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool has_avx2 = false;  // the portable build compiles no AVX2 kernel
+#endif
+  EXPECT_EQ(simd::CpuHasAvx2(), has_avx2);
+  // Every case above restores the kernel it found, so this is still the
+  // process's starting selection.
+  const IntersectKernel initial = GetIntersectKernel();
+  EXPECT_EQ(initial,
+            has_avx2 ? IntersectKernel::kAvx2 : IntersectKernel::kScalar);
+  std::vector<IntersectKernel> expected = {IntersectKernel::kScalar};
+  if (has_avx2) expected.push_back(IntersectKernel::kAvx2);
+  EXPECT_EQ(SupportedIntersectKernels(), expected);
 
-  const IntersectKernel saved = GetIntersectKernel();
-  if (!IntersectKernelSupported(IntersectKernel::kAvx2)) {
-    EXPECT_FALSE(SetIntersectKernel(IntersectKernel::kAvx2).ok());
-    EXPECT_EQ(GetIntersectKernel(), saved);  // rejected = unchanged
-  }
-  ASSERT_TRUE(SetIntersectKernel(saved).ok());
-}
-
-/// The forced-kernel CI legs run this suite under RLQVO_INTERSECT_KERNEL.
-/// An unknown name would only warn and fall back to auto, so a stale leg
-/// would pass without testing its kernel; this case fails it instead.
-TEST(IntersectFuzzTest, EnvironmentKernelIsInForce) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): no thread runs yet, no setenv.
-  const char* env = std::getenv("RLQVO_INTERSECT_KERNEL");
-  if (env == nullptr || *env == '\0') {
-    GTEST_SKIP() << "RLQVO_INTERSECT_KERNEL is not set";
-  }
-  const Result<IntersectKernel> parsed = IntersectKernelFromName(env);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  if (!IntersectKernelSupported(*parsed)) {
-    GTEST_SKIP() << "RLQVO_INTERSECT_KERNEL=" << env
-                 << " is not supported on this build/CPU";
-  }
-  EXPECT_EQ(GetIntersectKernel(), *parsed) << "RLQVO_INTERSECT_KERNEL=" << env;
+  // kAvx2 is rejected where it cannot run; an out-of-range value (legal
+  // for the uint8_t-backed enum) is rejected everywhere.
+  const IntersectKernel rejected =
+      has_avx2 ? static_cast<IntersectKernel>(2) : IntersectKernel::kAvx2;
+  EXPECT_FALSE(SetIntersectKernel(rejected).ok());
+  EXPECT_EQ(GetIntersectKernel(), initial);
+  ASSERT_TRUE(SetIntersectKernel(IntersectKernel::kScalar).ok());
+  EXPECT_FALSE(SetIntersectKernel(rejected).ok());
+  EXPECT_EQ(GetIntersectKernel(), IntersectKernel::kScalar);
+  ASSERT_TRUE(SetIntersectKernel(initial).ok());
 }
 
 }  // namespace

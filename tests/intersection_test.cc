@@ -356,10 +356,8 @@ TEST(ForcedKernelTest, EnumerationInvariantAcrossKernels) {
     const auto run2 = enumerator.Run(query, data, cs, order, opts).ValueOrDie();
     EXPECT_EQ(run2.num_probe_comparisons, run1.num_probe_comparisons);
     EXPECT_EQ(run2.num_simd_intersections, run1.num_simd_intersections);
-    // Scalar kernels never report SIMD paths.
-    if (kernel == IntersectKernel::kScalar ||
-        kernel == IntersectKernel::kScalarMerge ||
-        kernel == IntersectKernel::kScalarGallop) {
+    // The scalar kernel never reports SIMD paths.
+    if (kernel == IntersectKernel::kScalar) {
       EXPECT_EQ(run1.num_simd_intersections, 0u);
     }
   }
@@ -368,8 +366,8 @@ TEST(ForcedKernelTest, EnumerationInvariantAcrossKernels) {
 
 /// Two hubs sharing a dense label-1 neighborhood: a triangle query mapping
 /// both hubs intersects two 300-element hub slices. Every supported kernel
-/// must produce the scalar embeddings, and on an AVX2 host auto must serve
-/// those intersections with SIMD.
+/// must produce the scalar embeddings, and the AVX2 kernel must serve every
+/// one of those intersections with SIMD.
 TEST(ForcedKernelTest, HubSliceEmbeddingsInvariantAcrossKernels) {
   GraphBuilder gb;
   const VertexId hub_a = gb.AddVertex(0);
@@ -412,8 +410,7 @@ TEST(ForcedKernelTest, HubSliceEmbeddingsInvariantAcrossKernels) {
     const auto run = enumerator.Run(query, data, cs, order, opts).ValueOrDie();
     EXPECT_EQ(run.embeddings, scalar.embeddings);
     EXPECT_EQ(run.num_intersections, scalar.num_intersections);
-    if (kernel == IntersectKernel::kAuto &&
-        IntersectKernelSupported(IntersectKernel::kAvx2)) {
+    if (kernel == IntersectKernel::kAvx2) {
       EXPECT_EQ(run.num_simd_intersections, run.num_intersections);
     }
   }
