@@ -65,6 +65,7 @@ struct LogMessageVoidify {
 #define RLQVO_DCHECK_EQ(a, b) RLQVO_CHECK_EQ(a, b)
 #define RLQVO_DCHECK_LT(a, b) RLQVO_CHECK_LT(a, b)
 #define RLQVO_DCHECK_LE(a, b) RLQVO_CHECK_LE(a, b)
+#define RLQVO_DCHECK_GE(a, b) RLQVO_CHECK_GE(a, b)
 #else
 #define RLQVO_DCHECK(cond) \
   while (false) RLQVO_CHECK(cond)
@@ -74,4 +75,6 @@ struct LogMessageVoidify {
   while (false) RLQVO_CHECK_LT(a, b)
 #define RLQVO_DCHECK_LE(a, b) \
   while (false) RLQVO_CHECK_LE(a, b)
+#define RLQVO_DCHECK_GE(a, b) \
+  while (false) RLQVO_CHECK_GE(a, b)
 #endif

@@ -35,7 +35,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"budget.charge", StatusCode::kResourceExhausted,
      "MemoryBudget::TryCharge denies every request"},
     {"cache.put", StatusCode::kResourceExhausted,
-     "LruCache insert fails; value is served but not cached"},
+     "SingleFlightCache insert fails; value is served but not cached"},
     {"engine.admit", StatusCode::kResourceExhausted,
      "QueryEngine admission control sheds the query"},
     {"engine.enumerate", StatusCode::kInternal,
@@ -54,8 +54,6 @@ constexpr CatalogEntry kCatalog[] = {
      "graph text parse rejects the input"},
     {"nn.checkpoint_load", StatusCode::kIOError,
      "model checkpoint read fails mid-stream"},
-    {"pool.submit", StatusCode::kResourceExhausted,
-     "ThreadPool queue rejects the task; it runs inline instead"},
     {"workspace.grow", StatusCode::kResourceExhausted,
      "EnumeratorWorkspace stamp growth fails; sparse fallback"},
 };

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/failpoint.h"
-
 namespace rlqvo {
 
 namespace {
@@ -32,16 +30,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task, const void* group) {
-  // Degradation path: if the queue "rejects" the task (injected — models a
-  // bounded queue at capacity), run it inline on the submitting thread.
-  // The task completes before Submit returns, so it never enters the
-  // pending_ count and Wait() semantics are unchanged. Inline tasks see
-  // CurrentWorkerIndex() == -1; callers that index per-worker state must
-  // handle that (QueryEngine keeps dedicated inline slots).
-  if (RLQVO_FAILPOINT_FIRED("pool.submit")) {
-    task();
-    return;
-  }
   {
     MutexLock lock(&mu_);
     queue_.push_back(QueuedTask{std::move(task), group});

@@ -22,34 +22,17 @@ uint64_t QueryFingerprint(const Graph& query) {
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
     h = Mix(h, query.label(u));
   }
-  if (query.degenerate()) {
-    // Degenerate path: byte-for-byte the pre-directed fingerprint, so every
-    // cached entry for classic undirected workloads keys identically across
-    // this refactor. Neighbor lists are (label, id)-ordered in CSR form — a
-    // pure function of the graph's content — so this traversal is canonical.
-    for (VertexId u = 0; u < query.num_vertices(); ++u) {
-      for (VertexId v : query.neighbors(u)) {
-        if (u < v) h = Mix(h, (static_cast<uint64_t>(u) << 32) | v);
-      }
-    }
-    return h;
-  }
-  // Directed/edge-labeled path: a discriminator tag plus the directedness
-  // and edge-label alphabet, then the canonical labeled edge stream
-  // (ForEachLabeledEdge is (u, elabel, label(v), v)-ordered — content-pure).
-  // Matching semantics differ between a directed edge, its reverse, and an
-  // undirected edge over the same endpoints, and between edge labels, so
-  // each of those must (and does) perturb the hash: the edge word folds in
-  // the endpoint pair exactly as the degenerate path does, and the elabel
-  // word carries the direction bit. An undirected labeled graph emits each
-  // edge once with canonical u < v; a directed one emits u -> v as-is.
-  h = Mix(h, 0xd12ec7edb4be11edULL);
+  // The directedness and edge-label alphabet, then the canonical labeled
+  // edge stream (ForEachLabeledEdge is (u, elabel, label(v), v)-ordered —
+  // content-pure). A directed edge, its reverse, an undirected edge over
+  // the same endpoints and a relabeled edge all match differently, and each
+  // perturbs the hash: an undirected graph emits each edge once as u < v,
+  // a directed one emits u -> v as-is.
   h = Mix(h, query.directed() ? 1 : 0);
   h = Mix(h, query.num_edge_labels());
-  query.ForEachLabeledEdge([&h, &query](VertexId u, VertexId v, EdgeLabel e) {
+  query.ForEachLabeledEdge([&h](VertexId u, VertexId v, EdgeLabel e) {
     h = Mix(h, (static_cast<uint64_t>(u) << 32) | v);
-    h = Mix(h, (static_cast<uint64_t>(e) << 1) |
-                   (query.directed() ? 1 : 0));
+    h = Mix(h, e);
   });
   return h;
 }

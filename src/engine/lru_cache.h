@@ -16,35 +16,34 @@
 
 namespace rlqvo {
 
-/// \brief Generic thread-safe LRU cache with single-flight-aware hit/miss
-/// accounting. Extracted from the engine's candidate cache so any serving
-/// stage can memoise by fingerprint — the engine instantiates it twice:
-/// CandidateCache (filtered candidate sets) and the order cache (matching
-/// orders of deterministic orderings).
+/// \brief Thread-safe LRU cache with single-flight computation: concurrent
+/// misses on the same key run the compute function once — the first caller
+/// (leader) computes while the rest (followers) wait for its result. The
+/// engine instantiates it twice: CandidateCache (filtered candidate sets)
+/// and OrderCache (matching orders of deterministic orderings).
 ///
-/// `Value` must be a cheap-to-copy handle whose default-constructed state
-/// tests false — e.g. std::shared_ptr<const T>. That null state is the
-/// "miss" return, and it is what lets a cached entry be evicted while
-/// readers still hold (and use) it.
+/// `Value` must be a cheap-to-copy handle such as std::shared_ptr<const T>:
+/// values are copied out under the lock, and a cached entry can then be
+/// evicted while readers still hold (and use) it.
 ///
-/// All operations take a single internal mutex; the critical sections are
-/// O(1) hash/list updates, so contention stays negligible next to the
-/// computations being cached. The counter invariant — hits + misses always
-/// equals the number of logical lookups — is maintained exclusively through
-/// the REQUIRES(mu_)-annotated private helpers below, so under Clang's
-/// -Wthread-safety no code path can bump a counter without holding the lock
-/// the invariant is defined under.
+/// One mutex guards the LRU list, the index, the counters and the in-flight
+/// table, so a single critical section decides each lookup — a hit, joining
+/// the running flight, or leading a new one — and counts it. That count is
+/// final: hits + misses == lookups, and hits counts exactly the lookups
+/// served from the cache. A leader's miss takes the lock twice (look up and
+/// register, then insert and publish); `compute()`, the `cache.put`
+/// failpoint and the memory-budget charge all run with no lock held.
 template <typename Key, typename Value>
-class LruCache {
+class SingleFlightCache {
  public:
   /// \name Hit/miss/eviction counters and current size.
   /// @{
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Logical lookups (Get calls). Invariant: hits + misses == lookups —
-    /// Reprobe/Reclassify only move weight between the two buckets. Chaos
-    /// tests assert this balance under every injected fault.
+    /// Lookups that consulted the cache (bypassed calls are not counted).
+    /// Invariant: hits + misses == lookups. Chaos tests assert this balance
+    /// under every injected fault.
     uint64_t lookups = 0;
     uint64_t evictions = 0;
     /// Inserts skipped because the memory budget denied the entry's cost
@@ -56,171 +55,13 @@ class LruCache {
   /// @}
 
   /// A cache holding at most `capacity` values; 0 disables caching entirely
-  /// (Get always misses, Put is a no-op).
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  /// Attaches a memory budget: every Put charges `cost_fn(value)` bytes and
-  /// skips the insert (counting a put_reject) when the budget denies the
-  /// charge. The charge is released when the entry is evicted, replaced out,
-  /// or cleared. Call before the cache sees concurrent traffic; a refreshed
-  /// key keeps its original charge (same-key values are assumed
-  /// cost-stable, which holds for the fingerprint-keyed engine caches).
-  void SetBudget(MemoryBudget* budget,
-                 std::function<size_t(const Value&)> cost_fn)
-      EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    budget_ = budget;
-    cost_fn_ = std::move(cost_fn);
-  }
-
-  /// Returns the cached value for `key` (marking it most-recently-used) or
-  /// a null Value on miss. Counts a hit or a miss; across Get/Reprobe/
-  /// ReclassifyMissesAsHits, hits + misses always equals the number of
-  /// logical lookups, and hits counts exactly the lookups that were served
-  /// from the cache.
-  Value Get(const Key& key) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    ++counters_.lookups;
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      CountMiss();
-      return Value();
-    }
-    Promote(it->second);
-    CountHit();
-    return it->second->value;
-  }
-
-  /// Second-chance lookup for a single-flight leader that already counted a
-  /// miss for this logical lookup: on success the entry is promoted to MRU
-  /// and that earlier miss is reclassified as a hit (the lookup *was*
-  /// served from the cache — another leader completed in between). On a
-  /// true miss the counters are untouched: the original miss stands.
-  Value Reprobe(const Key& key) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) return Value();
-    Promote(it->second);
-    Reclassify(1);
-    return it->second->value;
-  }
-
-  /// Reclassifies `n` previously-counted misses as hits. Used by
-  /// single-flight followers whose leader's Reprobe succeeded: their counted
-  /// misses were in fact served from the cache.
-  void ReclassifyMissesAsHits(uint64_t n) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    Reclassify(n);
-  }
-
-  /// Inserts (or refreshes) `key`, evicting the least-recently-used entry
-  /// when at capacity. Inserts can be *rejected* — by the `cache.put`
-  /// failpoint or by an attached memory budget denying the entry's cost —
-  /// in which case the cache is simply not updated (callers already hold
-  /// the value; losing the caching is the graceful-degradation contract).
-  void Put(const Key& key, Value value) EXCLUDES(mu_) {
-    if (capacity_ == 0) return;
-    if (RLQVO_FAILPOINT_FIRED("cache.put")) {
-      MutexLock lock(&mu_);
-      ++counters_.put_rejects;
-      return;
-    }
-    MutexLock lock(&mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->value = std::move(value);
-      Promote(it->second);
-      return;
-    }
-    MemoryCharge charge;
-    if (budget_ != nullptr && cost_fn_) {
-      const size_t cost = cost_fn_(value);
-      if (cost > 0) {
-        charge = budget_->TryCharge(cost);
-        if (charge.empty()) {
-          ++counters_.put_rejects;
-          return;
-        }
-      }
-    }
-    if (lru_.size() >= capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();  // releases the evicted entry's charge
-      ++counters_.evictions;
-    }
-    lru_.emplace_front(Entry{key, std::move(value), std::move(charge)});
-    index_[key] = lru_.begin();
-  }
-
-  /// Drops all entries. Counters are preserved.
-  void Clear() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    lru_.clear();
-    index_.clear();
-  }
-
-  Counters counters() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    Counters c = counters_;
-    c.entries = lru_.size();
-    return c;
-  }
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    Key key;
-    Value value;
-    MemoryCharge charge;  // released to the budget when the entry dies
-  };
-  using LruList = std::list<Entry>;
-
-  /// \name hits + misses == lookups invariant.
-  /// Every counter mutation goes through these three helpers; REQUIRES(mu_)
-  /// makes "counter touched outside the lock" a compile error under Clang.
-  /// A lookup counts exactly one hit or one miss, and Reclassify only moves
-  /// weight between the two buckets — the sum is monotone in lookups.
-  /// @{
-  void CountHit() REQUIRES(mu_) { ++counters_.hits; }
-  void CountMiss() REQUIRES(mu_) { ++counters_.misses; }
-  void Reclassify(uint64_t n) REQUIRES(mu_) {
-    RLQVO_DCHECK(counters_.misses >= n);
-    counters_.misses -= n;
-    counters_.hits += n;
-  }
-  /// @}
-
-  /// Moves `it` to the MRU front.
-  void Promote(typename LruList::iterator it) REQUIRES(mu_) {
-    lru_.splice(lru_.begin(), lru_, it);
-  }
-
-  mutable Mutex mu_;
-  const size_t capacity_;
-  LruList lru_ GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<Key, typename LruList::iterator> index_ GUARDED_BY(mu_);
-  Counters counters_ GUARDED_BY(mu_);
-  MemoryBudget* budget_ GUARDED_BY(mu_) = nullptr;
-  std::function<size_t(const Value&)> cost_fn_ GUARDED_BY(mu_);
-};
-
-/// \brief An LruCache fronted by single-flight computation: concurrent
-/// misses on the same key run the compute function once — the first caller
-/// (leader) computes while the rest wait for its result. This is the
-/// machinery QueryEngine grew for candidate filtering, made generic so the
-/// order cache shares it verbatim.
-///
-/// Accounting invariant: every GetOrCompute that consults the cache counts
-/// exactly one hit or miss, and a lookup counts as a hit iff its value was
-/// served from the cache (leader re-probe successes and their followers are
-/// reclassified). hits + misses always equals the number of cache-consulting
-/// lookups.
-template <typename Key, typename Value>
-class SingleFlightCache {
- public:
-  using Counters = typename LruCache<Key, Value>::Counters;
-
-  explicit SingleFlightCache(size_t capacity) : cache_(capacity) {}
+  /// (every GetOrCompute computes). With a `budget`, every insert first
+  /// charges `cost_fn(value)` bytes and is skipped (counting a put_reject)
+  /// when the budget denies the charge; the charge is released when the
+  /// entry is evicted or cleared.
+  explicit SingleFlightCache(size_t capacity, MemoryBudget* budget = nullptr,
+                             std::function<size_t(const Value&)> cost_fn = {})
+      : capacity_(capacity), budget_(budget), cost_fn_(std::move(cost_fn)) {}
 
   /// Returns the value for `key`, computing it via `compute` on a cold
   /// miss. With `bypass` set (or capacity 0) the cache is not consulted and
@@ -233,104 +74,80 @@ class SingleFlightCache {
   template <typename ComputeFn>
   Result<Value> GetOrCompute(const Key& key, bool bypass, ComputeFn&& compute,
                              bool* computed_by_caller = nullptr)
-      EXCLUDES(inflight_mu_) {
+      EXCLUDES(mu_) {
     if (computed_by_caller != nullptr) *computed_by_caller = false;
-    if (bypass || cache_.capacity() == 0) {
+    if (bypass || capacity_ == 0) {
       if (computed_by_caller != nullptr) *computed_by_caller = true;
       return compute();
     }
 
-    Value value = cache_.Get(key);
-    if (value) return value;
-
     // Leader-failure contract: a leader's error is propagated to its
-    // waiters but never cached, and it returns that error immediately (its
+    // followers but never cached, and it returns that error immediately (its
     // caller owns the retry decision). A *follower* that inherited a
     // leader's error retries here — capped exponential backoff, bounded
-    // attempts — instead of re-stampeding: on retry it re-consults the
-    // cache and, if still cold, competes to lead a fresh flight. A
-    // deterministic failure therefore still surfaces after
-    // kFollowerAttempts rounds.
+    // attempts — instead of re-stampeding: each retry is a fresh counted
+    // lookup that hits, joins a newer flight, or leads one. A deterministic
+    // failure therefore still surfaces after kFollowerAttempts rounds.
     for (int attempt = 0;; ++attempt) {
-      // Single-flight: concurrent cold misses on the same key compute once.
-      std::shared_ptr<Inflight> entry;
-      bool leader = false;
+      std::shared_ptr<Flight> led;
+      Status inherited;
       {
-        MutexLock lock(&inflight_mu_);
-        auto [it, inserted] = inflight_.try_emplace(key);
-        if (inserted) {
-          it->second = std::make_shared<Inflight>();
-          leader = true;
+        MutexLock lock(&mu_);
+        ++counters_.lookups;
+        auto hit = index_.find(key);
+        if (hit != index_.end()) {
+          ++counters_.hits;
+          lru_.splice(lru_.begin(), lru_, hit->second);  // now MRU
+          return hit->second->value;
         }
-        entry = it->second;
-      }
-      if (!leader) {
-        bool from_cache = false;
-        {
-          MutexLock lock(&inflight_mu_);
-          while (!entry->ready) inflight_cv_.Wait(&inflight_mu_);
-          from_cache = entry->served_from_cache;
-        }
-        if (!entry->status.ok()) {
-          if (attempt + 1 >= kFollowerAttempts) return entry->status;
-          BackoffSleep(attempt);
-          value = cache_.Get(key);  // counts its own lookup
-          if (value) return value;
-          continue;
-        }
-        // If the leader's re-probe found the value cached, our counted miss
-        // was really a hit (the value sat in the cache while we waited).
-        if (from_cache) cache_.ReclassifyMissesAsHits(1);
-        return entry->value;
-      }
-
-      // A previous leader may have completed between our counted miss and
-      // winning leadership; re-probe before paying for the computation.
-      // Reprobe reclassifies this leader's own miss as a hit on success.
-      entry->value = cache_.Reprobe(key);
-      if (entry->value) {
-        MutexLock lock(&inflight_mu_);
-        entry->served_from_cache = true;
-      } else {
-        Result<Value> fresh = compute();
-        if (computed_by_caller != nullptr) *computed_by_caller = true;
-        if (fresh.ok()) {
-          entry->value = std::move(fresh).ValueOrDie();
-          cache_.Put(key, entry->value);
+        ++counters_.misses;
+        auto [it, leader] = inflight_.try_emplace(key);
+        if (leader) {
+          it->second = std::make_shared<Flight>();
+          led = it->second;
         } else {
-          entry->status = fresh.status();
+          const std::shared_ptr<Flight> joined = it->second;
+          while (!joined->ready) flight_done_.Wait(&mu_);
+          if (joined->status.ok()) return joined->value;
+          inherited = joined->status;
         }
       }
-      {
-        MutexLock lock(&inflight_mu_);
-        entry->ready = true;
-        inflight_.erase(key);
+      if (led != nullptr) {
+        return Lead(key, std::move(led), compute, computed_by_caller);
       }
-      inflight_cv_.NotifyAll();
-      if (!entry->status.ok()) return entry->status;
-      return entry->value;
+      if (attempt + 1 >= kFollowerAttempts) return inherited;
+      BackoffSleep(attempt);
     }
   }
 
-  /// The underlying cache, for Clear/counters/capacity and for tests that
-  /// drive the LRU surface directly.
-  LruCache<Key, Value>* cache() { return &cache_; }
-  Counters counters() const { return cache_.counters(); }
-  size_t capacity() const { return cache_.capacity(); }
-  void Clear() { cache_.Clear(); }
+  Counters counters() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    Counters c = counters_;
+    c.entries = lru_.size();
+    return c;
+  }
+
+  /// Drops all entries. Counters and running flights are preserved.
+  void Clear() EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    lru_.clear();
+    index_.clear();
+  }
 
  private:
-  /// One in-progress computation. `ready` and `served_from_cache` are
-  /// written and read only under inflight_mu_ (annotating that is beyond
-  /// Clang's analysis for a nested struct referencing the enclosing
-  /// object's mutex, so the contract is documented here instead). `status`
-  /// and `value` are published by message passing: the leader writes them
-  /// before setting `ready` under the mutex, followers read them only after
-  /// observing `ready` under the same mutex — the mutex release/acquire
-  /// pair is the happens-before edge.
-  struct Inflight {
+  struct Entry {
+    Key key;
+    Value value;
+    MemoryCharge charge;  // released to the budget when the entry dies
+  };
+  using LruList = std::list<Entry>;
+
+  /// One in-progress computation. Every field is written and read only
+  /// under mu_ (annotating that is beyond Clang's analysis for a nested
+  /// struct referencing the enclosing object's mutex, so the contract is
+  /// documented here instead).
+  struct Flight {
     bool ready = false;
-    bool served_from_cache = false;
     Status status;
     Value value;
   };
@@ -347,11 +164,67 @@ class SingleFlightCache {
     std::this_thread::sleep_for(std::chrono::milliseconds(1LL << shift));
   }
 
-  LruCache<Key, Value> cache_;
-  Mutex inflight_mu_;
-  CondVar inflight_cv_;
-  std::unordered_map<Key, std::shared_ptr<Inflight>> inflight_
-      GUARDED_BY(inflight_mu_);
+  /// The leader's half of a miss: computes with no lock held, decides
+  /// admission (failpoint, budget charge) still unlocked, then inserts and
+  /// publishes the outcome to the followers in one critical section.
+  template <typename ComputeFn>
+  Result<Value> Lead(const Key& key, std::shared_ptr<Flight> flight,
+                     ComputeFn& compute, bool* computed_by_caller)
+      EXCLUDES(mu_) {
+    Result<Value> fresh = compute();
+    if (computed_by_caller != nullptr) *computed_by_caller = true;
+    MemoryCharge charge;
+    bool admitted = false;
+    if (fresh.ok() && !RLQVO_FAILPOINT_FIRED("cache.put")) {
+      const size_t cost =
+          budget_ != nullptr && cost_fn_ ? cost_fn_(*fresh) : 0;
+      if (cost > 0) charge = budget_->TryCharge(cost);
+      admitted = cost == 0 || !charge.empty();
+    }
+    {
+      MutexLock lock(&mu_);
+      if (fresh.ok()) {
+        flight->value = *fresh;
+        if (admitted) {
+          Insert(key, *fresh, std::move(charge));
+        } else {
+          ++counters_.put_rejects;
+        }
+      } else {
+        flight->status = fresh.status();
+      }
+      flight->ready = true;
+      inflight_.erase(key);
+    }
+    flight_done_.NotifyAll();
+    return fresh;
+  }
+
+  /// Adds `key` as the MRU entry, evicting the LRU one when at capacity.
+  /// Only a flight's leader inserts, and a key has no entry while its
+  /// flight runs, so `key` is never already present.
+  void Insert(const Key& key, Value value, MemoryCharge charge)
+      REQUIRES(mu_) {
+    RLQVO_DCHECK(index_.find(key) == index_.end());
+    if (lru_.size() >= capacity_) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();  // releases the evicted entry's charge
+      ++counters_.evictions;
+    }
+    lru_.emplace_front(Entry{key, std::move(value), std::move(charge)});
+    index_[key] = lru_.begin();
+  }
+
+  const size_t capacity_;
+  MemoryBudget* const budget_;
+  const std::function<size_t(const Value&)> cost_fn_;
+
+  mutable Mutex mu_;
+  CondVar flight_done_;  // signalled whenever a flight publishes
+  LruList lru_ GUARDED_BY(mu_);  // front = most recently used
+  std::unordered_map<Key, typename LruList::iterator> index_ GUARDED_BY(mu_);
+  std::unordered_map<Key, std::shared_ptr<Flight>> inflight_ GUARDED_BY(mu_);
+  Counters counters_ GUARDED_BY(mu_);
 };
 
 }  // namespace rlqvo

@@ -11,8 +11,20 @@ namespace rlqvo {
 QueryEngine::QueryEngine(EngineConfig config, const EngineOptions& options)
     : config_(std::move(config)),
       options_(options),
-      candidate_cache_(options.candidate_cache_capacity),
-      order_cache_(options.order_cache_capacity),
+      // Both caches charge the process memory budget per entry; a denied
+      // charge skips the insert (the value is still served), so cache
+      // growth degrades before the process OOMs. A candidate set is charged
+      // what its lists hold, slack capacity included.
+      candidate_cache_(
+          options.candidate_cache_capacity, &MemoryBudget::Global(),
+          [](const std::shared_ptr<const CandidateSet>& v) -> size_t {
+            return v ? v->AllocatedBytes() : 0;
+          }),
+      order_cache_(
+          options.order_cache_capacity, &MemoryBudget::Global(),
+          [](const std::shared_ptr<const std::vector<VertexId>>& v) -> size_t {
+            return v ? v->size() * sizeof(VertexId) : 0;
+          }),
       pool_(options.num_threads) {
   RLQVO_CHECK(config_.data != nullptr);
   RLQVO_CHECK(config_.filter != nullptr);
@@ -31,35 +43,10 @@ QueryEngine::QueryEngine(EngineConfig config, const EngineOptions& options)
     }
     worker_orderings_.push_back(std::move(ordering).ValueOrDie());
   }
-  // One more ordering for the inline-degradation slot: when the
-  // `pool.submit` failpoint bounces a batch task back to the submitting
-  // thread, that thread is not a pool worker and needs its own state.
-  Result<std::shared_ptr<Ordering>> inline_ordering =
-      config_.ordering_factory();
-  if (!inline_ordering.ok()) {
-    init_status_ = inline_ordering.status();
-    return;
-  }
-  inline_ordering_ = std::move(inline_ordering).ValueOrDie();
   // One enumeration workspace per worker, living next to the per-worker
   // ordering: buffers grow to the workload's high-water mark and are then
   // reused, so steady-state batch serving never reallocates.
   worker_workspaces_ = std::vector<EnumeratorWorkspace>(pool_.size());
-
-  // Both caches charge the process memory budget per entry; a denied
-  // charge skips the insert (the value is still served), so cache growth
-  // degrades before the process OOMs. A candidate set is charged what its
-  // lists hold, slack capacity included.
-  candidate_cache_.cache()->SetBudget(
-      &MemoryBudget::Global(),
-      [](const std::shared_ptr<const CandidateSet>& v) -> size_t {
-        return v ? v->AllocatedBytes() : 0;
-      });
-  order_cache_.cache()->SetBudget(
-      &MemoryBudget::Global(),
-      [](const std::shared_ptr<const std::vector<VertexId>>& v) -> size_t {
-        return v ? v->size() * sizeof(VertexId) : 0;
-      });
 }
 
 Result<std::shared_ptr<const std::vector<VertexId>>> QueryEngine::ResolveOrder(
@@ -201,14 +188,13 @@ Result<BatchResult> QueryEngine::MatchBatch(const std::vector<Graph>& queries,
       continue;
     }
     pool_.Submit([this, &queries, &options, &batch, i] {
-      // worker == -1 means this task was degraded to inline execution on
-      // the submitting thread (see ThreadPool::Submit); it then uses the
-      // engine's dedicated inline ordering/workspace slots.
+      // Batch tasks only ever run on pool workers: the queue is unbounded
+      // and the one caller-side helper (RunParallel's coordinator) runs
+      // only its own run group.
       const int worker = ThreadPool::CurrentWorkerIndex();
-      Ordering* ordering = worker >= 0 ? worker_orderings_[worker].get()
-                                       : inline_ordering_.get();
-      EnumeratorWorkspace* workspace =
-          worker >= 0 ? &worker_workspaces_[worker] : &inline_workspace_;
+      RLQVO_DCHECK_GE(worker, 0);
+      Ordering* ordering = worker_orderings_[worker].get();
+      EnumeratorWorkspace* workspace = &worker_workspaces_[worker];
       const EnumerateOptions& enum_options = options.per_query.empty()
                                                  ? config_.enum_options
                                                  : options.per_query[i];

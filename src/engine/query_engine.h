@@ -242,13 +242,6 @@ class QueryEngine {
   // worker_orderings_ by CurrentWorkerIndex), so steady-state batch serving
   // never pays the O(|V(q)|·|V(G)|) per-query setup the seed enumerator had.
   std::vector<EnumeratorWorkspace> worker_workspaces_;
-  // Fallback slots for batch tasks degraded to inline execution (the
-  // `pool.submit` failpoint models a full queue: ThreadPool::Submit runs
-  // the task on the submitting thread, where CurrentWorkerIndex() is -1).
-  // Safe without a lock: inline tasks run sequentially on the one thread
-  // holding batch_mu_, and batches are serialized against each other.
-  std::shared_ptr<Ordering> inline_ordering_;
-  EnumeratorWorkspace inline_workspace_;
 
   /// Serializes MatchBatch calls against each other: the pool and the
   /// per-batch cache-counter deltas are never shared between two in-flight

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 #include <vector>
+
+#include "common/memory_budget.h"
 
 namespace rlqvo {
 
@@ -142,12 +145,14 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
 /// wrap — and stamps the Σ|C(u)| live cells. Clearing writes 0, which no
 /// epoch equals.
 ///
-/// Above kMaxStampBytes the stamp array is not grown; Test() falls back to
-/// binary search in the live CandidateSet. The fallback is exact for both
-/// refinement loops because Test(w, x) is only ever issued for w != u while
-/// vertex u's candidates are being decided, and every earlier vertex's
-/// removals have already been applied to the CandidateSet via Set() —
-/// pending Clears exist only on row u, which is never read.
+/// Growth charges the whole new footprint to MemoryBudget::Global(), like
+/// EnumeratorWorkspace's stamp arrays. Above kMaxStampBytes, or when the
+/// budget denies the charge, the stamp array is not grown; Test() falls
+/// back to binary search in the live CandidateSet. The fallback is exact
+/// for both refinement loops because Test(w, x) is only ever issued for
+/// w != u while vertex u's candidates are being decided, and every earlier
+/// vertex's removals have already been applied to the CandidateSet via
+/// Set() — pending Clears exist only on row u, which is never read.
 class CandidateMembership {
  public:
   static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
@@ -159,13 +164,20 @@ class CandidateMembership {
     const size_t bytes =
         static_cast<size_t>(cs.num_query_vertices()) * data_vertices;
     stamped_ = bytes <= kMaxStampBytes;
+    if (stamped_ && stamp_.size() < bytes) {
+      MemoryCharge charge = MemoryBudget::Global().TryCharge(bytes);
+      stamped_ = !charge.empty();
+      if (stamped_) {
+        charge_ = std::move(charge);  // releases the old footprint's charge
+        stamp_.resize(bytes, 0);
+      }
+    }
     if (!stamped_) return;
     ++epoch_;
     if (epoch_ == 0) {
       std::fill(stamp_.begin(), stamp_.end(), uint8_t{0});
       epoch_ = 1;
     }
-    if (stamp_.size() < bytes) stamp_.resize(bytes, 0);
     for (VertexId u = 0; u < cs.num_query_vertices(); ++u) {
       uint8_t* row = stamp_.data() + static_cast<size_t>(u) * nv_;
       for (VertexId v : cs.candidates(u)) row[v] = epoch_;
@@ -183,6 +195,7 @@ class CandidateMembership {
  private:
   const CandidateSet* cs_ = nullptr;
   std::vector<uint8_t> stamp_;
+  MemoryCharge charge_;  // the budget's share of stamp_
   size_t nv_ = 0;
   uint8_t epoch_ = 0;
   bool stamped_ = false;

@@ -1,71 +1,71 @@
 #include "matching/optimal_order.h"
 
-#include <limits>
-
 namespace rlqvo {
 
 namespace {
 
-struct SearchState {
-  SearchState(const Graph& q, const Graph& g, const CandidateSet& c,
-              const EnumerateOptions& opts)
-      : query(&q), data(&g), candidates(&c), options(&opts) {}
+/// The recursion behind ForEachConnectedOrder: extends `prefix` by every
+/// unused vertex adjacent to a placed one, and runs the enumeration once
+/// the prefix covers V(q).
+struct ConnectedOrderWalk {
+  ConnectedOrderWalk(const Graph& q, const Graph& g, const CandidateSet& c,
+                     const EnumerateOptions& opts,
+                     const ConnectedOrderVisitor& v)
+      : query(q),
+        data(g),
+        candidates(c),
+        options(opts),
+        visit(v),
+        used(q.num_vertices(), false) {}
 
-  const Graph* query;
-  const Graph* data;
-  const CandidateSet* candidates;
-  const EnumerateOptions* options;
+  const Graph& query;
+  const Graph& data;
+  const CandidateSet& candidates;
+  const EnumerateOptions& options;
+  const ConnectedOrderVisitor& visit;
   Enumerator enumerator;
   EnumeratorWorkspace workspace;  // reused across the factorial Run calls
-
   std::vector<VertexId> prefix;
   std::vector<bool> used;
 
-  OptimalOrderResult best;
-  uint64_t best_enum = std::numeric_limits<uint64_t>::max();
-  Status failure = Status::OK();
-
-  void Recurse() {
-    if (!failure.ok()) return;
-    const uint32_t n = query->num_vertices();
+  Status Recurse() {
+    const uint32_t n = query.num_vertices();
     if (prefix.size() == n) {
-      auto result = enumerator.Run(*query, *data, *candidates, prefix,
-                                   *options, &workspace);
-      if (!result.ok()) {
-        failure = result.status();
-        return;
-      }
-      ++best.orders_evaluated;
-      if (result->num_enumerations < best_enum) {
-        best_enum = result->num_enumerations;
-        best.order = prefix;
-        best.num_enumerations = result->num_enumerations;
-      }
-      return;
+      Result<EnumerateResult> run =
+          enumerator.Run(query, data, candidates, prefix, options, &workspace);
+      RLQVO_RETURN_NOT_OK(run.status());
+      visit(prefix, *run);
+      return Status::OK();
     }
     for (VertexId u = 0; u < n; ++u) {
-      if (used[u]) continue;
-      if (!prefix.empty()) {
-        bool attached = false;
-        // neighbors-ok: connectivity check over the symmetric skeleton.
-        for (VertexId w : query->neighbors(u)) {
-          if (used[w]) {
-            attached = true;
-            break;
-          }
-        }
-        if (!attached) continue;  // only connected permutations
-      }
+      if (used[u] || (!prefix.empty() && !Attached(u))) continue;
       used[u] = true;
       prefix.push_back(u);
-      Recurse();
+      RLQVO_RETURN_NOT_OK(Recurse());
       prefix.pop_back();
       used[u] = false;
     }
+    return Status::OK();
+  }
+
+  bool Attached(VertexId u) const {
+    // neighbors-ok: connectivity check over the symmetric skeleton.
+    for (VertexId w : query.neighbors(u)) {
+      if (used[w]) return true;
+    }
+    return false;
   }
 };
 
 }  // namespace
+
+Status ForEachConnectedOrder(const Graph& query, const Graph& data,
+                             const CandidateSet& candidates,
+                             const EnumerateOptions& options,
+                             const ConnectedOrderVisitor& visit) {
+  return ConnectedOrderWalk(query, data, candidates, options, visit)
+      .Recurse();
+}
 
 Result<OptimalOrderResult> FindOptimalOrder(const Graph& query,
                                             const Graph& data,
@@ -79,14 +79,21 @@ Result<OptimalOrderResult> FindOptimalOrder(const Graph& query,
         "optimal-order search is factorial; refusing queries above 12 "
         "vertices");
   }
-  SearchState state(query, data, candidates, options);
-  state.used.assign(query.num_vertices(), false);
-  state.Recurse();
-  RLQVO_RETURN_NOT_OK(state.failure);
-  if (state.best.order.empty()) {
+  OptimalOrderResult best;
+  RLQVO_RETURN_NOT_OK(ForEachConnectedOrder(
+      query, data, candidates, options,
+      [&best](const std::vector<VertexId>& order, const EnumerateResult& run) {
+        if (best.orders_evaluated == 0 ||
+            run.num_enumerations < best.num_enumerations) {
+          best.order = order;
+          best.num_enumerations = run.num_enumerations;
+        }
+        ++best.orders_evaluated;
+      }));
+  if (best.order.empty()) {
     return Status::NotFound("no connected permutation exists (disconnected query)");
   }
-  return state.best;
+  return best;
 }
 
 }  // namespace rlqvo

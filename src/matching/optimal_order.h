@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +15,20 @@ struct OptimalOrderResult {
   /// How many connected permutations were evaluated.
   uint64_t orders_evaluated = 0;
 };
+
+/// Called with each complete connected order and its enumeration result.
+using ConnectedOrderVisitor = std::function<void(
+    const std::vector<VertexId>& order, const EnumerateResult& result)>;
+
+/// \brief Runs the enumeration under every connected permutation of V(q)
+/// (each vertex after the first adjacent to an earlier one), in
+/// lexicographic order, and calls `visit` once per order. One workspace
+/// serves every run. Returns the first enumeration error, which ends the
+/// walk. Factorial cost: callers cap |V(q)|.
+Status ForEachConnectedOrder(const Graph& query, const Graph& data,
+                             const CandidateSet& candidates,
+                             const EnumerateOptions& options,
+                             const ConnectedOrderVisitor& visit);
 
 /// \brief Finds the matching order minimising #enum by evaluating every
 /// connected permutation of V(q) with the shared enumeration engine — the

@@ -1,6 +1,9 @@
 #include "matching/spectrum.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "matching/optimal_order.h"
 
 namespace rlqvo {
 
@@ -23,61 +26,6 @@ size_t OrderSpectrum::RankOf(uint64_t enumerations) const {
       sorted_enumerations.begin());
 }
 
-namespace {
-
-struct SpectrumSearch {
-  SpectrumSearch(const Graph& q, const Graph& g, const CandidateSet& c,
-                 const EnumerateOptions& opts)
-      : query(&q), data(&g), candidates(&c), options(&opts) {}
-
-  const Graph* query;
-  const Graph* data;
-  const CandidateSet* candidates;
-  const EnumerateOptions* options;
-  Enumerator enumerator;
-  EnumeratorWorkspace workspace;  // reused across the factorial Run calls
-  std::vector<VertexId> prefix;
-  std::vector<bool> used;
-  std::vector<uint64_t> counts;
-  Status failure = Status::OK();
-
-  void Recurse() {
-    if (!failure.ok()) return;
-    const uint32_t n = query->num_vertices();
-    if (prefix.size() == n) {
-      auto run = enumerator.Run(*query, *data, *candidates, prefix, *options,
-                                &workspace);
-      if (!run.ok()) {
-        failure = run.status();
-        return;
-      }
-      counts.push_back(run->num_enumerations);
-      return;
-    }
-    for (VertexId u = 0; u < n; ++u) {
-      if (used[u]) continue;
-      if (!prefix.empty()) {
-        bool attached = false;
-        // neighbors-ok: connectivity check over the symmetric skeleton.
-        for (VertexId w : query->neighbors(u)) {
-          if (used[w]) {
-            attached = true;
-            break;
-          }
-        }
-        if (!attached) continue;
-      }
-      used[u] = true;
-      prefix.push_back(u);
-      Recurse();
-      prefix.pop_back();
-      used[u] = false;
-    }
-  }
-};
-
-}  // namespace
-
 Result<OrderSpectrum> ComputeOrderSpectrum(const Graph& query,
                                            const Graph& data,
                                            const CandidateSet& candidates,
@@ -89,16 +37,18 @@ Result<OrderSpectrum> ComputeOrderSpectrum(const Graph& query,
     return Status::InvalidArgument(
         "order spectrum is factorial; refusing queries above 10 vertices");
   }
-  SpectrumSearch search(query, data, candidates, options);
-  search.used.assign(query.num_vertices(), false);
-  search.Recurse();
-  RLQVO_RETURN_NOT_OK(search.failure);
-  if (search.counts.empty()) {
+  std::vector<uint64_t> counts;
+  RLQVO_RETURN_NOT_OK(ForEachConnectedOrder(
+      query, data, candidates, options,
+      [&counts](const std::vector<VertexId>&, const EnumerateResult& run) {
+        counts.push_back(run.num_enumerations);
+      }));
+  if (counts.empty()) {
     return Status::NotFound("no connected permutation (disconnected query)");
   }
 
   OrderSpectrum spectrum;
-  spectrum.sorted_enumerations = std::move(search.counts);
+  spectrum.sorted_enumerations = std::move(counts);
   std::sort(spectrum.sorted_enumerations.begin(),
             spectrum.sorted_enumerations.end());
   spectrum.num_orders = spectrum.sorted_enumerations.size();

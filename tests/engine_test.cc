@@ -70,44 +70,6 @@ TEST(QueryFingerprintTest, IdenticalGraphsCollideDistinctOnesDoNot) {
   EXPECT_NE(QueryFingerprint(a.Build()), QueryFingerprint(b.Build()));
 }
 
-/// Replica of the pre-directed fingerprint algorithm, kept here as a pin:
-/// cached candidate sets for classic undirected workloads key by this exact
-/// value, so the degenerate path of QueryFingerprint must never drift from
-/// it (a drift would silently invalidate every warm cache across the
-/// directed-model refactor).
-uint64_t LegacyMix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  uint64_t z = h;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-uint64_t LegacyUndirectedFingerprint(const Graph& query) {
-  uint64_t h = 0x5192fe1e00d5b2a1ULL;
-  h = LegacyMix(h, query.num_vertices());
-  h = LegacyMix(h, query.num_edges());
-  for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    h = LegacyMix(h, query.label(u));
-  }
-  for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    for (VertexId v : query.neighbors(u)) {
-      if (u < v) h = LegacyMix(h, (static_cast<uint64_t>(u) << 32) | v);
-    }
-  }
-  return h;
-}
-
-TEST(QueryFingerprintTest, DegenerateFingerprintMatchesLegacyAlgorithm) {
-  Graph data = RandomData(13);
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Graph q = RandomQuery(data, 700 + seed, 3 + seed % 4);
-    ASSERT_TRUE(q.degenerate());
-    EXPECT_EQ(QueryFingerprint(q), LegacyUndirectedFingerprint(q))
-        << "seed " << seed;
-  }
-}
-
 TEST(QueryFingerprintTest, ModelViewsOfOneSkeletonNeverAlias) {
   // The same two-edge path 0-1-2 (labels 0,1,0) under five semantic views:
   // undirected single-label, undirected with an edge label, directed
@@ -170,61 +132,49 @@ TEST(QueryFingerprintTest, DirectedQueriesKeyStablyInTheCache) {
   }
 }
 
-// --- CandidateCache (the LRU layer under the single-flight wrapper) ---
+// --- CandidateCache (LRU eviction and counters through GetOrCompute) ---
+
+/// Looks `key` up in `cache`, computing a fresh single-candidate set on a
+/// miss; returns whether the value was served without computing.
+bool ServedFromCache(CandidateCache* cache, uint64_t key) {
+  bool computed = false;
+  auto result = cache->GetOrCompute(
+      key, /*bypass=*/false,
+      []() -> Result<std::shared_ptr<const CandidateSet>> {
+        return std::make_shared<const CandidateSet>(CandidateSet(1));
+      },
+      &computed);
+  EXPECT_TRUE(result.ok());
+  EXPECT_NE(result.ValueOrDie(), nullptr);
+  return !computed;
+}
 
 TEST(CandidateCacheTest, LruEvictionAndCounters) {
   CandidateCache cache(2);
-  auto* lru = cache.cache();
-  auto value = [] {
-    return std::make_shared<const CandidateSet>(CandidateSet(1));
-  };
-  EXPECT_EQ(lru->Get(1), nullptr);  // miss
-  lru->Put(1, value());
-  lru->Put(2, value());
-  EXPECT_NE(lru->Get(1), nullptr);  // hit; 1 becomes MRU
-  lru->Put(3, value());             // evicts 2 (LRU)
-  EXPECT_EQ(lru->Get(2), nullptr);
-  EXPECT_NE(lru->Get(1), nullptr);
-  EXPECT_NE(lru->Get(3), nullptr);
+  EXPECT_FALSE(ServedFromCache(&cache, 1));  // miss, inserts 1
+  EXPECT_FALSE(ServedFromCache(&cache, 2));  // miss, inserts 2
+  EXPECT_TRUE(ServedFromCache(&cache, 1));   // hit; 1 becomes MRU
+  EXPECT_FALSE(ServedFromCache(&cache, 3));  // miss, evicts 2 (LRU)
+  EXPECT_TRUE(ServedFromCache(&cache, 1));
+  EXPECT_TRUE(ServedFromCache(&cache, 3));   // 3 MRU, 1 LRU
+  EXPECT_FALSE(ServedFromCache(&cache, 2));  // 2 was evicted; evicts 1
 
   const CandidateCache::Counters c = cache.counters();
   EXPECT_EQ(c.hits, 3u);
-  EXPECT_EQ(c.misses, 2u);
-  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_EQ(c.misses, 4u);
+  EXPECT_EQ(c.lookups, 7u);
+  EXPECT_EQ(c.evictions, 2u);
   EXPECT_EQ(c.entries, 2u);
-}
-
-TEST(CandidateCacheTest, ReprobeReclassifiesMissAsHit) {
-  CandidateCache cache(2);
-  auto* lru = cache.cache();
-  auto value = [] {
-    return std::make_shared<const CandidateSet>(CandidateSet(1));
-  };
-  // A true miss followed by a failed re-probe leaves the miss standing.
-  EXPECT_EQ(lru->Get(1), nullptr);
-  EXPECT_EQ(lru->Reprobe(1), nullptr);
-  EXPECT_EQ(cache.counters().hits, 0u);
-  EXPECT_EQ(cache.counters().misses, 1u);
-
-  // Another leader completes between our miss and the re-probe: the lookup
-  // was served from the cache after all, so the miss becomes a hit.
-  lru->Put(1, value());
-  EXPECT_NE(lru->Reprobe(1), nullptr);
-  EXPECT_EQ(cache.counters().hits, 1u);
-  EXPECT_EQ(cache.counters().misses, 0u);
-
-  // Followers of that leader reclassify their own counted misses.
-  EXPECT_EQ(lru->Get(2), nullptr);  // a follower's miss
-  lru->ReclassifyMissesAsHits(1);
-  EXPECT_EQ(cache.counters().hits, 2u);
-  EXPECT_EQ(cache.counters().misses, 0u);
+  EXPECT_TRUE(ServedFromCache(&cache, 3));
+  EXPECT_TRUE(ServedFromCache(&cache, 2));
 }
 
 TEST(CandidateCacheTest, ZeroCapacityDisablesCaching) {
   CandidateCache cache(0);
-  cache.cache()->Put(1, std::make_shared<const CandidateSet>(CandidateSet(1)));
-  EXPECT_EQ(cache.cache()->Get(1), nullptr);
+  EXPECT_FALSE(ServedFromCache(&cache, 1));
+  EXPECT_FALSE(ServedFromCache(&cache, 1));
   EXPECT_EQ(cache.counters().entries, 0u);
+  EXPECT_EQ(cache.counters().lookups, 0u);
 }
 
 // --- QueryEngine ---

@@ -5,6 +5,8 @@
 #include <thread>
 #include <tuple>
 
+#include "common/failpoint.h"
+#include "common/memory_budget.h"
 #include "graph/generators.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
@@ -311,6 +313,51 @@ TEST(GqlFilterTest, ConcurrentFirstUseOfADataGraphMatchesSerial) {
       EXPECT_EQ(result.candidates(u), serial.candidates(u));
     }
   }
+}
+
+// The refinement filters' stamp array is charged to the memory budget, and
+// a denied charge falls back to binary-search membership with identical
+// candidate sets. The denied runs use a fresh thread, so its thread-local
+// stamp array starts empty and every filter call must try to grow it.
+TEST(FiltersTest, DeniedStampGrowthKeepsGqlAndDagDpExact) {
+  const Graph data = RandomData(17, 200, 5.0, 3);
+  std::vector<Graph> queries;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    queries.push_back(RandomQuery(data, 90 + seed, 6));
+  }
+  auto run_filters = [&] {
+    std::vector<CandidateSet> out;
+    for (const Graph& q : queries) {
+      out.push_back(GQLFilter().Filter(q, data).ValueOrDie());
+      out.push_back(DagDpFilter().Filter(q, data).ValueOrDie());
+    }
+    return out;
+  };
+  const std::vector<CandidateSet> unconstrained = run_filters();
+
+  ASSERT_TRUE(failpoint::Activate("budget.charge", "error").ok());
+  const uint64_t denials_before = MemoryBudget::Global().denials();
+  std::vector<CandidateSet> denied;
+  std::thread([&] { denied = run_filters(); }).join();
+  const uint64_t denials = MemoryBudget::Global().denials() - denials_before;
+  failpoint::Deactivate("budget.charge");
+
+  // At least one denied growth per filter call: the buffer never grew.
+  EXPECT_GE(denials, 2 * queries.size());
+  ASSERT_EQ(denied.size(), unconstrained.size());
+  uint64_t refined = 0, nlf = 0;
+  for (size_t i = 0; i < denied.size(); ++i) {
+    const Graph& q = queries[i / 2];
+    for (VertexId u = 0; u < q.num_vertices(); ++u) {
+      EXPECT_EQ(denied[i].candidates(u), unconstrained[i].candidates(u))
+          << "query " << i / 2 << (i % 2 == 0 ? " GQL" : " DAG-DP")
+          << " vertex " << u;
+    }
+    refined += unconstrained[i].TotalSize();
+    nlf += NLFFilter().Filter(q, data).ValueOrDie().TotalSize();
+  }
+  // The membership tests decided something: refinement pruned below NLF.
+  EXPECT_LT(refined, nlf);
 }
 
 TEST(FiltersTest, CandidateSetBasics) {

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
+#include "common/memory_budget.h"
 #include "core/rlqvo.h"
 #include "engine/lru_cache.h"
 #include "engine/query_engine.h"
@@ -37,24 +39,39 @@ PolicyConfig TinyPolicy() {
   return config;
 }
 
-// --- Generic LruCache (the machinery both engine caches share) ---
+// --- Generic SingleFlightCache (the machinery both engine caches share) ---
+
+/// Looks `key` up in `cache`, computing `value` on a miss; returns whether
+/// the value was served without computing.
+bool ServedFromCache(StringCache* cache, int key, const char* value) {
+  bool computed = false;
+  auto result = cache->GetOrCompute(
+      key, /*bypass=*/false,
+      [value]() -> Result<std::shared_ptr<const std::string>> {
+        return Str(value);
+      },
+      &computed);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(*result.ValueOrDie(), value);
+  return !computed;
+}
 
 TEST(LruCacheTest, GenericValueLruEvictionAndCounters) {
-  LruCache<int, std::shared_ptr<const std::string>> cache(2);
-  EXPECT_EQ(cache.Get(1), nullptr);  // miss
-  cache.Put(1, Str("one"));
-  cache.Put(2, Str("two"));
-  EXPECT_NE(cache.Get(1), nullptr);  // hit; 1 becomes MRU
-  cache.Put(3, Str("three"));        // evicts 2 (LRU)
-  EXPECT_EQ(cache.Get(2), nullptr);
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
+  StringCache cache(2);
+  EXPECT_FALSE(ServedFromCache(&cache, 1, "one"));    // miss
+  EXPECT_FALSE(ServedFromCache(&cache, 2, "two"));    // miss
+  EXPECT_TRUE(ServedFromCache(&cache, 1, "one"));     // hit; 1 becomes MRU
+  EXPECT_FALSE(ServedFromCache(&cache, 3, "three"));  // evicts 2 (LRU)
+  EXPECT_TRUE(ServedFromCache(&cache, 1, "one"));
+  EXPECT_TRUE(ServedFromCache(&cache, 3, "three"));
+  EXPECT_FALSE(ServedFromCache(&cache, 2, "two"));    // evicted; evicts 1
   const auto c = cache.counters();
   EXPECT_EQ(c.hits, 3u);
-  EXPECT_EQ(c.misses, 2u);
-  EXPECT_EQ(c.evictions, 1u);
+  EXPECT_EQ(c.misses, 4u);
+  EXPECT_EQ(c.evictions, 2u);
   EXPECT_EQ(c.entries, 2u);
-  EXPECT_EQ(c.hits + c.misses, 5u);  // == logical lookups
+  EXPECT_EQ(c.hits + c.misses, c.lookups);  // == logical lookups
+  EXPECT_EQ(c.lookups, 7u);
 }
 
 TEST(SingleFlightCacheTest, ComputesOncePerKeyAndCountsOneLookupEach) {
@@ -76,9 +93,9 @@ TEST(SingleFlightCacheTest, ComputesOncePerKeyAndCountsOneLookupEach) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(computes.load(), 1);  // single flight
   const auto c = cache.counters();
-  // Every caller counted exactly one lookup; only the leader's was a true
-  // miss (followers that waited on the flight keep their miss — the value
-  // was not in the cache when they looked).
+  // Every caller counted exactly one lookup: the leader and each follower
+  // that joined its flight a miss (the value was not in the cache when they
+  // looked), any caller arriving after the insert a hit.
   EXPECT_EQ(c.hits + c.misses, static_cast<uint64_t>(kThreads));
   EXPECT_GE(c.misses, 1u);
   // A later lookup is a plain hit.
@@ -87,6 +104,41 @@ TEST(SingleFlightCacheTest, ComputesOncePerKeyAndCountsOneLookupEach) {
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(computed);
   EXPECT_EQ(computes.load(), 1);
+}
+
+// An insert is admitted only when the `cache.put` failpoint stays quiet and
+// the memory budget grants the entry's cost. A rejected insert still serves
+// the computed value; an entry's charge is released when it is evicted or
+// cleared.
+TEST(SingleFlightCacheTest, BudgetAndPutFailpointGateInserts) {
+  MemoryBudget budget;
+  budget.set_limit_bytes(10);
+  StringCache cache(1, &budget,
+                    [](const std::shared_ptr<const std::string>& v) {
+                      return v->size();
+                    });
+  EXPECT_FALSE(ServedFromCache(&cache, 1, "eleven-byte"));  // over budget
+  EXPECT_FALSE(ServedFromCache(&cache, 1, "eleven-byte"));
+  EXPECT_EQ(budget.denials(), 2u);
+  EXPECT_EQ(cache.counters().put_rejects, 2u);
+  EXPECT_EQ(cache.counters().entries, 0u);
+
+  EXPECT_FALSE(ServedFromCache(&cache, 2, "four"));
+  EXPECT_TRUE(ServedFromCache(&cache, 2, "four"));
+  EXPECT_EQ(budget.used_bytes(), 4u);
+  EXPECT_FALSE(ServedFromCache(&cache, 3, "six---"));  // evicts 2
+  EXPECT_EQ(budget.used_bytes(), 6u);
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  cache.Clear();
+  EXPECT_EQ(budget.used_bytes(), 0u);
+
+  ASSERT_TRUE(failpoint::Activate("cache.put", "error").ok());
+  EXPECT_FALSE(ServedFromCache(&cache, 4, "four"));
+  failpoint::Deactivate("cache.put");
+  EXPECT_FALSE(ServedFromCache(&cache, 4, "four"));  // was not cached
+  EXPECT_TRUE(ServedFromCache(&cache, 4, "four"));
+  EXPECT_EQ(cache.counters().put_rejects, 3u);
+  EXPECT_EQ(budget.used_bytes(), 4u);
 }
 
 TEST(SingleFlightCacheTest, BypassSkipsCacheAndCounters) {
