@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -18,9 +19,10 @@ namespace rlqvo {
 /// (Sec IV-A), not each segment. An EnumBudget is the single object those
 /// limits live in:
 ///
-/// - **Match budget.** Every emission first claims a slot via
-///   TryClaimMatch(). The claim is a capped atomic increment, so the total
-///   number of emitted matches across all segments is *exactly*
+/// - **Match budget.** Every emission first claims its slots via
+///   TryClaimMatches(): one slot for a stored embedding, a whole batch for
+///   a counted last order position. The claim is a capped atomic add, so
+///   the total number of emitted matches across all segments is *exactly*
 ///   min(available, match_limit) — never match_limit-per-segment, never
 ///   limit+1 from a race. The serial path uses the same claim, which makes
 ///   its limit enforcement exact by construction too (and free when
@@ -35,7 +37,8 @@ namespace rlqvo {
 ///   burning their own quantum rediscovering the deadline.
 ///
 /// `match_limit == 0` means unlimited (the paper's "ALL" setting, Fig 11):
-/// TryClaimMatch always succeeds and LimitReached is always false.
+/// TryClaimMatches grants every slot asked for and LimitReached is always
+/// false.
 ///
 /// **Memory-order protocol.** Every atomic here uses
 /// std::memory_order_relaxed, deliberately: the budget only *counts* and
@@ -65,24 +68,28 @@ class EnumBudget {
   EnumBudget(const EnumBudget&) = delete;
   EnumBudget& operator=(const EnumBudget&) = delete;
 
-  /// Claims one emission slot. Returns false once the global limit is
-  /// exhausted (and raises the stop flag); always true when unlimited.
-  /// A caller must only emit a match for which the claim succeeded.
-  bool TryClaimMatch() {
-    if (limit_ == 0) return true;
+  /// Claims up to `k` >= 1 emission slots and returns how many it granted:
+  /// min(k, slots left), or `k` when unlimited. A grant below `k` leaves
+  /// the budget exhausted; a claim on an exhausted budget grants 0 and
+  /// raises the stop flag. A caller must emit exactly the granted number
+  /// of matches.
+  uint64_t TryClaimMatches(uint64_t k) {
+    RLQVO_DCHECK_GE(k, uint64_t{1});
+    if (limit_ == 0) return k;
     // Relaxed CAS loop: the counter is the entire shared state. The CAS's
-    // atomicity alone guarantees exactly `limit_` successful claims; no
-    // other memory is ordered by a claim (emissions go to segment-local
+    // atomicity alone guarantees that the grants sum to at most `limit_`;
+    // no other memory is ordered by a claim (emissions go to segment-local
     // blocks, published later via the coordinator's mutex).
     uint64_t current = claimed_.load(std::memory_order_relaxed);
     while (current < limit_) {
-      if (claimed_.compare_exchange_weak(current, current + 1,
+      const uint64_t granted = std::min(k, limit_ - current);
+      if (claimed_.compare_exchange_weak(current, current + granted,
                                          std::memory_order_relaxed)) {
-        return true;
+        return granted;
       }
     }
     RequestStop();
-    return false;
+    return 0;
   }
 
   /// True once the claimed count has reached the (finite) limit.

@@ -23,7 +23,8 @@ namespace {
 /// per recursive call, per intersection comparison and per local-candidate
 /// scanned, so expiry detection is proportional to actual effort: a run
 /// overshoots its deadline by at most ~one quantum of work plus one
-/// in-flight slice intersection, regardless of how wide the slices are.
+/// in-flight slice intersection or one last-position count, regardless of
+/// how wide the slices are.
 /// (The seed polled once per 4096 recursive calls, which let overshoot
 /// scale with slice width after the intersection core made each call do
 /// large gallop/merge intersections.) A steady_clock read costs ~25 ns;
@@ -511,8 +512,11 @@ struct EnumContext {
     }
   }
 
+  /// The terminating call of a run that stores embeddings: claims one slot
+  /// and records the full mapping. (Count-only runs never get here; their
+  /// last order position goes through CountLastPosition.)
   void EmitMatch() {
-    if (!budget->TryClaimMatch()) {
+    if (budget->TryClaimMatches(1) == 0) {
       // Global match budget exhausted. Serially this cannot happen (the
       // claim that reaches the limit stops the run below); in parallel,
       // another segment claimed the final slot first. Either way this
@@ -522,25 +526,57 @@ struct EnumContext {
     }
     ++result.num_matches;
     ++work;
-    if (options->store_embeddings) {
-      if constexpr (kStealable) {
-        // Consecutive emissions extend the current block; the first one —
-        // and the first after crossing a carved-off interval — opens a new
-        // block stamped with this emission's index path.
-        if (seg->blocks.empty() || pending_block_break_) {
-          seg->blocks.emplace_back();
-          EmissionBlock& block = seg->blocks.back();
-          block.path.resize(order->size());
-          for (size_t p = 0; p < order->size(); ++p) {
-            block.path[p] = PathComponent(p);
-          }
-          pending_block_break_ = false;
+    if constexpr (kStealable) {
+      // Consecutive emissions extend the current block; the first one —
+      // and the first after crossing a carved-off interval — opens a new
+      // block stamped with this emission's index path.
+      if (seg->blocks.empty() || pending_block_break_) {
+        seg->blocks.emplace_back();
+        EmissionBlock& block = seg->blocks.back();
+        block.path.resize(order->size());
+        for (size_t p = 0; p < order->size(); ++p) {
+          block.path[p] = PathComponent(p);
         }
-        seg->blocks.back().embeddings.push_back(ws->mapping());
-      } else {
-        result.embeddings.push_back(ws->mapping());
+        pending_block_break_ = false;
       }
+      seg->blocks.back().embeddings.push_back(ws->mapping());
+    } else {
+      result.embeddings.push_back(ws->mapping());
     }
+    if (budget->LimitReached()) {
+      result.hit_match_limit = true;
+      stopped = true;
+    }
+  }
+
+  /// The last order position of a count-only run. Every candidate in
+  /// cands[begin, end) that passes the visited and membership tests
+  /// completes one embedding, so the level counts them and claims the
+  /// whole batch at once instead of descending into each. It charges
+  /// exactly what per-candidate Descend + EmitMatch would: per granted
+  /// match one terminating call, one match and two work units; a claim
+  /// that finds the budget already exhausted charges the one call whose
+  /// claim failed. The level never enters the spine, so splits carve only
+  /// internal levels.
+  void CountLastPosition(VertexId u, const VertexId* cands, size_t begin,
+                         size_t end, bool membership) {
+    uint64_t k = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId v = cands[i];
+      k += !ws->Visited(v) &&
+           (!membership || ws->InCandidates(*candidates, u, v));
+    }
+    if (k == 0) return;
+    const uint64_t granted = budget->TryClaimMatches(k);
+    if (granted == 0) {
+      ++result.num_enumerations;
+      ++work;
+      stopped = true;
+      return;
+    }
+    result.num_enumerations += granted;
+    result.num_matches += granted;
+    work += 2 * granted;
     if (budget->LimitReached()) {
       result.hit_match_limit = true;
       stopped = true;
@@ -564,10 +600,15 @@ struct EnumContext {
   /// and component breaks), whose vertices are members by construction.
   /// In the stealable instantiation the loop bounds live in the spine so
   /// TrySplit can shed the tail; `stable` records whether the storage
-  /// outlives the frame (see SpineLevel).
+  /// outlives the frame (see SpineLevel). A count-only run counts its last
+  /// order position instead of descending it (CountLastPosition).
   void RunLevel(size_t depth, const VertexId* cands, size_t begin, size_t end,
                 size_t base, bool stable, bool membership) {
     const VertexId u = (*order)[depth];
+    if (depth + 1 == order->size() && !options->store_embeddings) {
+      CountLastPosition(u, cands, begin, end, membership);
+      return;
+    }
     if constexpr (kStealable) {
       SpineLevel& lvl = spine_[depth];
       lvl.cands = cands;

@@ -29,11 +29,15 @@ struct EnumerateOptions {
   /// deadline carrying whatever remains after filtering and ordering.
   /// Expiry is re-checked every ~16k units of charged work (recursive
   /// calls, intersection comparisons, local-candidate scans), so overshoot
-  /// is bounded by a fixed work quantum plus at most one in-flight slice
-  /// intersection — not by how many recursive calls the slices amortize.
+  /// is bounded by one work quantum plus one slice intersection or one
+  /// last-position count — not by how many recursive calls the slices
+  /// amortize.
   double time_limit_seconds = 0.0;
-  /// Keep the embeddings in EnumerateResult::embeddings (otherwise only
-  /// counts are tracked).
+  /// Keep the embeddings in EnumerateResult::embeddings. When false, only
+  /// counts are tracked, and the last order position is counted instead of
+  /// descended: its candidates that pass the visited and membership tests
+  /// are claimed from the match budget in one batch. #enum, the match count
+  /// and the work units read as if each of them had been descended.
   bool store_embeddings = false;
   /// Intra-query enumeration parallelism. 0 (default) runs the classic
   /// serial recursion. N >= 1 runs the work-stealing scheduler: the search

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/timer.h"
 
 namespace rlqvo {
@@ -43,7 +44,7 @@ TEST(EnumBudgetStressTest, ContendedClaimsMatchLimitExactly) {
       // Each thread attempts far more claims than the whole limit, so
       // exhaustion is certain and contention spans the full run.
       for (uint64_t i = 0; i < 2 * limit + 64; ++i) {
-        if (budget.TryClaimMatch()) granted.fetch_add(1);
+        if (budget.TryClaimMatches(1) == 1) granted.fetch_add(1);
       }
     });
     EXPECT_EQ(granted.load(), limit) << "limit=" << limit;
@@ -51,23 +52,68 @@ TEST(EnumBudgetStressTest, ContendedClaimsMatchLimitExactly) {
     // Exhaustion must have raised the stop broadcast for sibling chunks.
     EXPECT_TRUE(budget.StopRequested());
     // The budget stays exhausted: later claims keep failing.
-    EXPECT_FALSE(budget.TryClaimMatch());
+    EXPECT_EQ(budget.TryClaimMatches(1), 0u);
   }
 }
 
-// match_limit == 0 is the paper's "ALL" setting: claims always succeed and
-// never touch the atomic, so no amount of claiming may trip the limit or
-// the stop flag.
+// Batch claims, as a counted last order position makes them: T threads
+// ask for random batch sizes, and the grants must still sum to exactly the
+// limit, each grant at most what its caller asked for.
+TEST(EnumBudgetStressTest, ContendedBatchClaimsSumToLimitExactly) {
+  const Deadline deadline = Deadline::Unlimited();
+  for (const uint64_t limit : {1u, 7u, 100u, 1000u}) {
+    EnumBudget budget(limit, &deadline);
+    std::atomic<uint64_t> granted{0};
+    std::atomic<bool> over_granted{false};
+    RunThreads(kThreads, [&](int t) {
+      Rng rng(limit * kThreads + static_cast<uint64_t>(t));
+      for (uint64_t i = 0; i < 2 * limit + 64; ++i) {
+        const uint64_t k = 1 + rng.NextBounded(16);
+        const uint64_t got = budget.TryClaimMatches(k);
+        if (got > k) over_granted = true;
+        granted.fetch_add(got);
+      }
+    });
+    EXPECT_FALSE(over_granted.load()) << "limit=" << limit;
+    EXPECT_EQ(granted.load(), limit) << "limit=" << limit;
+    EXPECT_TRUE(budget.LimitReached());
+    EXPECT_TRUE(budget.StopRequested());
+  }
+}
+
+// A grant that reaches the limit leaves the stop flag down, as the
+// per-match claim that reaches it does; the next claim is granted nothing
+// and raises it.
+TEST(EnumBudgetStressTest, ZeroGrantRaisesStop) {
+  const Deadline deadline = Deadline::Unlimited();
+  EnumBudget budget(10, &deadline);
+  EXPECT_EQ(budget.TryClaimMatches(4), 4u);
+  EXPECT_EQ(budget.TryClaimMatches(10), 6u);
+  EXPECT_TRUE(budget.LimitReached());
+  EXPECT_FALSE(budget.StopRequested());
+  EXPECT_EQ(budget.TryClaimMatches(3), 0u);
+  EXPECT_TRUE(budget.StopRequested());
+}
+
+// match_limit == 0 is the paper's "ALL" setting: claims of any batch size
+// are granted in full and never touch the atomic, so no amount of claiming
+// may trip the limit or the stop flag.
 TEST(EnumBudgetStressTest, UnlimitedBudgetNeverExhaustsUnderContention) {
   const Deadline deadline = Deadline::Unlimited();
   EnumBudget budget(0, &deadline);
+  std::atomic<uint64_t> asked{0};
   std::atomic<uint64_t> granted{0};
-  RunThreads(kThreads, [&](int) {
+  RunThreads(kThreads, [&](int t) {
+    Rng rng(static_cast<uint64_t>(t) + 1);
     for (int i = 0; i < 50000; ++i) {
-      if (budget.TryClaimMatch()) granted.fetch_add(1);
+      const uint64_t k = i % 2 == 0 ? 1 : 1 + rng.NextBounded(1000);
+      asked.fetch_add(k);
+      granted.fetch_add(budget.TryClaimMatches(k));
     }
   });
-  EXPECT_EQ(granted.load(), static_cast<uint64_t>(kThreads) * 50000);
+  EXPECT_EQ(granted.load(), asked.load());
+  const uint64_t huge = uint64_t{1} << 62;
+  EXPECT_EQ(budget.TryClaimMatches(huge), huge);
   EXPECT_FALSE(budget.LimitReached());
   EXPECT_FALSE(budget.StopRequested());
 }
@@ -89,7 +135,7 @@ TEST(EnumBudgetStressTest, StopBroadcastReachesEveryPoller) {
       // then poll. A poller that never sees the stop would spin forever and
       // time the test out — visibility IS the assertion.
       while (!budget.StopRequested()) {
-        budget.TryClaimMatch();
+        budget.TryClaimMatches(1);
         std::this_thread::yield();
       }
       observed.fetch_add(1);
@@ -122,7 +168,7 @@ TEST(EnumBudgetStressTest, DeadlineExpiryRaceStopsAllChunks) {
       }
       // A checkpoint quantum's worth of claims between deadline polls.
       for (int i = 0; i < 64; ++i) {
-        if (budget.TryClaimMatch()) granted.fetch_add(1);
+        if (budget.TryClaimMatches(1) == 1) granted.fetch_add(1);
       }
     }
   });
@@ -157,7 +203,7 @@ TEST(EnumBudgetStressTest, FreshBudgetsStartCleanAcrossRounds) {
     std::atomic<uint64_t> granted{0};
     RunThreads(4, [&](int) {
       for (uint64_t i = 0; i < limit; ++i) {
-        if (budget.TryClaimMatch()) granted.fetch_add(1);
+        if (budget.TryClaimMatches(1) == 1) granted.fetch_add(1);
       }
     });
     EXPECT_EQ(granted.load(), limit);

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "matching/ordering.h"
@@ -398,6 +402,253 @@ TEST(EnumeratorTest, EmbeddingSetsMatchBruteForceExactly) {
   std::set<std::vector<VertexId>> actual_set(result.embeddings.begin(),
                                              result.embeddings.end());
   EXPECT_EQ(actual_set, expected_set);
+}
+
+// --- Count-only runs: the last order position is counted ---
+//
+// With store_embeddings == false the enumerator counts the candidates of
+// the last order position and claims them in one batch; a run that stores
+// embeddings descends into each one. The two must charge the same work.
+
+/// The EnumWorkCounters fields that describe a parallel run's schedule
+/// rather than its search.
+bool IsSchedulerDiagnostic(std::string_view name) {
+  return name == "num_steals" || name == "num_splits" ||
+         name == "max_segment_depth" || name == "min_worker_work" ||
+         name == "max_worker_work";
+}
+
+/// Expects `actual` to report every EnumWorkCounters field of `expected`
+/// (the scheduler diagnostics only if `with_scheduler`) and its limit flag.
+void ExpectSameWork(const EnumerateResult& expected,
+                    const EnumerateResult& actual, bool with_scheduler) {
+  EnumWorkCounters::ForEachField(
+      [&](const char* name, uint64_t EnumWorkCounters::*field,
+          EnumWorkCounters::Rule) {
+        if (!with_scheduler && IsSchedulerDiagnostic(name)) return;
+        EXPECT_EQ(actual.*field, expected.*field) << name;
+      });
+  EXPECT_EQ(actual.hit_match_limit, expected.hit_match_limit);
+  EXPECT_FALSE(actual.timed_out);
+}
+
+/// A pool and its per-worker workspaces for RunParallel.
+struct ParallelRig {
+  explicit ParallelRig(uint32_t threads) : pool(threads), workspaces(threads) {}
+
+  EnumerateResult Run(const Graph& q, const Graph& g, const CandidateSet& cs,
+                      const std::vector<VertexId>& order,
+                      EnumerateOptions opts) {
+    opts.parallel_threads = pool.size();
+    ParallelEnumResources resources;
+    resources.pool = &pool;
+    resources.worker_workspaces = &workspaces;
+    resources.caller_workspace = &caller;
+    return Enumerator()
+        .RunParallel(q, g, cs, order, opts, resources)
+        .ValueOrDie();
+  }
+
+  ThreadPool pool;
+  std::vector<EnumeratorWorkspace> workspaces;
+  EnumeratorWorkspace caller;
+};
+
+/// Runs `order` storing embeddings (serial) and count-only (serial, and
+/// RunParallel at 1, 2 and 8 threads). The serial count-only run must
+/// report every counter of the storing run. A parallel run must report
+/// every counter but the scheduler diagnostics when the limit did not
+/// fire, and the same match count when it did (which matches fill a
+/// truncated quota is schedule-dependent). Returns the match count.
+uint64_t ExpectCountOnlyChargesAsStored(const Graph& q, const Graph& g,
+                                        const CandidateSet& cs,
+                                        const std::vector<VertexId>& order,
+                                        uint64_t match_limit = 0) {
+  EnumerateOptions store;
+  store.match_limit = match_limit;
+  store.store_embeddings = true;
+  EnumerateOptions count = store;
+  count.store_embeddings = false;
+  Enumerator enumerator;
+  const EnumerateResult stored =
+      enumerator.Run(q, g, cs, order, store).ValueOrDie();
+  EXPECT_EQ(stored.embeddings.size(), stored.num_matches);
+  const EnumerateResult counted =
+      enumerator.Run(q, g, cs, order, count).ValueOrDie();
+  EXPECT_TRUE(counted.embeddings.empty());
+  {
+    SCOPED_TRACE("serial");
+    ExpectSameWork(stored, counted, /*with_scheduler=*/true);
+  }
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ParallelRig rig(threads);
+    const EnumerateResult parallel = rig.Run(q, g, cs, order, count);
+    if (stored.hit_match_limit) {
+      EXPECT_EQ(parallel.num_matches, stored.num_matches);
+      EXPECT_TRUE(parallel.hit_match_limit);
+    } else {
+      ExpectSameWork(stored, parallel, /*with_scheduler=*/false);
+    }
+  }
+  return stored.num_matches;
+}
+
+LabelConfig DirectedEdgeLabeled() {
+  LabelConfig cfg;
+  cfg.num_labels = 3;
+  cfg.zipf_exponent = 0.5;
+  cfg.num_edge_labels = 3;
+  cfg.directed = true;
+  return cfg;
+}
+
+/// The property-test seeds, every filter, undirected and directed
+/// edge-labeled data graphs.
+class CountOnlyPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CountOnlyPropertyTest, ChargesWhatStoringRunsCharge) {
+  const uint64_t seed = GetParam();
+  const Graph undirected = RandomData(seed, 50, 4.0, 3);
+  const Graph directed =
+      GenerateErdosRenyi(60, 4.0, DirectedEdgeLabeled(), seed).ValueOrDie();
+  for (const Graph* data : {&undirected, &directed}) {
+    SCOPED_TRACE(data->directed() ? "directed" : "undirected");
+    const Graph query = RandomQuery(*data, seed * 13 + 5, 3 + seed % 3);
+    const uint64_t expected = BruteForceMatch(query, *data).size();
+    for (const char* filter_name : {"LDF", "NLF", "GQL", "DAG-DP"}) {
+      CandidateSet cs = MakeFilter(filter_name)
+                            .ValueOrDie()
+                            ->Filter(query, *data)
+                            .ValueOrDie();
+      for (const char* order_name : {"RI", "QSI"}) {
+        SCOPED_TRACE(std::string(filter_name) + " " + order_name);
+        OrderingContext ctx;
+        ctx.query = &query;
+        ctx.data = data;
+        ctx.candidates = &cs;
+        const std::vector<VertexId> order =
+            MakeOrdering(order_name).ValueOrDie()->MakeOrder(ctx).ValueOrDie();
+        EXPECT_EQ(ExpectCountOnlyChargesAsStored(query, *data, cs, order),
+                  expected);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CountOnlyPropertyTest,
+                         ::testing::Range<uint64_t>(1, 16));
+
+/// An edge plus an isolated vertex, all of label 0. Ordered {0, 1, 2}, the
+/// last position is a component break: it scans all of C(2), and only the
+/// visited test keeps M(0) and M(1) out.
+Graph EdgePlusIsolatedVertex() {
+  GraphBuilder b;
+  for (int i = 0; i < 3; ++i) b.AddVertex(0);
+  b.AddEdge(0, 1);
+  return b.Build();
+}
+
+TEST(CountOnlyTest, LastPositionIsAComponentBreak) {
+  const Graph data = RandomData(71, 30, 3.0, 1);
+  const Graph q = EdgePlusIsolatedVertex();
+  const CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+  const uint64_t expected = BruteForceMatch(q, data).size();
+  ASSERT_GT(expected, 0u);
+  // {2, 0, 1} puts the break in the middle and a slice at the end.
+  for (const std::vector<VertexId>& order :
+       {std::vector<VertexId>{0, 1, 2}, std::vector<VertexId>{2, 0, 1}}) {
+    EXPECT_EQ(ExpectCountOnlyChargesAsStored(q, data, cs, order), expected);
+  }
+}
+
+/// A match limit that falls inside one last-position candidate list: the
+/// batch claim is granted only the slots left, and the run stops exactly
+/// there, as the per-candidate path does.
+TEST(CountOnlyTest, MatchLimitInsideOneLastPositionList) {
+  // Every last-position list of the component-break order holds |C(2)| - 2
+  // valid candidates, so limits 1 and total - 1 both fall strictly inside
+  // a list. A one-vertex query's root is its last position, and every
+  // match comes from that one list. Limit total + 1 never fires, so those
+  // runs are compared in full.
+  const Graph data = RandomData(71, 30, 3.0, 1);
+  const Graph q = EdgePlusIsolatedVertex();
+  const CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+  const uint64_t per_list = cs.candidates(2).size() - 2;
+  const uint64_t total = BruteForceMatch(q, data).size();
+  ASSERT_GT(per_list, 2u);
+  ASSERT_EQ(total % per_list, 0u);
+
+  GraphBuilder qb;
+  qb.AddVertex(0);
+  const Graph single = qb.Build();
+  const CandidateSet single_cs = LDFFilter().Filter(single, data).ValueOrDie();
+  const uint64_t single_total = single_cs.candidates(0).size();
+  ASSERT_GT(single_total, 2u);
+
+  struct Case {
+    const Graph* query;
+    const CandidateSet* candidates;
+    std::vector<VertexId> order;
+    uint64_t total;
+  };
+  const Case cases[] = {{&q, &cs, {0, 1, 2}, total},
+                        {&single, &single_cs, {0}, single_total}};
+  for (const Case& c : cases) {
+    for (const uint64_t limit : {uint64_t{1}, c.total - 1, c.total,
+                                 c.total + 1}) {
+      SCOPED_TRACE("limit=" + std::to_string(limit) + " of " +
+                   std::to_string(c.total));
+      EXPECT_EQ(ExpectCountOnlyChargesAsStored(*c.query, data, *c.candidates,
+                                               c.order, limit),
+                std::min(limit, c.total));
+    }
+  }
+}
+
+/// Candidate membership at the last position, in both membership modes.
+/// With a complete filter every unvisited vertex the last position's
+/// slices offer completes a match, so membership never decides there; a
+/// narrowed C(u) makes it decide. `workspace.grow=error` denies the stamp
+/// array, so the second pass runs the binary-search membership path.
+TEST(CountOnlyTest, MembershipDecidesOnNarrowedSetsInBothModes) {
+  const Graph data = RandomData(73, 60, 5.0, 2);
+  const Graph q = RandomQuery(data, 74, 4);
+  CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+  OrderingContext ctx;
+  ctx.query = &q;
+  ctx.data = &data;
+  ctx.candidates = &cs;
+  const std::vector<VertexId> order =
+      RIOrdering().MakeOrder(ctx).ValueOrDie();
+  EnumerateOptions count;
+  count.match_limit = 0;
+  const uint64_t full =
+      Enumerator().Run(q, data, cs, order, count).ValueOrDie().num_matches;
+
+  const VertexId last = order.back();
+  std::vector<VertexId> narrowed;
+  for (size_t i = 0; i < cs.candidates(last).size(); i += 2) {
+    narrowed.push_back(cs.candidates(last)[i]);
+  }
+  cs.Set(last, std::move(narrowed));
+
+  for (const bool grow_denied : {false, true}) {
+    SCOPED_TRACE(grow_denied ? "binary search" : "stamped");
+    if (grow_denied) {
+      ASSERT_TRUE(failpoint::Activate("workspace.grow", "error").ok());
+    }
+    EnumeratorWorkspace probe;
+    const uint64_t matches = Enumerator()
+                                 .Run(q, data, cs, order, count, &probe)
+                                 .ValueOrDie()
+                                 .num_matches;
+    EXPECT_EQ(probe.stats().last_dense, !grow_denied);
+    EXPECT_GT(matches, 0u);
+    EXPECT_LT(matches, full);
+    EXPECT_EQ(ExpectCountOnlyChargesAsStored(q, data, cs, order), matches);
+    failpoint::DeactivateAll();
+  }
 }
 
 }  // namespace

@@ -73,6 +73,24 @@ TEST(OptimalOrderTest, RefusesLargeQueries) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+TEST(OptimalOrderTest, EnumerationErrorEndsTheSearch) {
+  // An out-of-range data vertex in C(0): every Run inside the walk fails
+  // in EnumeratorWorkspace::Prepare, and the search must return that
+  // error, not NotFound or a result.
+  Graph data = RandomData(66);
+  Graph q = RandomQuery(data, 67, 4);
+  CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+  std::vector<VertexId> c0 = cs.candidates(0);
+  c0.push_back(data.num_vertices());
+  cs.Set(0, std::move(c0));
+  EnumerateOptions opts;
+  opts.match_limit = 0;
+  auto result = FindOptimalOrder(q, data, cs, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
 TEST(OptimalOrderTest, EmptyQueryRejected) {
   Graph empty;
   CandidateSet cs(0);

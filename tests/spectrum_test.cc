@@ -84,6 +84,22 @@ TEST(SpectrumTest, HeuristicOrdersLandInsideSpectrum) {
   }
 }
 
+TEST(SpectrumTest, EnumerationErrorEndsTheWalk) {
+  // An out-of-range data vertex in C(0): every Run inside the walk fails
+  // in EnumeratorWorkspace::Prepare, and the spectrum must return that
+  // error, not NotFound or a result.
+  Graph data = RandomData(412);
+  Graph q = RandomQuery(data, 413, 4);
+  CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+  std::vector<VertexId> c0 = cs.candidates(0);
+  c0.push_back(data.num_vertices());
+  cs.Set(0, std::move(c0));
+  auto result = ComputeOrderSpectrum(q, data, cs, Unlimited());
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
 TEST(SpectrumTest, RefusesOversizedQueries) {
   Graph data = RandomData(411, 150, 4.0, 2);
   QuerySampler sampler(&data, 1);
