@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "# Emulated graphs preserve category, label-set size/skew and degree "
-      "profile at reduced scale (DESIGN.md S1).\n");
+      "profile at reduced scale; the raw graphs are not shipped "
+      "(src/datasets/datasets.h).\n");
   return 0;
 }

@@ -15,11 +15,13 @@ enum class GraphFamily { kErdosRenyi, kPowerLaw, kBarabasiAlbert };
 /// \brief Specification of one emulated benchmark dataset.
 ///
 /// The paper evaluates on six real-life graphs (Table II). We do not ship the
-/// raw datasets; instead each spec parameterises a synthetic generator that
-/// reproduces the dataset's category, label-set size, label skew and degree
-/// distribution at a configurable scale (see DESIGN.md §1 for the
-/// substitution rationale). Real datasets in the Sun & Luo text format can be
-/// loaded with LoadGraphFromFile and used interchangeably.
+/// raw datasets, so that every workload builds offline and at a size a test
+/// or bench can afford. Instead each spec parameterises a synthetic
+/// generator that reproduces the dataset's category, label-set size, label
+/// skew and degree distribution at a configurable scale: the properties that
+/// size candidate sets, and so what a matching order costs. Real datasets in
+/// the Sun & Luo text format can be loaded with LoadGraphFromFile and used
+/// interchangeably.
 struct DatasetSpec {
   std::string name;       ///< canonical lowercase name, e.g. "citeseer"
   std::string category;   ///< e.g. "citation network"

@@ -23,9 +23,7 @@ struct Node {
   std::function<void(Node*)> backward;
 
   void EnsureGrad() {
-    if (grad.empty() && !value.empty()) {
-      grad = Matrix::Zeros(value.rows(), value.cols());
-    }
+    if (grad.empty()) grad = Matrix::Zeros(value.rows(), value.cols());
   }
 };
 

@@ -12,42 +12,42 @@
 // the stack. Workspace buffers are never zero-filled, so a kernel writes
 // every entry of every row it computes.
 //
-// The matmul carries the serving cost. A per-coefficient zero test would
-// be a data-dependent branch that mispredicts on post-ReLU zeros (about
-// half of every activation row), so MatMulInto runs two branch-free stages
-// per output row instead:
+// The matmul carries the serving cost, and training's: the autograd MatMul
+// runs the same row kernel over every row, in its forward and both backward
+// products. A per-coefficient zero test would be a data-dependent branch
+// that mispredicts on post-ReLU zeros (about half of every activation row),
+// so each output row runs two branch-free stages instead:
 //
 //  1. Compaction. The row's nonzero lhs coefficients, each with a pointer
 //     to the rhs row it scales, are written to a stack list in ascending k
 //     by unconditional stores and a `count += (a != 0.0)` bump (on AVX2,
-//     four at a time through a LUT permute). The test is the autograd
-//     MatMul's `a == 0.0` skip negated, so ±0 are dropped and NaN is kept.
+//     four at a time through a LUT permute): ±0 drop out, NaN stays.
 //  2. Accumulation over the list. On AVX2 CPUs the output columns are cut
 //     into register tiles: 32 columns (eight 4-double accumulators), then
 //     16-, 8- and 4-column tiles and one lane-masked tile for the last 1-3
 //     columns. A tile starts at +0.0, keeps its partial sums in registers
 //     for the whole list, adds the bias and applies the ReLU there, and is
 //     stored once. The portable path writes +0.0 into the output row, adds
-//     each product into it in memory, as the autograd MatMul does, then
-//     adds the bias and applies the ReLU in a last pass over the row.
+//     each product into it in memory, then adds the bias and applies the
+//     ReLU in a last pass over the row.
 //
-// Either way each output element is the autograd value: +0.0, then every
-// listed coefficient's product added in ascending k, then the bias, then
-// the ReLU. Never FMA: a fused multiply-add rounds once where the autograd
-// MatMul rounds the product and then the sum, so it would change last bits
-// and break the exact equality with the training oracle. The AVX2 variant
-// is compiled for "avx2" only (FMA is a separate target feature), and
-// src/CMakeLists.txt builds this file and nn/matrix.cc with
+// Either way each output element is +0.0, then every listed coefficient's
+// product added in ascending k, then the bias, then the ReLU. Never FMA: a
+// fused multiply-add rounds once where this sum rounds the product and
+// then the sum, so it would change last bits, and trained weights would
+// depend on the CPU. The AVX2 variant is compiled for "avx2" only (FMA is
+// a separate target feature), and src/CMakeLists.txt builds this file with
 // -ffp-contract=off, so no build flag (e.g. -march=native) lets the
-// compiler fuse either side's multiply and add. The variant is chosen once
-// per process by __builtin_cpu_supports("avx2"), as in
-// matching/intersect_simd.cc; -DRLQVO_SIMD=OFF builds and targets other
-// than x86-64 compile only the portable path.
+// compiler fuse a multiply and add. The variant is chosen once per process
+// by __builtin_cpu_supports("avx2"), as in matching/intersect_simd.cc;
+// -DRLQVO_SIMD=OFF builds and targets other than x86-64 compile only the
+// portable path.
 #include "nn/inference.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ranges>
 
 #include "common/simd.h"
 #include "nn/autograd.h"
@@ -290,17 +290,41 @@ __attribute__((target("avx2"))) void MatMulRowAvx2(
   } while (k0 < inner);
 }
 
-MatMulRowFn PickMatMulRow() {
-  return __builtin_cpu_supports("avx2") ? &MatMulRowAvx2 : &MatMulRowScalar;
+MatMulRowFn MatMulRow() {
+  static const MatMulRowFn row =
+      __builtin_cpu_supports("avx2") ? &MatMulRowAvx2 : &MatMulRowScalar;
+  return row;
 }
 
 #else  // portable build
 
-MatMulRowFn PickMatMulRow() { return &MatMulRowScalar; }
+MatMulRowFn MatMulRow() { return &MatMulRowScalar; }
 
 #endif  // RLQVO_SIMD_X86 && defined(__x86_64__)
 
+/// out(i, ·) = epilogue(a(i, ·) @ b) for every i in `rows` by the kernel
+/// MatMulRow picks once: the row loop MatMul and MatMulInto share.
+template <typename Rows>
+void MatMulRows(const Matrix& a, const Matrix& b, const Rows& rows,
+                Epilogue ep, Matrix* out) {
+  const MatMulRowFn matmul_row = MatMulRow();
+  const size_t inner = a.cols();
+  const size_t cols = b.cols();
+  for (const size_t i : rows) {
+    RLQVO_DCHECK_LT(i, a.rows());
+    matmul_row(a.data() + i * inner, inner, b.data(), cols, ep,
+               out->data() + i * cols);
+  }
+}
+
 }  // namespace
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  RLQVO_CHECK_EQ(a.cols(), b.rows());
+  Matrix out(a.rows(), b.cols());
+  MatMulRows(a, b, std::views::iota(size_t{0}, a.rows()), Epilogue{}, &out);
+  return out;
+}
 
 void MatMulInto(const Matrix& a, const Matrix& b, RowList rows, Matrix* out,
                 const Matrix* bias, bool relu) {
@@ -314,14 +338,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, RowList rows, Matrix* out,
     ep.bias = bias->data();
   }
   ep.relu = relu;
-  static const MatMulRowFn matmul_row = PickMatMulRow();
-  const size_t inner = a.cols();
-  const size_t cols = b.cols();
-  for (const uint32_t i : rows) {
-    RLQVO_DCHECK_LT(i, a.rows());
-    matmul_row(a.data() + i * inner, inner, b.data(), cols, ep,
-               out->data() + i * cols);
-  }
+  MatMulRows(a, b, rows, ep, out);
 }
 
 void ReluInPlace(Matrix* x, RowList rows) {

@@ -120,18 +120,18 @@ class InferenceWorkspace {
 /// out(i, ·) = a(i, ·) @ b for every i in `rows`, then, per element and in
 /// this order, + bias(0, j) when `bias` is non-null and ReluValue when
 /// `relu` — i.e. Relu(AddRowBroadcast(MatMul(a, b), bias)) of the autograd
-/// ops, bit for bit. The sum is +0.0 plus a(i,k) * b(k,j) for every k with
-/// a(i,k) != 0.0 in ascending k, each product rounded before its add (never
-/// FMA). Zero coefficients — non-edges of propagation matrices, post-ReLU
-/// zeros — are skipped, so inf/NaN (or never-written entries) in their rhs
-/// rows never reach the output; NaN coefficients are not zero and
-/// propagate. No data-dependent branch sits in the hot loops: each row's
-/// nonzero coefficients are compacted once (on the stack), then every
-/// output tile accumulates in registers over that list and is stored once,
-/// bias and ReLU applied in registers (32-column AVX2 tiles when the CPU
-/// has AVX2, chosen once per process; a portable loop doing the same steps
-/// otherwise). See nn/inference.cc. `out` must be shaped (a.rows, b.cols),
-/// `bias` (1, b.cols).
+/// ops, bit for bit: the autograd MatMul runs this kernel. The sum is +0.0
+/// plus a(i,k) * b(k,j) for every k with a(i,k) != 0.0 in ascending k, each
+/// product rounded before its add (never FMA). Zero coefficients — non-edges
+/// of propagation matrices, post-ReLU zeros — are skipped, so inf/NaN (or
+/// never-written entries) in their rhs rows never reach the output; NaN
+/// coefficients are not zero and propagate. No data-dependent branch sits
+/// in the hot loops: each row's nonzero coefficients are compacted once (on
+/// the stack), then every output tile accumulates in registers over that
+/// list and is stored once, bias and ReLU applied in registers (32-column
+/// AVX2 tiles when the CPU has AVX2, chosen once per process; a portable
+/// loop doing the same steps otherwise). See nn/inference.cc. `out` must be
+/// shaped (a.rows, b.cols), `bias` (1, b.cols).
 void MatMulInto(const Matrix& a, const Matrix& b, RowList rows, Matrix* out,
                 const Matrix* bias = nullptr, bool relu = false);
 

@@ -66,21 +66,6 @@ std::string Matrix::ToString(int precision) const {
   return out.str();
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  RLQVO_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a.At(i, k);
-      if (aik == 0.0) continue;
-      for (size_t j = 0; j < b.cols(); ++j) {
-        out.At(i, j) += aik * b.At(k, j);
-      }
-    }
-  }
-  return out;
-}
-
 Matrix Transpose(const Matrix& a) {
   Matrix out(a.cols(), a.rows());
   for (size_t i = 0; i < a.rows(); ++i) {

@@ -94,8 +94,8 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// \name Pure matrix ops (no autograd), used for building constants and
-/// inside backward passes.
+/// \name Pure matrix ops (no autograd), the arithmetic of the autograd ops'
+/// forwards and backwards. MatMul runs MatMulInto's kernel (nn/inference.cc).
 /// @{
 Matrix MatMul(const Matrix& a, const Matrix& b);
 Matrix Transpose(const Matrix& a);

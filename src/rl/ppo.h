@@ -36,7 +36,7 @@ struct TrainConfig {
   /// Also collect one greedy (argmax) episode per query each epoch, so the
   /// deterministic inference mode is optimised directly alongside the
   /// sampled exploration episodes (self-imitation-style addition; not in
-  /// the paper — see DESIGN.md).
+  /// the paper — ROADMAP.md item 1(c) re-judges it).
   bool include_greedy_episode = true;
   /// Wall-clock budget for Train(); 0 = unlimited. When exceeded, training
   /// stops after the current epoch and reports the epochs completed.

@@ -6,8 +6,10 @@
 // mark. Workspace buffers are poisoned with NaN before every forward, so
 // reading a row the row plan skipped, or an entry a kernel expected to be
 // zero-filled, breaks the exact comparison. The kernels are pinned bit for
-// bit against a naive triple loop.
+// bit against a naive triple loop, and so are the autograd MatMul's forward
+// and both backward products, which run the same matmul kernel.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "nn/autograd.h"
 #include "nn/inference.h"
 #include "rl/env.h"
 #include "rl/policy_network.h"
@@ -270,8 +273,10 @@ TEST(InferenceEquivalence, PaperDefaultOn32VertexQueries) {
   }
 }
 
-/// The autograd MatMul's definition, written out: ascending k, zero lhs
-/// coefficients skipped, multiply then add into a +0.0-initialised sum.
+/// The matmul sum, written out: ascending k, zero lhs coefficients skipped,
+/// multiply then add into a +0.0-initialised sum. The autograd MatMul and
+/// MatMulInto run one kernel, so this loop is the only independent
+/// reference for that sum: it must never call nn::MatMul.
 nn::Matrix NaiveMatMul(const nn::Matrix& a, const nn::Matrix& b) {
   nn::Matrix out(a.rows(), b.cols());
   for (size_t i = 0; i < a.rows(); ++i) {
@@ -366,6 +371,82 @@ TEST(InferenceKernels, MatMulIntoMatchesNaiveLoopBitForBit) {
         ExpectMatMulIntoExact(a, b, rows, &bias, /*relu=*/true);
       }
     }
+  }
+}
+
+/// `actual` has `expected`'s shape and SameDouble entries.
+void ExpectSameMatrix(const nn::Matrix& actual, const nn::Matrix& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  for (size_t r = 0; r < expected.rows(); ++r) {
+    for (size_t c = 0; c < expected.cols(); ++c) {
+      ASSERT_TRUE(SameDouble(actual.At(r, c), expected.At(r, c)))
+          << "(" << r << ", " << c << ")";
+    }
+  }
+}
+
+TEST(AutogradMatMul, ForwardAndBackwardProductsMatchNaiveLoopBitForBit) {
+  // Training runs the serving kernel in Var MatMul's forward and in both
+  // backward products, G · Bᵀ and Aᵀ · G. Every operand holds ±0 (about
+  // half its entries) and one NaN, one +inf and one -inf: a kept zero
+  // coefficient turns an infinite rhs entry into NaN, and a NaN or
+  // infinite coefficient must propagate.
+  Rng rng(17);
+  const size_t kRows = 6;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto special = [&rng](size_t rows, size_t cols) {
+    nn::Matrix m = SparseRandom(rows, cols, /*zero_row=*/rows - 1, &rng);
+    for (const double v : {std::nan(""), kInf, -kInf}) {
+      m.At(rng.NextBounded(rows), rng.NextBounded(cols)) = v;
+    }
+    return m;
+  };
+  for (size_t inner : {1, 7, 40, 300}) {
+    for (size_t width :
+         {1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
+      SCOPED_TRACE("inner " + std::to_string(inner) + " width " +
+                   std::to_string(width));
+      const nn::Matrix a = special(kRows, inner);
+      const nn::Matrix b = special(inner, width);
+      const nn::Matrix g = special(kRows, width);
+      const nn::Var va = nn::Var::Leaf(a, /*requires_grad=*/true);
+      const nn::Var vb = nn::Var::Leaf(b, /*requires_grad=*/true);
+      const nn::Var y = nn::MatMul(va, vb);
+      ExpectSameMatrix(y.value(), NaiveMatMul(a, b));
+      // Hand y the upstream gradient G and run its backward step. Each
+      // leaf's gradient starts at +0.0, and +0.0 + x is x bit for bit: a
+      // sum that starts at +0.0 is never -0.0.
+      y.node()->grad = g;
+      y.node()->backward(y.node().get());
+      ExpectSameMatrix(va.grad(), NaiveMatMul(g, nn::Transpose(b)));
+      ExpectSameMatrix(vb.grad(), NaiveMatMul(nn::Transpose(a), g));
+    }
+  }
+}
+
+TEST(AutogradMatMul, EmptyShapes) {
+  // 0 rows, 0 inner and 0 columns. An empty inner dimension sums nothing,
+  // so every output entry is +0.0; the gradients of Sum(A · B) are
+  // ones · Bᵀ and Aᵀ · ones, each empty or all +0.0 too.
+  Rng rng(19);
+  for (const auto& [rows, inner, cols] :
+       std::vector<std::array<size_t, 3>>{{0, 3, 4}, {2, 0, 4}, {2, 3, 0}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(inner) + "x" +
+                 std::to_string(cols));
+    const nn::Matrix a = nn::Matrix::Randn(rows, inner, 1.0, &rng);
+    const nn::Matrix b = nn::Matrix::Randn(inner, cols, 1.0, &rng);
+    const nn::Matrix zeros(rows, cols, 0.0);
+    ExpectSameMatrix(nn::MatMul(a, b), zeros);
+    ExpectSameMatrix(NaiveMatMul(a, b), zeros);
+    const nn::Var va = nn::Var::Leaf(a, /*requires_grad=*/true);
+    const nn::Var vb = nn::Var::Leaf(b, /*requires_grad=*/true);
+    const nn::Var y = nn::MatMul(va, vb);
+    ExpectSameMatrix(y.value(), zeros);
+    nn::Backward(nn::Sum(y));
+    const nn::Matrix ones = nn::Matrix::Ones(rows, cols);
+    ExpectSameMatrix(va.node()->grad, NaiveMatMul(ones, nn::Transpose(b)));
+    ExpectSameMatrix(vb.node()->grad, NaiveMatMul(nn::Transpose(a), ones));
   }
 }
 
