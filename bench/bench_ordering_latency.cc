@@ -20,12 +20,20 @@
 // speedup over the size-mixed workload (total autograd seconds / total
 // inference seconds; per-size ratios are also reported — small queries sit
 // lower because the shared env walk and the full-mask first step dilute
-// the forward savings). Metrics land in BENCH_ordering_latency.json;
-// --smoke shrinks query counts/reps for the CI smoke step but keeps the
-// full size range, and writes BENCH_ordering_latency_smoke.json instead.
+// the forward savings).
+//
+// A default run measures in 5 interleaved rounds: each round times every
+// size and ordering, then the engine batch, once. Every printed column is
+// the median over the rounds with its first and third quartile, and
+// BENCH_ordering_latency.json carries each as <key>_p25 / _p50 / _p75.
+// --smoke runs one round with fewer queries and reps for the CI smoke step
+// (full size range, every fatal check) and writes
+// BENCH_ordering_latency_smoke.json instead.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +74,50 @@ LatencyStats Percentiles(std::vector<double> seconds) {
   stats.mean_us = total / seconds.size() * 1e6;
   return stats;
 }
+
+/// A column's value in every round, in the order first recorded.
+class RoundColumns {
+ public:
+  void Add(const std::string& key, double value) {
+    auto [it, inserted] = values_.try_emplace(key);
+    if (inserted) keys_.push_back(key);
+    it->second.push_back(value);
+  }
+
+  /// The q-quantile of `key` over the rounds, interpolating linearly
+  /// between order statistics.
+  double Quantile(const std::string& key, double q) const {
+    std::vector<double> v = values_.at(key);
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(pos));
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  }
+
+  /// "median [p25, p75]" of `key`.
+  std::string Cell(const std::string& key) const {
+    char cell[64];
+    std::snprintf(cell, sizeof(cell), "%.1f [%.1f, %.1f]",
+                  Quantile(key, 0.5), Quantile(key, 0.25),
+                  Quantile(key, 0.75));
+    return cell;
+  }
+
+  /// Every column as <key>_p25, <key>_p50 and <key>_p75.
+  void AppendQuartiles(
+      std::vector<std::pair<std::string, double>>* metrics) const {
+    for (const std::string& key : keys_) {
+      metrics->emplace_back(key + "_p25", Quantile(key, 0.25));
+      metrics->emplace_back(key + "_p50", Quantile(key, 0.5));
+      metrics->emplace_back(key + "_p75", Quantile(key, 0.75));
+    }
+  }
+
+ private:
+  std::vector<std::string> keys_;
+  std::map<std::string, std::vector<double>> values_;
+};
 
 /// Times `ordering` over every (query, candidates) pair `reps` times and
 /// returns per-order latencies. Orders are appended to `orders_out` (one
@@ -162,94 +214,41 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> query_sizes = {8, 16, 32};
   const uint32_t queries_per_size = smoke ? 3 : 8;
   const int reps = smoke ? 5 : 30;
+  const int rounds = smoke ? 1 : 5;
 
   RLQVOModel model;  // paper-default architecture (GCN x2, hidden 64)
   auto policy = std::shared_ptr<const PolicyNetwork>(
       std::make_shared<PolicyNetwork>(model.policy().Clone()));
   auto gql_filter = MustOk(MakeFilter("GQL"), "filter");
 
-  std::vector<std::pair<std::string, double>> metrics;
-  double worst_speedup = 1e300;
-  double total_autograd_seconds = 0.0;
-  double total_inference_seconds = 0.0;
-
-  std::printf("%6s %-18s %12s %12s %12s\n", "|V(q)|", "ordering", "p50 us",
-              "p99 us", "mean us");
-  for (uint32_t size : query_sizes) {
-    QuerySampler sampler(&data, opts.seed + size);
+  struct SizeCase {
+    uint32_t size = 0;
+    std::string tag;  // "q<size>"
     std::vector<Graph> queries;
     std::vector<CandidateSet> candidates;
-    for (uint32_t i = 0; i < queries_per_size; ++i) {
-      queries.push_back(MustOk(sampler.SampleQuery(size), "sample"));
-      candidates.push_back(
-          MustOk(gql_filter->Filter(queries.back(), data), "filter"));
-    }
-
+    std::unique_ptr<RLQVOOrdering> inference;
+  };
+  std::vector<SizeCase> cases;
+  for (uint32_t size : query_sizes) {
+    SizeCase c;
+    c.size = size;
     // Append, not `"q" + std::to_string(size)`: GCC 12 -Wrestrict false
     // positive (PR105329) on the const char* + string&& overload at -O3.
-    std::string tag = "q";
-    tag += std::to_string(size);
-    auto record = [&](const std::string& name,
-                      const std::vector<double>& lat) {
-      const LatencyStats stats = Percentiles(lat);
-      std::printf("%6u %-18s %12.1f %12.1f %12.1f\n", size, name.c_str(),
-                  stats.p50_us, stats.p99_us, stats.mean_us);
-      metrics.emplace_back(name + "_p50_us_" + tag, stats.p50_us);
-      metrics.emplace_back(name + "_p99_us_" + tag, stats.p99_us);
-      metrics.emplace_back(name + "_mean_us_" + tag, stats.mean_us);
-      return stats;
-    };
-
-    // Heuristic baselines.
-    RIOrdering ri;
-    GQLOrdering gql;
-    CFLOrdering cfl;
-    record("RI", TimeOrdering(&ri, queries, data, candidates, reps));
-    record("GQL", TimeOrdering(&gql, queries, data, candidates, reps));
-    record("CFL", TimeOrdering(&cfl, queries, data, candidates, reps));
-
-    // RL-QVO, autograd (training-grade) path.
-    AutogradRLQVOOrdering autograd(policy, model.feature_config());
-    std::vector<std::vector<VertexId>> autograd_orders;
-    const std::vector<double> autograd_lat = TimeOrdering(
-        &autograd, queries, data, candidates, reps, &autograd_orders);
-    const LatencyStats autograd_stats = record("RLQVO_autograd", autograd_lat);
-    for (double s : autograd_lat) total_autograd_seconds += s;
-
-    // RL-QVO, tape-free inference path. Warm up once so the measured reps
-    // run at the buffer high-water mark, then require zero further growth.
-    RLQVOOrdering inference(policy, model.feature_config());
-    {
-      std::vector<std::vector<VertexId>> warmup;
-      TimeOrdering(&inference, queries, data, candidates, 1, &warmup);
+    c.tag = "q";
+    c.tag += std::to_string(size);
+    QuerySampler sampler(&data, opts.seed + size);
+    for (uint32_t i = 0; i < queries_per_size; ++i) {
+      c.queries.push_back(MustOk(sampler.SampleQuery(size), "sample"));
+      c.candidates.push_back(
+          MustOk(gql_filter->Filter(c.queries.back(), data), "filter"));
     }
-    const uint64_t grows_before = inference.inference_workspace().buffer_grows();
-    std::vector<std::vector<VertexId>> inference_orders;
-    const std::vector<double> inference_lat = TimeOrdering(
-        &inference, queries, data, candidates, reps, &inference_orders);
-    const LatencyStats inference_stats =
-        record("RLQVO_inference", inference_lat);
-    for (double s : inference_lat) total_inference_seconds += s;
-    if (inference.inference_workspace().buffer_grows() != grows_before) {
-      std::fprintf(stderr,
-                   "FATAL: inference workspace grew during steady state\n");
-      return 1;
-    }
-    // Equal scores => equal greedy orders; anything else is a numerics bug.
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (autograd_orders[qi] != inference_orders[qi]) {
-        std::fprintf(stderr,
-                     "FATAL: inference and autograd orders differ on "
-                     "query %zu (size %u)\n",
-                     qi, size);
-        return 1;
-      }
-    }
-
-    const double speedup = autograd_stats.mean_us / inference_stats.mean_us;
-    worst_speedup = std::min(worst_speedup, speedup);
-    metrics.emplace_back("inference_speedup_" + tag, speedup);
-    std::printf("%6u %-18s %11.2fx\n", size, "speedup", speedup);
+    // Warm up once so every measured rep runs at the buffer high-water
+    // mark; each round then requires zero further growth.
+    c.inference =
+        std::make_unique<RLQVOOrdering>(policy, model.feature_config());
+    std::vector<std::vector<VertexId>> warmup;
+    TimeOrdering(c.inference.get(), c.queries, data, c.candidates, 1, &warmup);
+    cases.push_back(std::move(c));
   }
 
   // Engine throughput on a repeated-fingerprint batch: order cache on vs
@@ -276,51 +275,157 @@ int main(int argc, char** argv) {
       model.MakeEngine(shared_data, cache_on, enum_options), "engine");
   auto engine_off = MustOk(
       model.MakeEngine(shared_data, cache_off, enum_options), "engine");
-  // Warm both engines (candidate cache + workspaces), then measure.
+  // Warm both engines (candidate cache + workspaces) before the rounds.
   MustOk(engine_on->MatchBatch(batch), "warmup");
   MustOk(engine_off->MatchBatch(batch), "warmup");
-  const BatchResult on = MustOk(engine_on->MatchBatch(batch), "batch");
-  const BatchResult off = MustOk(engine_off->MatchBatch(batch), "batch");
-  if (on.totals.num_matches != off.totals.num_matches ||
-      on.totals.num_enumerations != off.totals.num_enumerations) {
-    std::fprintf(stderr,
-                 "FATAL: order cache changed batch results "
-                 "(matches %llu vs %llu)\n",
-                 static_cast<unsigned long long>(on.totals.num_matches),
-                 static_cast<unsigned long long>(off.totals.num_matches));
-    return 1;
-  }
-  if (on.order_cache_hits + on.order_cache_misses != batch.size()) {
-    std::fprintf(stderr, "FATAL: order cache accounting does not balance\n");
-    return 1;
-  }
-  const double qps_on = batch.size() / on.wall_seconds;
-  const double qps_off = batch.size() / off.wall_seconds;
-  std::printf(
-      "engine repeated-shape batch (%zu queries, %u shapes): "
-      "%.0f q/s cached vs %.0f q/s uncached (%.2fx), order time %.3f ms "
-      "vs %.3f ms, order-cache hits %llu\n",
-      batch.size(), shapes, qps_on, qps_off, qps_on / qps_off,
-      on.total_order_seconds * 1e3, off.total_order_seconds * 1e3,
-      static_cast<unsigned long long>(on.order_cache_hits));
-  metrics.emplace_back("engine_qps_order_cache_on", qps_on);
-  metrics.emplace_back("engine_qps_order_cache_off", qps_off);
-  metrics.emplace_back("engine_order_cache_speedup", qps_on / qps_off);
-  AppendOrderingMetrics(&metrics, "engine_cached", on.total_order_seconds,
-                        on.order_cache_hits, on.order_cache_misses);
-  AppendOrderingMetrics(&metrics, "engine_uncached", off.total_order_seconds,
-                        off.order_cache_hits, off.order_cache_misses);
 
-  const double aggregate_speedup =
-      total_autograd_seconds / total_inference_seconds;
-  metrics.emplace_back("min_inference_speedup", worst_speedup);
-  metrics.emplace_back("aggregate_inference_speedup", aggregate_speedup);
+  RoundColumns columns;
+  BatchResult last_on;
+  BatchResult last_off;
+  for (int round = 0; round < rounds; ++round) {
+    double worst_speedup = 1e300;
+    double total_autograd_seconds = 0.0;
+    double total_inference_seconds = 0.0;
+    for (SizeCase& c : cases) {
+      auto record = [&](const std::string& name,
+                        const std::vector<double>& lat) {
+        const LatencyStats stats = Percentiles(lat);
+        columns.Add(name + "_p50_us_" + c.tag, stats.p50_us);
+        columns.Add(name + "_p99_us_" + c.tag, stats.p99_us);
+        columns.Add(name + "_mean_us_" + c.tag, stats.mean_us);
+        return stats;
+      };
+
+      // Heuristic baselines.
+      RIOrdering ri;
+      GQLOrdering gql;
+      CFLOrdering cfl;
+      record("RI", TimeOrdering(&ri, c.queries, data, c.candidates, reps));
+      record("GQL", TimeOrdering(&gql, c.queries, data, c.candidates, reps));
+      record("CFL", TimeOrdering(&cfl, c.queries, data, c.candidates, reps));
+
+      // RL-QVO, autograd (training-grade) path.
+      AutogradRLQVOOrdering autograd(policy, model.feature_config());
+      std::vector<std::vector<VertexId>> autograd_orders;
+      const std::vector<double> autograd_lat = TimeOrdering(
+          &autograd, c.queries, data, c.candidates, reps, &autograd_orders);
+      const LatencyStats autograd_stats =
+          record("RLQVO_autograd", autograd_lat);
+      for (double s : autograd_lat) total_autograd_seconds += s;
+
+      // RL-QVO, tape-free inference path.
+      const uint64_t grows_before =
+          c.inference->inference_workspace().buffer_grows();
+      std::vector<std::vector<VertexId>> inference_orders;
+      const std::vector<double> inference_lat =
+          TimeOrdering(c.inference.get(), c.queries, data, c.candidates, reps,
+                       &inference_orders);
+      const LatencyStats inference_stats =
+          record("RLQVO_inference", inference_lat);
+      for (double s : inference_lat) total_inference_seconds += s;
+      if (c.inference->inference_workspace().buffer_grows() != grows_before) {
+        std::fprintf(stderr,
+                     "FATAL: inference workspace grew during steady state\n");
+        return 1;
+      }
+      // Equal scores => equal greedy orders; anything else is a numerics bug.
+      for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+        if (autograd_orders[qi] != inference_orders[qi]) {
+          std::fprintf(stderr,
+                       "FATAL: inference and autograd orders differ on "
+                       "query %zu (size %u)\n",
+                       qi, c.size);
+          return 1;
+        }
+      }
+
+      const double speedup = autograd_stats.mean_us / inference_stats.mean_us;
+      worst_speedup = std::min(worst_speedup, speedup);
+      columns.Add("inference_speedup_" + c.tag, speedup);
+    }
+    columns.Add("min_inference_speedup", worst_speedup);
+    columns.Add("aggregate_inference_speedup",
+                total_autograd_seconds / total_inference_seconds);
+
+    // Alternate which engine runs first, so neither always meets the
+    // caches the latency loops above left behind.
+    BatchResult on;
+    BatchResult off;
+    if (round % 2 == 0) {
+      on = MustOk(engine_on->MatchBatch(batch), "batch");
+      off = MustOk(engine_off->MatchBatch(batch), "batch");
+    } else {
+      off = MustOk(engine_off->MatchBatch(batch), "batch");
+      on = MustOk(engine_on->MatchBatch(batch), "batch");
+    }
+    if (on.totals.num_matches != off.totals.num_matches ||
+        on.totals.num_enumerations != off.totals.num_enumerations) {
+      std::fprintf(stderr,
+                   "FATAL: order cache changed batch results "
+                   "(matches %llu vs %llu)\n",
+                   static_cast<unsigned long long>(on.totals.num_matches),
+                   static_cast<unsigned long long>(off.totals.num_matches));
+      return 1;
+    }
+    if (on.order_cache_hits + on.order_cache_misses != batch.size()) {
+      std::fprintf(stderr, "FATAL: order cache accounting does not balance\n");
+      return 1;
+    }
+    const double qps_on = batch.size() / on.wall_seconds;
+    const double qps_off = batch.size() / off.wall_seconds;
+    columns.Add("engine_qps_order_cache_on", qps_on);
+    columns.Add("engine_qps_order_cache_off", qps_off);
+    columns.Add("engine_order_cache_speedup", qps_on / qps_off);
+    columns.Add("engine_cached_order_us", on.total_order_seconds * 1e6);
+    columns.Add("engine_uncached_order_us", off.total_order_seconds * 1e6);
+    last_on = on;
+    last_off = off;
+  }
+
+  std::printf("%d round(s); each cell is the median over the rounds "
+              "[first, third quartile]\n",
+              rounds);
+  std::printf("%6s %-18s %24s %24s %24s\n", "|V(q)|", "ordering", "p50 us",
+              "p99 us", "mean us");
+  for (const SizeCase& c : cases) {
+    for (const char* name :
+         {"RI", "GQL", "CFL", "RLQVO_autograd", "RLQVO_inference"}) {
+      const std::string prefix = name;
+      std::printf("%6u %-18s %24s %24s %24s\n", c.size, name,
+                  columns.Cell(prefix + "_p50_us_" + c.tag).c_str(),
+                  columns.Cell(prefix + "_p99_us_" + c.tag).c_str(),
+                  columns.Cell(prefix + "_mean_us_" + c.tag).c_str());
+    }
+    std::printf("%6u %-18s %24s\n", c.size, "speedup (x)",
+                columns.Cell("inference_speedup_" + c.tag).c_str());
+  }
   std::printf(
-      "inference speedup over the paper-scale workload: %.2fx aggregate %s "
-      "(worst single size %.2fx)\n",
-      aggregate_speedup,
+      "engine repeated-shape batch (%zu queries, %u shapes): %s q/s cached "
+      "vs %s q/s uncached (%sx), order time %s us vs %s us, order-cache "
+      "hits %llu\n",
+      batch.size(), shapes, columns.Cell("engine_qps_order_cache_on").c_str(),
+      columns.Cell("engine_qps_order_cache_off").c_str(),
+      columns.Cell("engine_order_cache_speedup").c_str(),
+      columns.Cell("engine_cached_order_us").c_str(),
+      columns.Cell("engine_uncached_order_us").c_str(),
+      static_cast<unsigned long long>(last_on.order_cache_hits));
+  const double aggregate_speedup =
+      columns.Quantile("aggregate_inference_speedup", 0.5);
+  std::printf(
+      "inference speedup over the paper-scale workload: %sx aggregate %s "
+      "(worst single size %sx)\n",
+      columns.Cell("aggregate_inference_speedup").c_str(),
       aggregate_speedup >= 3.0 ? "(PASS >= 3x)" : "(below 3x bar)",
-      worst_speedup);
+      columns.Cell("min_inference_speedup").c_str());
+
+  std::vector<std::pair<std::string, double>> metrics;
+  columns.AppendQuartiles(&metrics);
+  AppendOrderingMetrics(&metrics, "engine_cached",
+                        last_on.total_order_seconds, last_on.order_cache_hits,
+                        last_on.order_cache_misses);
+  AppendOrderingMetrics(&metrics, "engine_uncached",
+                        last_off.total_order_seconds,
+                        last_off.order_cache_hits, last_off.order_cache_misses);
   WriteBenchJson(smoke ? "ordering_latency_smoke" : "ordering_latency", opts,
                  metrics);
   return 0;

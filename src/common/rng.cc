@@ -35,6 +35,10 @@ uint64_t Rng::NextUint64() {
   return result;
 }
 
+void Rng::Discard(uint64_t count) {
+  for (; count > 0; --count) NextUint64();
+}
+
 uint64_t Rng::NextBounded(uint64_t bound) {
   RLQVO_CHECK_GT(bound, 0u);
   // Rejection sampling to avoid modulo bias.

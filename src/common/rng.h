@@ -24,6 +24,10 @@ class Rng {
   /// \brief Next raw 64-bit value.
   uint64_t NextUint64();
 
+  /// \brief Advances past `count` raw draws, leaving the state that
+  /// `count` NextUint64() calls would leave (the cached Gaussian is kept).
+  void Discard(uint64_t count);
+
   /// \brief Uniform integer in [0, bound). `bound` must be > 0.
   uint64_t NextBounded(uint64_t bound);
 

@@ -79,6 +79,14 @@ void Var::ZeroGrad() {
   if (!node_->grad.empty()) node_->grad.Fill(0.0);
 }
 
+void Var::AddToGrad(const Matrix& g) {
+  RLQVO_CHECK(node_ != nullptr);
+  if (g.empty()) return;
+  RLQVO_CHECK(g.SameShape(node_->value));
+  node_->EnsureGrad();
+  node_->grad.AddInPlace(g);
+}
+
 void Var::SetValue(Matrix value) {
   RLQVO_CHECK(node_ != nullptr);
   RLQVO_CHECK(node_->parents.empty()) << "SetValue only valid on leaves";

@@ -51,6 +51,10 @@ class Var {
 
   /// Clears the accumulated gradient (used between optimiser steps).
   void ZeroGrad();
+  /// Adds `g` into the accumulated gradient, allocating it on first use,
+  /// as Backward does for each contribution; an empty `g` adds nothing.
+  /// Sums gradients that were computed on a copy of this leaf.
+  void AddToGrad(const Matrix& g);
   /// Overwrites a leaf's value in place (optimiser update).
   void SetValue(Matrix value);
 

@@ -46,6 +46,12 @@ PolicyNetwork::ForwardResult PolicyNetwork::Forward(
   return result;
 }
 
+uint64_t PolicyNetwork::TrainingForwardDraws(size_t num_vertices) const {
+  if (config_.dropout <= 0.0) return 0;
+  return static_cast<uint64_t>(gnn_layers_.size()) * num_vertices *
+         static_cast<uint64_t>(config_.hidden_dim);
+}
+
 namespace {
 
 /// Appends to `out`, ascending, the closed neighbourhood of `rows` in
@@ -133,13 +139,18 @@ std::vector<nn::Var> PolicyNetwork::Parameters() const {
 
 PolicyNetwork PolicyNetwork::Clone() const {
   PolicyNetwork copy(config_);
-  std::vector<nn::Var> src = Parameters();
-  std::vector<nn::Var> dst = copy.Parameters();
+  copy.CopyWeightsFrom(*this);
+  return copy;
+}
+
+void PolicyNetwork::CopyWeightsFrom(const PolicyNetwork& source) {
+  const std::vector<nn::Var> src = source.Parameters();
+  std::vector<nn::Var> dst = Parameters();
   RLQVO_CHECK_EQ(src.size(), dst.size());
   for (size_t i = 0; i < src.size(); ++i) {
+    RLQVO_CHECK(src[i].value().SameShape(dst[i].value()));
     dst[i].SetValue(src[i].value());
   }
-  return copy;
 }
 
 std::map<std::string, std::string> PolicyNetwork::ConfigMetadata() const {

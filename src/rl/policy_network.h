@@ -25,8 +25,12 @@ struct PolicyConfig {
 };
 
 /// \brief The policy π_θ: maps (query state, action mask) to log-action-
-/// probabilities. Thin wrapper over the autograd layers; episodes rebuild
-/// the graph every forward pass (query graphs are tiny).
+/// probabilities. Thin wrapper over the autograd layers; every Forward
+/// builds a fresh tape (query graphs are tiny). PPO's update pass builds
+/// one such tape per recorded step, each on a Clone whose weights
+/// CopyWeightsFrom keeps equal to the trained network's, and draws each
+/// step's dropout from its own copy of the trainer's Rng, advanced by
+/// TrainingForwardDraws per earlier step (rl/ppo.h).
 class PolicyNetwork {
  public:
   explicit PolicyNetwork(const PolicyConfig& config);
@@ -49,6 +53,12 @@ class PolicyNetwork {
                         const nn::Matrix& features,
                         const std::vector<bool>& action_mask, bool training,
                         Rng* dropout_rng) const;
+
+  /// Raw draws a training-mode Forward takes from `dropout_rng` on a
+  /// query of `num_vertices` vertices: nn::Dropout draws one per entry of
+  /// each graph layer's (num_vertices, hidden_dim) output, none when
+  /// dropout is 0. An eval-mode Forward draws nothing.
+  uint64_t TrainingForwardDraws(size_t num_vertices) const;
 
   /// Views into an InferenceWorkspace after ForwardInference; valid until
   /// the workspace's next use.
@@ -87,6 +97,9 @@ class PolicyNetwork {
 
   /// Deep copy with identical weights — the PPO sampling policy π_θ'.
   PolicyNetwork Clone() const;
+  /// Overwrites every weight with `source`'s; the configs must match.
+  /// Gradients are left as they were.
+  void CopyWeightsFrom(const PolicyNetwork& source);
 
   /// Persists config + weights. Loadable by Load.
   Status Save(const std::string& path) const;

@@ -13,28 +13,119 @@ namespace rlqvo {
 
 namespace {
 
-/// One recorded decision of an episode (steps with a single legal action
-/// are taken directly and not recorded, per the |AS(t)|=1 shortcut).
-struct StepRecord {
-  nn::Matrix features;
-  std::vector<bool> mask;
-  VertexId action = kInvalidVertex;
-  double old_log_prob = 0.0;
-  /// β-weighted validity + entropy portion of Eq. (1); the shared
-  /// enumeration reward is added once the episode completes.
-  double partial_reward = 0.0;
-  double advantage = 0.0;
-};
+/// Step `step`'s share of the pass: its training forward under `dropout`,
+/// then Backward from its clipped-surrogate term scaled by `root_scale`
+/// (−1/N), accumulating into `network`'s parameter gradients.
+void AccumulateStepGradient(const PolicyNetwork& network, const PPOStep& step,
+                            double clip_epsilon, double root_scale,
+                            Rng* dropout) {
+  const PolicyNetwork::ForwardResult forward =
+      network.Forward(*step.tensors, step.features, step.mask,
+                      /*training=*/true, dropout);
+  const nn::Var log_prob = nn::Pick(forward.log_probs, step.action, 0);
+  const nn::Var ratio = nn::Exp(nn::AddScalar(log_prob, -step.old_log_prob));
+  const nn::Var unclipped = nn::Scale(ratio, step.advantage);
+  const nn::Var clipped = nn::Scale(
+      nn::Clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon),
+      step.advantage);
+  nn::Backward(nn::Scale(nn::Min(unclipped, clipped), root_scale));
+}
 
-struct Episode {
-  size_t query_index = 0;
-  std::vector<StepRecord> steps;
-  std::vector<VertexId> order;
-  double enum_reward = 0.0;
-  double episode_return = 0.0;
+/// Hand-off state of one PPOUpdatePass::Run. Position p (0-based) is step
+/// N − 1 − p, computed in slot p % window; the calling thread consumes
+/// positions in order.
+struct PassWindow {
+  Mutex mu;
+  CondVar cv;  // a position claimed, a slot filled or freed, a worker done
+  size_t next GUARDED_BY(mu) = 0;      // next unclaimed position
+  size_t consumed GUARDED_BY(mu) = 0;  // positions added into the policy
+  std::vector<char> ready GUARDED_BY(mu);  // per slot: holds a position
+  uint32_t finished GUARDED_BY(mu) = 0;    // worker loops that returned
 };
 
 }  // namespace
+
+PPOUpdatePass::PPOUpdatePass(PolicyNetwork* policy, ThreadPool* pool)
+    : policy_(policy), pool_(pool) {
+  RLQVO_CHECK(policy != nullptr);
+  RLQVO_CHECK(pool != nullptr);
+  params_ = policy_->Parameters();
+  // Steps are added in order, so one slow step holds its slot and every
+  // later one; four slots per worker let the others run ahead meanwhile
+  // (two and eight measured in docs/BENCHMARKS.md, "Streamed PPO update").
+  const size_t window = 4 * static_cast<size_t>(pool_->size());
+  slots_.reserve(window);
+  for (size_t i = 0; i < window; ++i) slots_.emplace_back(policy_->Clone());
+}
+
+void PPOUpdatePass::Run(const std::vector<PPOStep>& batch,
+                        double clip_epsilon, Rng* rng) {
+  RLQVO_CHECK(rng != nullptr);
+  RLQVO_CHECK(ThreadPool::CurrentPool() != pool_)
+      << "PPOUpdatePass::Run called from its own pool";
+  const size_t n = batch.size();
+  if (n == 0) return;
+  // Dropout streams, taken in batch order: step s draws from the state the
+  // one-tape pass reached when its forward of step s began.
+  std::vector<Rng> streams;
+  streams.reserve(n);
+  for (const PPOStep& step : batch) {
+    streams.push_back(*rng);
+    rng->Discard(policy_->TrainingForwardDraws(step.features.rows()));
+  }
+  for (Slot& slot : slots_) slot.network.CopyWeightsFrom(*policy_);
+
+  const double root_scale = -1.0 / static_cast<double>(n);
+  const size_t window = slots_.size();
+  const uint32_t workers = pool_->size();
+  PassWindow w;
+  {
+    MutexLock lock(&w.mu);
+    w.ready.assign(window, 0);
+  }
+  for (uint32_t t = 0; t < workers; ++t) {
+    pool_->Submit([&] {
+      for (;;) {
+        size_t p = 0;
+        {
+          MutexLock lock(&w.mu);
+          if (w.next == n) break;
+          p = w.next++;
+          // The slot still holds position p − window until it is consumed.
+          while (p >= w.consumed + window) w.cv.Wait(&w.mu);
+        }
+        Slot& slot = slots_[p % window];
+        for (nn::Var& param : slot.params) param.ZeroGrad();
+        AccumulateStepGradient(slot.network, batch[n - 1 - p], clip_epsilon,
+                               root_scale, &streams[n - 1 - p]);
+        MutexLock lock(&w.mu);
+        w.ready[p % window] = 1;
+        w.cv.NotifyAll();
+      }
+      MutexLock lock(&w.mu);
+      ++w.finished;
+      w.cv.NotifyAll();
+    });
+  }
+  // The ordered sum, on this thread: step N's gradients first.
+  for (size_t p = 0; p < n; ++p) {
+    const Slot& slot = slots_[p % window];
+    {
+      MutexLock lock(&w.mu);
+      while (w.ready[p % window] == 0) w.cv.Wait(&w.mu);
+    }
+    for (size_t j = 0; j < params_.size(); ++j) {
+      params_[j].AddToGrad(slot.params[j].grad());
+    }
+    MutexLock lock(&w.mu);
+    w.ready[p % window] = 0;
+    ++w.consumed;
+    w.cv.NotifyAll();
+  }
+  // The loops touch `w` until they return.
+  MutexLock lock(&w.mu);
+  while (w.finished < workers) w.cv.Wait(&w.mu);
+}
 
 /// Per-query cached state: env (features + graph tensors), candidates, the
 /// RI-baseline enumeration count, and a memo of already-scored orders.
@@ -92,30 +183,31 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
     contexts.push_back(std::move(ctx));
   }
 
-  std::vector<nn::Var> params = policy_->Parameters();
   nn::Adam::Options adam_options;
   adam_options.learning_rate = config_.learning_rate;
   adam_options.max_grad_norm = config_.max_grad_norm;
-  nn::Adam adam(params, adam_options);
+  nn::Adam adam(policy_->Parameters(), adam_options);
+  ThreadPool pool(/*num_threads=*/0);  // hardware_concurrency workers
+  PPOUpdatePass update(policy_, &pool);
 
   TrainStats stats;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     // Sampling policy π_θ' — frozen for this epoch (Sec III-E).
     PolicyNetwork sampling_policy = policy_->Clone();
 
-    std::vector<Episode> batch;
+    std::vector<PPOStep> batch;
     double epoch_enum_reward = 0.0;
     double epoch_return = 0.0;
     size_t episodes_this_epoch = 0;
 
-    // Rolls out one episode for query `qi` under the frozen sampling policy;
-    // `greedy` selects argmax actions (the inference mode) instead of
-    // sampling from the masked distribution.
+    // Rolls out one episode for query `qi` under the frozen sampling policy,
+    // appending its recorded steps to `batch`; `greedy` selects argmax
+    // actions (the inference mode) instead of sampling from the masked
+    // distribution.
     auto run_episode = [&](size_t qi, bool greedy) -> Status {
       QueryContext& qc = *contexts[qi];
       qc.env.Reset();
-      Episode episode;
-      episode.query_index = qi;
+      const size_t first_step = batch.size();
       std::vector<double> step_rewards;
 
       while (!qc.env.Done()) {
@@ -124,7 +216,8 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
           qc.env.Step(sole);
           continue;
         }
-        StepRecord record;
+        PPOStep record;
+        record.tensors = &qc.env.tensors();
         record.features = qc.env.Features();
         record.mask = qc.env.ActionMask();
         auto forward = sampling_policy.Forward(qc.env.tensors(),
@@ -160,43 +253,43 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
         }
         const bool valid = record.mask[argmax];
         const double entropy = Entropy(probs);
-        record.partial_reward =
-            StepReward(config_.reward, /*enum_reward=*/0.0, valid, entropy);
-        step_rewards.push_back(record.partial_reward);
+        // β-weighted validity + entropy portion of Eq. (1); the shared
+        // enumeration reward is added once the episode completes.
+        step_rewards.push_back(
+            StepReward(config_.reward, /*enum_reward=*/0.0, valid, entropy));
 
-        episode.steps.push_back(std::move(record));
+        batch.push_back(std::move(record));
         qc.env.Step(action);
       }
-      episode.order = qc.env.order();
+      const std::vector<VertexId>& order = qc.env.order();
 
       // Enumeration reward: run (or recall) the enumeration for this order.
       uint64_t learned_enum = 0;
-      auto memo = qc.enum_memo.find(episode.order);
+      auto memo = qc.enum_memo.find(order);
       if (memo != qc.enum_memo.end()) {
         learned_enum = memo->second;
       } else {
         RLQVO_ASSIGN_OR_RETURN(
             EnumerateResult run,
-            enumerator.Run(queries[qi], data, qc.candidates, episode.order,
+            enumerator.Run(queries[qi], data, qc.candidates, order,
                            enum_options, &enum_workspace));
         learned_enum = run.num_enumerations;
-        qc.enum_memo[episode.order] = learned_enum;
+        qc.enum_memo[order] = learned_enum;
       }
-      episode.enum_reward = EnumerationReward(qc.baseline_enum, learned_enum);
-      epoch_enum_reward += episode.enum_reward;
+      const double enum_reward =
+          EnumerationReward(qc.baseline_enum, learned_enum);
+      epoch_enum_reward += enum_reward;
 
       // Total step rewards (Eq. 1) and decayed returns-to-go (Eq. 2).
-      for (double& r : step_rewards) r += episode.enum_reward;
+      for (double& r : step_rewards) r += enum_reward;
       const std::vector<double> returns =
           DiscountedReturns(config_.reward, step_rewards);
-      for (size_t i = 0; i < episode.steps.size(); ++i) {
-        episode.steps[i].advantage = returns[i];
+      for (size_t i = 0; i < returns.size(); ++i) {
+        batch[first_step + i].advantage = returns[i];
       }
-      episode.episode_return = returns.empty() ? 0.0 : returns[0];
-      epoch_return += episode.episode_return;
+      epoch_return += returns.empty() ? 0.0 : returns[0];
       ++stats.episodes;
       ++episodes_this_epoch;
-      if (!episode.steps.empty()) batch.push_back(std::move(episode));
       return Status::OK();
     };
 
@@ -213,59 +306,28 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
         epoch_return / static_cast<double>(episodes_this_epoch));
 
     // Advantage standardisation across the whole batch.
-    if (config_.normalize_advantages) {
+    if (config_.normalize_advantages && batch.size() > 1) {
+      const double count = static_cast<double>(batch.size());
       double mean = 0.0;
-      size_t count = 0;
-      for (const Episode& e : batch) {
-        for (const StepRecord& s : e.steps) {
-          mean += s.advantage;
-          ++count;
-        }
+      for (const PPOStep& s : batch) mean += s.advantage;
+      mean /= count;
+      double var = 0.0;
+      for (const PPOStep& s : batch) {
+        var += (s.advantage - mean) * (s.advantage - mean);
       }
-      if (count > 1) {
-        mean /= static_cast<double>(count);
-        double var = 0.0;
-        for (const Episode& e : batch) {
-          for (const StepRecord& s : e.steps) {
-            var += (s.advantage - mean) * (s.advantage - mean);
-          }
-        }
-        const double stddev = std::sqrt(var / static_cast<double>(count));
-        for (Episode& e : batch) {
-          for (StepRecord& s : e.steps) {
-            s.advantage = (s.advantage - mean) / (stddev + 1e-8);
-          }
-        }
+      const double stddev = std::sqrt(var / count);
+      for (PPOStep& s : batch) {
+        s.advantage = (s.advantage - mean) / (stddev + 1e-8);
       }
     }
 
     // Clipped-surrogate updates (Eq. 6-7), `ppo_epochs` passes per batch.
-    for (int k = 0; k < config_.ppo_epochs; ++k) {
-      adam.ZeroGrad();
-      nn::Var loss = nn::Var::Leaf(nn::Matrix(1, 1), /*requires_grad=*/false);
-      size_t num_steps = 0;
-      for (const Episode& e : batch) {
-        const QueryContext& qc = *contexts[e.query_index];
-        for (const StepRecord& s : e.steps) {
-          auto forward =
-              policy_->Forward(qc.env.tensors(), s.features, s.mask,
-                               /*training=*/true, &rng);
-          nn::Var log_prob = nn::Pick(forward.log_probs, s.action, 0);
-          nn::Var ratio =
-              nn::Exp(nn::AddScalar(log_prob, -s.old_log_prob));
-          nn::Var unclipped = nn::Scale(ratio, s.advantage);
-          nn::Var clipped = nn::Scale(
-              nn::Clip(ratio, 1.0 - config_.clip_epsilon,
-                       1.0 + config_.clip_epsilon),
-              s.advantage);
-          loss = nn::Sub(loss, nn::Min(unclipped, clipped));
-          ++num_steps;
-        }
+    if (!batch.empty()) {
+      for (int k = 0; k < config_.ppo_epochs; ++k) {
+        adam.ZeroGrad();
+        update.Run(batch, config_.clip_epsilon, &rng);
+        adam.Step();
       }
-      if (num_steps == 0) continue;
-      loss = nn::Scale(loss, 1.0 / static_cast<double>(num_steps));
-      nn::Backward(loss);
-      adam.Step();
     }
 
     stats.epochs_run = epoch + 1;

@@ -114,6 +114,15 @@ TEST(RngTest, DifferentSeedsDiverge) {
   EXPECT_LT(equal, 2);
 }
 
+TEST(RngTest, DiscardSkipsExactlyThatManyDraws) {
+  for (uint64_t count : {0u, 1u, 5u, 4096u}) {
+    Rng skipped(77), drawn(77);
+    skipped.Discard(count);
+    for (uint64_t i = 0; i < count; ++i) drawn.NextUint64();
+    EXPECT_EQ(skipped.NextUint64(), drawn.NextUint64()) << count;
+  }
+}
+
 TEST(RngTest, BoundedStaysInRange) {
   Rng rng(99);
   for (int i = 0; i < 1000; ++i) {

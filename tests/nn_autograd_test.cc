@@ -225,6 +225,22 @@ TEST(AutogradTest, GradAccumulatesAcrossBackwardCalls) {
   EXPECT_EQ(x.grad().values(), (std::vector<double>{0.0, 0.0}));
 }
 
+TEST(AutogradTest, AddToGradSumsLikeBackward) {
+  // Gradients computed on a copy of a leaf, added in, equal the ones
+  // Backward accumulates on the leaf itself.
+  Var x = Var::Leaf(Matrix::Ones(1, 2), true);
+  Var copy = Var::Leaf(x.value(), true);
+  x.AddToGrad(Matrix());  // an empty gradient adds nothing
+  EXPECT_TRUE(x.grad().empty());
+  Backward(Sum(Scale(copy, 3.0)));
+  x.AddToGrad(copy.grad());
+  x.AddToGrad(copy.grad());
+  Var direct = Var::Leaf(x.value(), true);
+  Backward(Sum(Scale(direct, 3.0)));
+  Backward(Sum(Scale(direct, 3.0)));
+  EXPECT_EQ(x.grad().values(), direct.grad().values());
+}
+
 TEST(AutogradTest, DiamondGraphAccumulates) {
   // loss = sum(x*x + x*x) — x is used twice; gradient must be 4x.
   Matrix xv(1, 2);

@@ -75,6 +75,23 @@ TEST(PolicyNetworkTest, DropoutMakesTrainingStochastic) {
   EXPECT_NE(a.raw_scores.value().values(), b.raw_scores.value().values());
 }
 
+TEST(PolicyNetworkTest, TrainingForwardDrawsCountsTheDropoutDraws) {
+  ForwardSetup s(107);
+  for (nn::Backbone backbone : {nn::Backbone::kGcn, nn::Backbone::kGat}) {
+    for (double dropout : {0.0, 0.2}) {
+      PolicyConfig config = SmallConfig();
+      config.backbone = backbone;
+      config.dropout = dropout;
+      PolicyNetwork net(config);
+      Rng forward_rng(9), skipped(9);
+      net.Forward(s.tensors, s.features, s.mask, true, &forward_rng);
+      skipped.Discard(net.TrainingForwardDraws(s.query.num_vertices()));
+      EXPECT_EQ(forward_rng.NextUint64(), skipped.NextUint64())
+          << nn::BackboneName(backbone) << ", dropout " << dropout;
+    }
+  }
+}
+
 TEST(PolicyNetworkTest, ParameterCountMatchesArchitecture) {
   PolicyConfig config;
   config.feature_dim = 7;
@@ -117,6 +134,23 @@ TEST(PolicyNetworkTest, CloneIsIndependent) {
             clone_after.log_probs.value().values());
   EXPECT_NE(original_after.log_probs.value().values(),
             clone_after.log_probs.value().values());
+}
+
+TEST(PolicyNetworkTest, CopyWeightsFromResyncsAClone) {
+  ForwardSetup s(108);
+  PolicyNetwork net(SmallConfig());
+  PolicyNetwork clone = net.Clone();
+  auto params = net.Parameters();
+  nn::Matrix bumped = params[0].value();
+  for (double& v : bumped.values()) v += 1.0;
+  params[0].SetValue(bumped);
+  clone.CopyWeightsFrom(net);
+  EXPECT_EQ(clone.Forward(s.tensors, s.features, s.mask, false, nullptr)
+                .log_probs.value()
+                .values(),
+            net.Forward(s.tensors, s.features, s.mask, false, nullptr)
+                .log_probs.value()
+                .values());
 }
 
 TEST(PolicyNetworkTest, SaveLoadRoundTrip) {

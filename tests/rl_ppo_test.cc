@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
 #include <numeric>
+#include <optional>
 
+#include "nn/optimizer.h"
 #include "rl/ppo.h"
 #include "test_util.h"
 
@@ -85,6 +89,189 @@ TEST(PPOTrainerTest, DeterministicWithSeed) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+// ---------------------------------------------------------------------------
+// The streamed update pass against the one-tape pass it replaced.
+
+constexpr double kClip = 0.2;
+
+/// The one-tape update pass, kept as the reference: one tape over the whole
+/// batch (the loss built as a Sub chain 0 − m_1 − … − m_N, scaled by 1/N)
+/// and one Backward. Dropout draws from `rng` in batch order.
+void OneTapePass(const PolicyNetwork& policy,
+                 const std::vector<PPOStep>& batch, Rng* rng) {
+  if (batch.empty()) return;
+  nn::Var loss = nn::Var::Leaf(nn::Matrix(1, 1), /*requires_grad=*/false);
+  for (const PPOStep& s : batch) {
+    auto forward = policy.Forward(*s.tensors, s.features, s.mask,
+                                  /*training=*/true, rng);
+    nn::Var log_prob = nn::Pick(forward.log_probs, s.action, 0);
+    nn::Var ratio = nn::Exp(nn::AddScalar(log_prob, -s.old_log_prob));
+    nn::Var unclipped = nn::Scale(ratio, s.advantage);
+    nn::Var clipped =
+        nn::Scale(nn::Clip(ratio, 1.0 - kClip, 1.0 + kClip), s.advantage);
+    loss = nn::Sub(loss, nn::Min(unclipped, clipped));
+  }
+  loss = nn::Scale(loss, 1.0 / static_cast<double>(batch.size()));
+  nn::Backward(loss);
+}
+
+/// Recorded steps of random episodes on several queries, with sampling
+/// log-probabilities near the policy's so that some ratios clip and some
+/// do not.
+struct RecordedBatch {
+  Graph data;
+  std::vector<Graph> queries;
+  std::vector<std::unique_ptr<OrderingEnv>> envs;
+  std::vector<PPOStep> steps;
+
+  RecordedBatch(const PolicyNetwork& policy, uint64_t seed) {
+    data = RandomData(seed, 80, 4.0, 3);
+    for (uint32_t size : {6u, 9u, 7u}) {
+      queries.push_back(RandomQuery(data, seed + size, size));
+    }
+    Rng rng(seed);
+    for (const Graph& q : queries) {
+      envs.push_back(
+          std::make_unique<OrderingEnv>(&q, &data, FeatureConfig{}));
+      OrderingEnv& env = *envs.back();
+      env.Reset();
+      while (!env.Done()) {
+        std::vector<VertexId> legal;
+        for (VertexId u = 0; u < q.num_vertices(); ++u) {
+          if (env.ActionMask()[u]) legal.push_back(u);
+        }
+        const VertexId action = rng.Choice(legal);
+        if (legal.size() > 1) {
+          PPOStep step;
+          step.tensors = &env.tensors();
+          step.features = env.Features();
+          step.mask = env.ActionMask();
+          step.action = action;
+          auto eval = policy.Forward(env.tensors(), step.features, step.mask,
+                                     /*training=*/false, nullptr);
+          step.old_log_prob = eval.log_probs.value().At(action, 0) +
+                              rng.NextUniform(-0.4, 0.4);
+          step.advantage = rng.NextGaussian();
+          steps.push_back(std::move(step));
+        }
+        env.Step(action);
+      }
+    }
+  }
+};
+
+std::vector<uint64_t> GradBits(const PolicyNetwork& policy) {
+  std::vector<uint64_t> bits;
+  for (const nn::Var& p : policy.Parameters()) {
+    for (double g : p.grad().values()) {
+      bits.push_back(std::bit_cast<uint64_t>(g));
+    }
+  }
+  return bits;
+}
+
+std::vector<uint64_t> WeightBits(const PolicyNetwork& policy) {
+  std::vector<uint64_t> bits;
+  for (const nn::Var& p : policy.Parameters()) {
+    for (double v : p.value().values()) {
+      bits.push_back(std::bit_cast<uint64_t>(v));
+    }
+  }
+  return bits;
+}
+
+/// What two update passes with an Adam step after each leave behind.
+struct TwoPassOutcome {
+  std::vector<uint64_t> grads[2];
+  std::vector<uint64_t> weights;
+  uint64_t next_draw = 0;  ///< the trainer's Rng after the second pass
+};
+
+/// Runs two passes over `batch` from the same initial weights: streamed on
+/// `pool`, or through OneTapePass when `pool` is null.
+TwoPassOutcome TwoPasses(const PolicyConfig& config,
+                         const std::vector<PPOStep>& batch, ThreadPool* pool) {
+  PolicyNetwork policy(config);
+  nn::Adam::Options adam_options;
+  adam_options.learning_rate = 0.05;  // moves the weights the clones track
+  nn::Adam adam(policy.Parameters(), adam_options);
+  std::optional<PPOUpdatePass> pass;
+  if (pool != nullptr) pass.emplace(&policy, pool);
+  Rng rng(2024);
+  TwoPassOutcome out;
+  for (auto& grads : out.grads) {
+    adam.ZeroGrad();
+    if (pass) {
+      pass->Run(batch, kClip, &rng);
+    } else {
+      OneTapePass(policy, batch, &rng);
+    }
+    grads = GradBits(policy);
+    adam.Step();
+  }
+  out.weights = WeightBits(policy);
+  out.next_draw = rng.NextUint64();
+  return out;
+}
+
+void ExpectSameOutcome(const TwoPassOutcome& streamed,
+                       const TwoPassOutcome& reference,
+                       const std::string& label) {
+  EXPECT_EQ(streamed.grads[0], reference.grads[0]) << label << ", pass 1";
+  EXPECT_EQ(streamed.grads[1], reference.grads[1]) << label << ", pass 2";
+  EXPECT_EQ(streamed.weights, reference.weights) << label;
+  EXPECT_EQ(streamed.next_draw, reference.next_draw) << label;
+}
+
+TEST(PPOUpdatePassTest, MatchesOneTapeBitForBitOnEveryBackboneAndPoolSize) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (uint32_t workers : {1u, 2u, 3u, 8u}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+  for (nn::Backbone backbone :
+       {nn::Backbone::kGcn, nn::Backbone::kMlp, nn::Backbone::kGat,
+        nn::Backbone::kSage, nn::Backbone::kGraphNN, nn::Backbone::kLEConv}) {
+    for (double dropout : {0.0, 0.2}) {
+      PolicyConfig config;
+      config.backbone = backbone;
+      config.hidden_dim = 16;
+      config.dropout = dropout;
+      const RecordedBatch batch(PolicyNetwork(config), 300);
+      ASSERT_GE(batch.steps.size(), 10u);
+      const TwoPassOutcome reference = TwoPasses(config, batch.steps, nullptr);
+      // Adam moved the weights, so the second pass ran on other weights.
+      ASSERT_NE(reference.grads[0], reference.grads[1]);
+      for (const auto& pool : pools) {
+        ExpectSameOutcome(TwoPasses(config, batch.steps, pool.get()),
+                          reference,
+                          nn::BackboneName(backbone) + ", dropout " +
+                              std::to_string(dropout) + ", " +
+                              std::to_string(pool->size()) + " workers");
+      }
+    }
+  }
+}
+
+TEST(PPOUpdatePassTest, BatchSmallerThanThePoolAndEmptyBatch) {
+  ThreadPool pool(8);
+  PolicyConfig config;
+  config.hidden_dim = 16;
+  config.dropout = 0.2;
+  const RecordedBatch recorded(PolicyNetwork(config), 301);
+  const std::vector<PPOStep> few(recorded.steps.begin(),
+                                 recorded.steps.begin() + 3);
+  ExpectSameOutcome(TwoPasses(config, few, &pool),
+                    TwoPasses(config, few, nullptr), "3 steps, 8 workers");
+
+  // An empty pass adds no gradient and draws nothing.
+  PolicyNetwork policy(config);
+  PPOUpdatePass pass(&policy, &pool);
+  Rng rng(7);
+  pass.Run({}, kClip, &rng);
+  for (const nn::Var& p : policy.Parameters()) EXPECT_TRUE(p.grad().empty());
+  EXPECT_EQ(rng.NextUint64(), Rng(7).NextUint64());
 }
 
 TEST(PPOTrainerTest, RejectsEmptyQuerySet) {
