@@ -23,12 +23,14 @@
 // the forward savings).
 //
 // A default run measures in 5 interleaved rounds: each round times every
-// size and ordering, then the engine batch, once. Every printed column is
+// size and ordering once, then each engine over back-to-back batches until
+// its sample spans at least 20 ms (one batch runs in under 2 ms uncached),
+// alternating by round which engine goes first. Every printed column is
 // the median over the rounds with its first and third quartile, and
 // BENCH_ordering_latency.json carries each as <key>_p25 / _p50 / _p75.
-// --smoke runs one round with fewer queries and reps for the CI smoke step
-// (full size range, every fatal check) and writes
-// BENCH_ordering_latency_smoke.json instead.
+// --smoke runs one round with fewer queries and reps, and one batch per
+// engine, for the CI smoke step (full size range, every fatal check) and
+// writes BENCH_ordering_latency_smoke.json instead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -276,8 +278,52 @@ int main(int argc, char** argv) {
   auto engine_off = MustOk(
       model.MakeEngine(shared_data, cache_off, enum_options), "engine");
   // Warm both engines (candidate cache + workspaces) before the rounds.
+  const BatchResult reference = MustOk(engine_off->MatchBatch(batch), "warmup");
   MustOk(engine_on->MatchBatch(batch), "warmup");
-  MustOk(engine_off->MatchBatch(batch), "warmup");
+
+  // One engine sample: back-to-back batches until they span
+  // kMinSampleSeconds of engine wall time (one batch under --smoke). Every
+  // batch must reproduce the uncached warm-up's counts, and the cached
+  // engine's order-cache accounting must balance. Returns false after
+  // printing the first violation.
+  constexpr double kMinSampleSeconds = 0.02;
+  struct EngineSample {
+    double qps = 0.0;
+    double order_us_per_batch = 0.0;
+    BatchResult last;
+  };
+  auto run_sample = [&](QueryEngine& engine, bool cached,
+                        EngineSample* sample) {
+    double wall = 0.0;
+    double order = 0.0;
+    int batches = 0;
+    do {
+      BatchResult r = MustOk(engine.MatchBatch(batch), "batch");
+      if (r.totals.num_matches != reference.totals.num_matches ||
+          r.totals.num_enumerations != reference.totals.num_enumerations) {
+        std::fprintf(stderr,
+                     "FATAL: order cache changed batch results "
+                     "(matches %llu vs %llu)\n",
+                     static_cast<unsigned long long>(r.totals.num_matches),
+                     static_cast<unsigned long long>(
+                         reference.totals.num_matches));
+        return false;
+      }
+      if (cached &&
+          r.order_cache_hits + r.order_cache_misses != batch.size()) {
+        std::fprintf(stderr,
+                     "FATAL: order cache accounting does not balance\n");
+        return false;
+      }
+      wall += r.wall_seconds;
+      order += r.total_order_seconds;
+      ++batches;
+      sample->last = std::move(r);
+    } while (!smoke && wall < kMinSampleSeconds);
+    sample->qps = static_cast<double>(batch.size()) * batches / wall;
+    sample->order_us_per_batch = order / batches * 1e6;
+    return true;
+  };
 
   RoundColumns columns;
   BatchResult last_on;
@@ -349,37 +395,21 @@ int main(int argc, char** argv) {
 
     // Alternate which engine runs first, so neither always meets the
     // caches the latency loops above left behind.
-    BatchResult on;
-    BatchResult off;
-    if (round % 2 == 0) {
-      on = MustOk(engine_on->MatchBatch(batch), "batch");
-      off = MustOk(engine_off->MatchBatch(batch), "batch");
-    } else {
-      off = MustOk(engine_off->MatchBatch(batch), "batch");
-      on = MustOk(engine_on->MatchBatch(batch), "batch");
-    }
-    if (on.totals.num_matches != off.totals.num_matches ||
-        on.totals.num_enumerations != off.totals.num_enumerations) {
-      std::fprintf(stderr,
-                   "FATAL: order cache changed batch results "
-                   "(matches %llu vs %llu)\n",
-                   static_cast<unsigned long long>(on.totals.num_matches),
-                   static_cast<unsigned long long>(off.totals.num_matches));
-      return 1;
-    }
-    if (on.order_cache_hits + on.order_cache_misses != batch.size()) {
-      std::fprintf(stderr, "FATAL: order cache accounting does not balance\n");
-      return 1;
-    }
-    const double qps_on = batch.size() / on.wall_seconds;
-    const double qps_off = batch.size() / off.wall_seconds;
-    columns.Add("engine_qps_order_cache_on", qps_on);
-    columns.Add("engine_qps_order_cache_off", qps_off);
-    columns.Add("engine_order_cache_speedup", qps_on / qps_off);
-    columns.Add("engine_cached_order_us", on.total_order_seconds * 1e6);
-    columns.Add("engine_uncached_order_us", off.total_order_seconds * 1e6);
-    last_on = on;
-    last_off = off;
+    EngineSample on;
+    EngineSample off;
+    const bool on_first = round % 2 == 0;
+    const bool ok = on_first ? run_sample(*engine_on, true, &on) &&
+                                   run_sample(*engine_off, false, &off)
+                             : run_sample(*engine_off, false, &off) &&
+                                   run_sample(*engine_on, true, &on);
+    if (!ok) return 1;
+    columns.Add("engine_qps_order_cache_on", on.qps);
+    columns.Add("engine_qps_order_cache_off", off.qps);
+    columns.Add("engine_order_cache_speedup", on.qps / off.qps);
+    columns.Add("engine_cached_order_us", on.order_us_per_batch);
+    columns.Add("engine_uncached_order_us", off.order_us_per_batch);
+    last_on = std::move(on.last);
+    last_off = std::move(off.last);
   }
 
   std::printf("%d round(s); each cell is the median over the rounds "
@@ -400,10 +430,12 @@ int main(int argc, char** argv) {
                 columns.Cell("inference_speedup_" + c.tag).c_str());
   }
   std::printf(
-      "engine repeated-shape batch (%zu queries, %u shapes): %s q/s cached "
-      "vs %s q/s uncached (%sx), order time %s us vs %s us, order-cache "
-      "hits %llu\n",
-      batch.size(), shapes, columns.Cell("engine_qps_order_cache_on").c_str(),
+      "engine repeated-shape batch (%zu queries, %u shapes; %s): %s q/s "
+      "cached vs %s q/s uncached (%sx), order time per batch %s us vs %s "
+      "us, order-cache hits %llu\n",
+      batch.size(), shapes,
+      smoke ? "one batch per sample" : "samples of >= 20 ms",
+      columns.Cell("engine_qps_order_cache_on").c_str(),
       columns.Cell("engine_qps_order_cache_off").c_str(),
       columns.Cell("engine_order_cache_speedup").c_str(),
       columns.Cell("engine_cached_order_us").c_str(),

@@ -70,22 +70,42 @@ bool LabeledDegreesDominate(const Graph& query, const Graph& data, VertexId u,
          data.in_degree(v) >= query.in_degree(u);
 }
 
-/// Per-(dir, elabel, vlabel) slice dominance, the directed generalization
-/// of the NLF histogram test: every labeled slice of the query vertex must
-/// fit inside the data vertex's same-keyed slice. Undirected labeled graphs
-/// have one direction class, so the kIn pass is skipped.
-bool LabeledSlicesDominate(const Graph& query, const Graph& data, VertexId u,
-                           VertexId v) {
+/// One (dir, elabel, vlabel) slice of a query vertex's labeled
+/// neighbourhood and its size: what the same-keyed slice of a candidate must
+/// hold at least.
+struct LabeledCount {
+  EdgeDir dir;
+  EdgeLabel elabel;
+  Label vlabel;
+  uint32_t count;
+};
+using LabeledCounts = std::vector<LabeledCount>;
+
+/// u's labeled slices, per direction class. Undirected labeled graphs have
+/// one direction class, so the kIn pass is skipped.
+LabeledCounts LabeledNeighborCounts(const Graph& query, VertexId u) {
+  LabeledCounts counts;
   const int num_dirs = query.directed() ? 2 : 1;
   for (int d = 0; d < num_dirs; ++d) {
     const EdgeDir dir = d == 0 ? EdgeDir::kOut : EdgeDir::kIn;
     const size_t slices = query.NumLabeledSlices(u, dir);
     for (size_t i = 0; i < slices; ++i) {
       const Graph::LabeledSlice s = query.LabeledSliceAt(u, dir, i);
-      if (data.NeighborsWith(v, dir, s.elabel, s.vlabel).size() <
-          s.ids.size()) {
-        return false;
-      }
+      counts.push_back(
+          {dir, s.elabel, s.vlabel, static_cast<uint32_t>(s.ids.size())});
+    }
+  }
+  return counts;
+}
+
+/// Per-(dir, elabel, vlabel) slice dominance, the directed generalization
+/// of the NLF histogram test: every labeled slice of the query vertex must
+/// fit inside the data vertex's same-keyed slice.
+bool LabeledSlicesDominate(const LabeledCounts& query_counts,
+                           const Graph& data, VertexId v) {
+  for (const LabeledCount& k : query_counts) {
+    if (data.NeighborsWith(v, k.dir, k.elabel, k.vlabel).size() < k.count) {
+      return false;
     }
   }
   return true;
@@ -112,6 +132,8 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
   const std::span<const uint64_t> data_masks = data.NeighborLabelMasks();
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
     const LabelCounts u_counts = NeighborLabelCounts(query, u);
+    const LabeledCounts u_labeled =
+        labeled ? LabeledNeighborCounts(query, u) : LabeledCounts{};
     // Computed, not looked up: the query graph builds no signature array.
     const uint64_t u_mask = query.NeighborLabelMask(u);
     std::vector<VertexId> c;
@@ -120,11 +142,13 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
       // Exact screen: a label of N(u) whose bit v lacks is absent from N(v),
       // so DominatedBy would reject v too, at one lookup per label.
       if ((u_mask & ~data_masks[v]) != 0) continue;
-      if (!DominatedBy(u_counts, data, v)) continue;
+      // The labeled tests reject far more pairs than the skeleton count
+      // test, so they run first; the candidate must pass all of them.
       if (labeled && (!LabeledDegreesDominate(query, data, u, v) ||
-                      !LabeledSlicesDominate(query, data, u, v))) {
+                      !LabeledSlicesDominate(u_labeled, data, v))) {
         continue;
       }
+      if (!DominatedBy(u_counts, data, v)) continue;
       c.push_back(v);
     }
     result.Set(u, std::move(c));
@@ -213,38 +237,76 @@ CandidateMembership& ThreadLocalMembership() {
   return membership;
 }
 
-/// Kuhn's augmenting-path bipartite matching. Left side: query neighbors
-/// N(u); right side: data neighbors N(v). Returns true iff a matching covers
-/// every left vertex (GraphQL's semi-perfect matching test).
+/// GraphQL's semi-perfect matching test for one pair (u, v): does the
+/// bipartite graph between N(u) and N(v), with an edge (w, x) iff x is in
+/// C(w), have a matching that covers all of N(u)?
+///
+/// C(w) holds only label(w) vertices, so that graph splits into one
+/// component per label of N(u): u's run of that label against N(v)'s slice
+/// of it. Both neighbour lists are ordered by (label, id), so one merge walk
+/// over the two label lists pairs each run with its slice, and a label that
+/// N(v) lacks fails the pair at once. Each run is matched on its own: a
+/// left vertex takes a free member of its slice when it has one, and only
+/// otherwise runs Kuhn's augmenting-path search.
 class SemiPerfectMatcher {
  public:
   bool Covers(const Graph& query, const Graph& data,
               const CandidateMembership& bitmap, VertexId u, VertexId v) {
-    // neighbors-ok: relaxed necessary condition (skeleton adjacency).
-    const auto left = query.neighbors(u);
-    // neighbors-ok: relaxed necessary condition (skeleton adjacency).
-    const auto right = data.neighbors(v);
-    if (right.size() < left.size()) return false;
-    // right_match_[j] = left index matched to right slot j (or -1).
-    right_match_.assign(right.size(), -1);
-    for (size_t i = 0; i < left.size(); ++i) {
-      visited_.assign(right.size(), false);
-      if (!TryAugment(query, data, bitmap, left, right, i)) return false;
+    const auto u_labels = query.NeighborLabels(u);
+    const auto v_labels = data.NeighborLabels(v);
+    size_t k = 0;
+    for (size_t i = 0; i < u_labels.size(); ++i) {
+      while (k < v_labels.size() && v_labels[k] < u_labels[i]) ++k;
+      if (k == v_labels.size() || v_labels[k] != u_labels[i]) return false;
+      if (!CoversRun(bitmap, query.NeighborSlice(u, i),
+                     data.NeighborSlice(v, k))) {
+        return false;
+      }
     }
     return true;
   }
 
  private:
-  bool TryAugment(const Graph& query, const Graph& data,
-                  const CandidateMembership& bitmap,
+  bool CoversRun(const CandidateMembership& bitmap,
+                 std::span<const VertexId> left,
+                 std::span<const VertexId> right) {
+    if (right.size() < left.size()) return false;
+    // right_match_[j] = left index matched to right slot j (or -1).
+    right_match_.assign(right.size(), -1);
+    if (visited_.size() < right.size()) visited_.resize(right.size(), 0);
+    for (size_t i = 0; i < left.size(); ++i) {
+      if (PlaceOnFreeSlot(bitmap, left, right, i)) continue;
+      // A new stamp unmarks every slot; zero-fill only when it wraps.
+      if (++visit_stamp_ == 0) {
+        std::fill(visited_.begin(), visited_.end(), 0u);
+        visit_stamp_ = 1;
+      }
+      if (!TryAugment(bitmap, left, right, i)) return false;
+    }
+    return true;
+  }
+
+  bool PlaceOnFreeSlot(const CandidateMembership& bitmap,
+                       std::span<const VertexId> left,
+                       std::span<const VertexId> right, size_t i) {
+    for (size_t j = 0; j < right.size(); ++j) {
+      if (right_match_[j] < 0 && bitmap.Test(left[i], right[j])) {
+        right_match_[j] = static_cast<int>(i);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool TryAugment(const CandidateMembership& bitmap,
                   std::span<const VertexId> left,
                   std::span<const VertexId> right, size_t i) {
     for (size_t j = 0; j < right.size(); ++j) {
-      if (visited_[j]) continue;
+      if (visited_[j] == visit_stamp_) continue;
       if (!bitmap.Test(left[i], right[j])) continue;
-      visited_[j] = true;
+      visited_[j] = visit_stamp_;
       if (right_match_[j] < 0 ||
-          TryAugment(query, data, bitmap, left, right,
+          TryAugment(bitmap, left, right,
                      static_cast<size_t>(right_match_[j]))) {
         right_match_[j] = static_cast<int>(i);
         return true;
@@ -254,7 +316,8 @@ class SemiPerfectMatcher {
   }
 
   std::vector<int> right_match_;
-  std::vector<bool> visited_;
+  std::vector<uint32_t> visited_;  // slot j is visited iff == visit_stamp_
+  uint32_t visit_stamp_ = 0;
 };
 
 }  // namespace
@@ -281,9 +344,27 @@ Result<CandidateSet> GQLFilter::Filter(const Graph& query,
   CandidateMembership& bitmap = ThreadLocalMembership();
   bitmap.Reset(cs, data.num_vertices());
   SemiPerfectMatcher matcher;
+  // Removal clock: every check of a query vertex takes the next tick. Covers
+  // at u reads only the candidate sets of u's neighbours, so when none of
+  // them lost a candidate after u's last check, every bipartite graph of u
+  // is unchanged and all of C(u) would pass again: u is skipped. Round 1
+  // checks every vertex.
+  const uint32_t nq = query.num_vertices();
+  std::vector<uint64_t> checked_at(nq, 0);
+  std::vector<uint64_t> removed_at(nq, 0);
+  uint64_t clock = 0;
+  auto neighbour_changed = [&](VertexId u) {
+    // neighbors-ok: Covers reads exactly the skeleton neighbours' sets.
+    for (VertexId w : query.neighbors(u)) {
+      if (removed_at[w] > checked_at[u]) return true;
+    }
+    return false;
+  };
   for (int round = 0; round < max_refinement_rounds_; ++round) {
     bool changed = false;
-    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    for (VertexId u = 0; u < nq; ++u) {
+      if (round > 0 && !neighbour_changed(u)) continue;
+      checked_at[u] = ++clock;
       std::vector<VertexId> kept;
       kept.reserve(cs.candidates(u).size());
       for (VertexId v : cs.candidates(u)) {
@@ -291,8 +372,14 @@ Result<CandidateSet> GQLFilter::Filter(const Graph& query,
           kept.push_back(v);
         } else {
           bitmap.Clear(u, v);
-          changed = true;
         }
+      }
+      if (kept.size() < cs.candidates(u).size()) {
+        removed_at[u] = clock;
+        changed = true;
+        // A skipped vertex keeps this list, so it must not keep the
+        // pre-check capacity (cached sets would hold it).
+        kept.shrink_to_fit();
       }
       cs.Set(u, std::move(kept));
     }

@@ -47,8 +47,15 @@ class LDFFilter : public CandidateFilter {
 /// implies a covered signature, so candidate sets equal the count test's.
 /// The data graph builds its signatures on its first use here and keeps
 /// them; u's is computed (Graph::NeighborLabelMask), so query graphs build
-/// nothing. GQLFilter and DagDpFilter start from these
-/// candidates and share the screen.
+/// nothing.
+///
+/// When either graph is directed or carries more than one edge label, v
+/// must also dominate u per (direction, edge label, vertex label) slice and
+/// in labeled out- and in-degree. u's slice sizes are listed once per query
+/// vertex, and these labeled tests run before the skeleton count test
+/// because they reject more pairs; a candidate passes every test either
+/// way. GQLFilter and DagDpFilter start from these candidates and share the
+/// tests.
 class NLFFilter : public CandidateFilter {
  public:
   std::string name() const override { return "NLF"; }
@@ -59,8 +66,17 @@ class NLFFilter : public CandidateFilter {
 /// \brief GraphQL's filter: NLF-style local pruning via neighborhood label
 /// profiles, then global refinement that keeps v in C(u) only if the
 /// bipartite graph between N(u) and N(v) (edge (u',v') iff v' in C(u')) has
-/// a semi-perfect matching covering all of N(u). Refinement iterates until
-/// fixpoint or `max_refinement_rounds`.
+/// a semi-perfect matching covering all of N(u). Refinement runs rounds
+/// over every query vertex until a round removes nothing or
+/// `max_refinement_rounds` rounds have run.
+///
+/// Two shortcuts leave every candidate set as the plain refinement's:
+/// - C(u') holds only label(u') vertices, so the matching is searched label
+///   by label: each label run of N(u) only against N(v)'s slice of that
+///   label, and a label N(v) lacks rejects v at once.
+/// - From round 2 on, u is re-checked only if some neighbour of u lost a
+///   candidate after u's last check; otherwise every bipartite graph of u
+///   is unchanged and all of C(u) would pass again.
 ///
 /// This is the filtering method Hybrid (Sun & Luo's recommended combination)
 /// uses, and the one RL-QVO inherits.

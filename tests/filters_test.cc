@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <latch>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -148,13 +151,19 @@ TEST(FiltersTest, NamesAreStable) {
 class FilterPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
 
-TEST_P(FilterPropertyTest, CompletenessAndContainment) {
-  const auto [seed, num_labels] = GetParam();
+/// The property sweep's inputs for (seed, number of vertex labels).
+std::pair<Graph, Graph> PropertyInputs(uint64_t seed, uint32_t num_labels) {
   // More than 64 labels put labels that share a signature bit into one
   // graph; a larger graph keeps such labels on both sides of the screen.
   Graph data = num_labels > 64 ? RandomData(seed, 300, 6.0, num_labels)
                                : RandomData(seed, 60, 4.0, num_labels);
   Graph query = RandomQuery(data, seed * 31 + 1, 3 + seed % 3);
+  return {std::move(data), std::move(query)};
+}
+
+TEST_P(FilterPropertyTest, CompletenessAndContainment) {
+  const auto [seed, num_labels] = GetParam();
+  const auto [data, query] = PropertyInputs(seed, num_labels);
 
   auto matches = BruteForceMatch(query, data);
   ASSERT_FALSE(matches.empty()) << "sampled query must have a match";
@@ -184,6 +193,95 @@ TEST_P(FilterPropertyTest, CompletenessAndContainment) {
       EXPECT_TRUE(nlf.Contains(u, v));
     }
   }
+}
+
+/// The plain refinement, the reference GQLFilter must equal: every round
+/// checks every candidate of every query vertex, and Kuhn's augmenting-path
+/// search runs over all of N(v) for each query neighbour, with no label
+/// slices and no skipped vertices. This is one (u, v) check.
+bool PlainKuhnCovers(const Graph& query, const Graph& data,
+                     const CandidateSet& cs, VertexId u, VertexId v) {
+  const auto left = query.neighbors(u);
+  const auto right = data.neighbors(v);
+  std::vector<int> match(right.size(), -1);
+  std::vector<bool> visited;
+  std::function<bool(size_t)> augment = [&](size_t i) {
+    for (size_t j = 0; j < right.size(); ++j) {
+      if (visited[j] || !cs.Contains(left[i], right[j])) continue;
+      visited[j] = true;
+      if (match[j] < 0 || augment(static_cast<size_t>(match[j]))) {
+        match[j] = static_cast<int>(i);
+        return true;
+      }
+    }
+    return false;
+  };
+  for (size_t i = 0; i < left.size(); ++i) {
+    visited.assign(right.size(), false);
+    if (!augment(i)) return false;
+  }
+  return true;
+}
+
+/// The plain refinement's candidate sets after each round cap 0..max_rounds
+/// (entry r is what a cap of r rounds returns).
+std::vector<CandidateSet> PlainGqlRefinement(const Graph& query,
+                                             const Graph& data,
+                                             int max_rounds) {
+  std::vector<CandidateSet> after_round = {
+      NLFFilter().Filter(query, data).ValueOrDie()};
+  bool changed = true;
+  for (int round = 0; round < max_rounds; ++round) {
+    CandidateSet cs = after_round.back();
+    if (changed) {
+      changed = false;
+      for (VertexId u = 0; u < query.num_vertices(); ++u) {
+        std::vector<VertexId> kept;
+        for (VertexId v : cs.candidates(u)) {
+          if (PlainKuhnCovers(query, data, cs, u, v)) {
+            kept.push_back(v);
+          } else {
+            changed = true;
+          }
+        }
+        cs.Set(u, std::move(kept));
+      }
+    }
+    after_round.push_back(std::move(cs));
+  }
+  return after_round;
+}
+
+/// Expects GQLFilter(r) to return the plain refinement's candidate lists
+/// for every round cap r in 0..4. Returns how many of the caps 2..4 removed
+/// candidates that cap r - 1 kept, i.e. whether rounds after the first did
+/// any work on this input.
+int ExpectGqlEqualsPlainRefinement(const Graph& query, const Graph& data,
+                                   const std::string& what) {
+  constexpr int kMaxRounds = 4;
+  const std::vector<CandidateSet> expected =
+      PlainGqlRefinement(query, data, kMaxRounds);
+  int later_round_removals = 0;
+  for (int rounds = 0; rounds <= kMaxRounds; ++rounds) {
+    const CandidateSet actual =
+        GQLFilter(rounds).Filter(query, data).ValueOrDie();
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      EXPECT_EQ(actual.candidates(u), expected[rounds].candidates(u))
+          << what << ", " << rounds << " rounds, vertex " << u;
+    }
+    if (rounds >= 2 &&
+        expected[rounds].TotalSize() < expected[rounds - 1].TotalSize()) {
+      ++later_round_removals;
+    }
+  }
+  return later_round_removals;
+}
+
+TEST_P(FilterPropertyTest, GqlEqualsPlainRefinementAtEveryRoundCap) {
+  const auto [seed, num_labels] = GetParam();
+  const auto [data, query] = PropertyInputs(seed, num_labels);
+  ExpectGqlEqualsPlainRefinement(query, data,
+                                 "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterPropertyTest,
@@ -241,6 +339,135 @@ TEST(NlfFilterTest, EqualsNaiveReferenceWithMoreThan64Labels) {
   }
 }
 
+/// One vertex's neighbours counted per (direction, edge label, vertex
+/// label) key and, over distinct skeleton neighbours, per vertex label.
+struct NaiveProfile {
+  std::map<std::tuple<EdgeDir, EdgeLabel, Label>, uint32_t> labeled;
+  std::map<Label, uint32_t> skeleton;
+};
+
+/// Every vertex's NaiveProfile, counted from the labeled edge stream.
+std::vector<NaiveProfile> NaiveProfiles(const Graph& g) {
+  std::vector<NaiveProfile> out(g.num_vertices());
+  std::vector<std::set<VertexId>> adjacent(g.num_vertices());
+  g.ForEachLabeledEdge([&](VertexId a, VertexId b, EdgeLabel el) {
+    // An undirected graph has one direction class: both ends see kOut.
+    ++out[a].labeled[{EdgeDir::kOut, el, g.label(b)}];
+    ++out[b].labeled[{g.directed() ? EdgeDir::kIn : EdgeDir::kOut, el,
+                      g.label(a)}];
+    adjacent[a].insert(b);
+    adjacent[b].insert(a);
+  });
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (VertexId w : adjacent[v]) ++out[v].skeleton[g.label(w)];
+  }
+  return out;
+}
+
+/// NLF the slow way on directed or edge-labeled graphs: v is a candidate
+/// of u iff the labels agree and v's count covers u's for every key of
+/// u's NaiveProfile, labeled and skeleton alike.
+std::vector<std::vector<VertexId>> NaiveLabeledNlf(
+    const Graph& query, const Graph& data,
+    const std::vector<NaiveProfile>& data_profiles) {
+  auto covers = [](const auto& available, const auto& needed) {
+    for (const auto& [key, count] : needed) {
+      const auto it = available.find(key);
+      if (it == available.end() || it->second < count) return false;
+    }
+    return true;
+  };
+  const std::vector<NaiveProfile> q = NaiveProfiles(query);
+  std::vector<std::vector<VertexId>> result(query.num_vertices());
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    for (VertexId v = 0; v < data.num_vertices(); ++v) {
+      if (data.label(v) == query.label(u) &&
+          covers(data_profiles[v].labeled, q[u].labeled) &&
+          covers(data_profiles[v].skeleton, q[u].skeleton)) {
+        result[u].push_back(v);
+      }
+    }
+  }
+  return result;
+}
+
+/// A directed data graph with two edge labels, like directed_hot's at a
+/// small scale.
+Graph DirectedData(uint64_t seed, uint32_t vertex_labels) {
+  LabelConfig labels;
+  labels.num_labels = vertex_labels;
+  labels.zipf_exponent = 0.3;
+  labels.num_edge_labels = 2;
+  labels.directed = true;
+  return GenerateErdosRenyi(400, 8.0, labels, seed).ValueOrDie();
+}
+
+TEST(NlfFilterTest, EqualsNaiveLabeledReferenceOnDirectedGraphs) {
+  for (uint32_t vertex_labels : {4u, 130u}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const Graph data = DirectedData(seed, vertex_labels);
+      const std::vector<NaiveProfile> profiles = NaiveProfiles(data);
+      ASSERT_TRUE(data.directed());
+      if (vertex_labels > 64) {
+        ASSERT_GT(data.num_labels(), 64u);
+      }
+      for (uint64_t i = 0; i < 5; ++i) {
+        const Graph query = RandomQuery(data, seed * 100 + i, 8);
+        const CandidateSet nlf = NLFFilter().Filter(query, data).ValueOrDie();
+        const auto expected = NaiveLabeledNlf(query, data, profiles);
+        for (VertexId u = 0; u < query.num_vertices(); ++u) {
+          EXPECT_EQ(nlf.candidates(u), expected[u])
+              << vertex_labels << " labels, seed " << seed << " query " << i
+              << " vertex " << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(NlfFilterTest, SkeletonCountTestRejectsWhatLabeledSlicesAdmit) {
+  // u0 (label 0) has two label-1 out-neighbours, one over edge label 0 and
+  // one over edge label 1.
+  GraphBuilder qb;
+  qb.set_directed(true);
+  qb.AddVertex(0);
+  qb.AddVertex(1);
+  qb.AddVertex(1);
+  qb.AddEdge(0, 1, 0);
+  qb.AddEdge(0, 2, 1);
+  const Graph q = qb.Build();
+
+  // v0 reaches one label-1 vertex over both edge labels, and has a label-2
+  // in-neighbour, so its degree, labeled degrees, signature and labeled
+  // slices all cover u0's; only its skeleton count of label 1 falls short.
+  // v3 has two label-1 out-neighbours, like u0.
+  GraphBuilder gb;
+  gb.set_directed(true);
+  gb.AddVertex(0);  // v0
+  gb.AddVertex(1);  // v1
+  gb.AddVertex(2);  // v2
+  gb.AddVertex(0);  // v3
+  gb.AddVertex(1);  // v4
+  gb.AddVertex(1);  // v5
+  gb.AddEdge(0, 1, 0);
+  gb.AddEdge(0, 1, 1);
+  gb.AddEdge(2, 0, 0);
+  gb.AddEdge(3, 4, 0);
+  gb.AddEdge(3, 5, 1);
+  const Graph g = gb.Build();
+  ASSERT_EQ(g.degree(0), q.degree(0));
+  ASSERT_EQ(g.out_degree(0), q.out_degree(0));
+  ASSERT_EQ(g.NeighborsWith(0, EdgeDir::kOut, 0, 1).size(), 1u);
+  ASSERT_EQ(g.NeighborsWith(0, EdgeDir::kOut, 1, 1).size(), 1u);
+
+  EXPECT_EQ(LDFFilter().Filter(q, g).ValueOrDie().candidates(0),
+            (std::vector<VertexId>{0, 3}));
+  EXPECT_EQ(NLFFilter().Filter(q, g).ValueOrDie().candidates(0),
+            (std::vector<VertexId>{3}));
+  EXPECT_EQ(NaiveLabeledNlf(q, g, NaiveProfiles(g))[0],
+            (std::vector<VertexId>{3}));
+}
+
 /// A one-edge query whose vertex 0 (label 0) needs one neighbour labelled
 /// `needed`, against a data graph with three label-0 vertices: v0 whose
 /// only neighbour is labelled `aliased`, v2 with neighbours labelled
@@ -286,6 +513,117 @@ void ExpectAliasedLabelIsRejected(Label needed, Label aliased) {
 TEST(NlfFilterTest, CountTestRejectsWhatTheSignatureAliases) {
   ExpectAliasedLabelIsRejected(/*needed=*/6, /*aliased=*/70);
   ExpectAliasedLabelIsRejected(/*needed=*/70, /*aliased=*/6);
+}
+
+TEST(GqlFilterTest, EqualsPlainRefinementOnDirectedGraphs) {
+  int later_round_removals = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph data = DirectedData(seed, 4);
+    for (uint64_t i = 0; i < 5; ++i) {
+      const Graph query = RandomQuery(data, seed * 100 + i, 8);
+      later_round_removals += ExpectGqlEqualsPlainRefinement(
+          query, data,
+          "seed " + std::to_string(seed) + " query " + std::to_string(i));
+    }
+  }
+  // Rounds after the first pruned something, so vertex skipping was tested.
+  EXPECT_GT(later_round_removals, 0);
+}
+
+TEST(GqlFilterTest, EqualsPlainRefinementOnZipfLabeledPowerLawGraphs) {
+  LabelConfig labels;
+  labels.num_labels = 16;
+  labels.zipf_exponent = 1.2;
+  int later_round_removals = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph data =
+        GeneratePowerLaw(400, 16.0, 2.2, labels, seed).ValueOrDie();
+    for (uint64_t i = 0; i < 5; ++i) {
+      const Graph query = RandomQuery(data, seed * 100 + i, 7);
+      later_round_removals += ExpectGqlEqualsPlainRefinement(
+          query, data,
+          "seed " + std::to_string(seed) + " query " + std::to_string(i));
+    }
+  }
+  EXPECT_GT(later_round_removals, 0);
+}
+
+/// Builds an undirected graph from vertex labels and edges.
+Graph MakeGraph(const std::vector<Label>& labels,
+                const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  GraphBuilder b;
+  for (Label l : labels) b.AddVertex(l);
+  for (const auto& [u, v] : edges) b.AddEdge(u, v);
+  return b.Build();
+}
+
+TEST(GqlFilterTest, RechecksAVertexWhoseNeighbourLostACandidateAfterIt) {
+  // Path query u0(0) - u1(1) - u2(2) - u3(3).
+  const Graph q = MakeGraph({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
+  // The path a0 - b0 - c0 - d0 (v0..v3) matches it. v4 - v5 - v6 is a
+  // decoy: v6 has no label-3 neighbour, so NLF drops it from C(u2), while
+  // v4 in C(u0) and v5 in C(u1) survive NLF.
+  const Graph g = MakeGraph({0, 1, 2, 3, 0, 1, 2},
+                            {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}});
+  const CandidateSet nlf = NLFFilter().Filter(q, g).ValueOrDie();
+  ASSERT_EQ(nlf.candidates(0), (std::vector<VertexId>{0, 4}));
+  ASSERT_EQ(nlf.candidates(1), (std::vector<VertexId>{1, 5}));
+  ASSERT_EQ(nlf.candidates(2), (std::vector<VertexId>{2}));
+
+  // Round 1 checks u0 while v5 is still in C(u1), then drops v5 from C(u1).
+  // Only round 2, which must re-check u0, drops v4 from C(u0).
+  const CandidateSet one = GQLFilter(1).Filter(q, g).ValueOrDie();
+  EXPECT_EQ(one.candidates(0), (std::vector<VertexId>{0, 4}));
+  EXPECT_EQ(one.candidates(1), (std::vector<VertexId>{1}));
+  for (int rounds = 2; rounds <= 4; ++rounds) {
+    const CandidateSet cs = GQLFilter(rounds).Filter(q, g).ValueOrDie();
+    for (VertexId u = 0; u < 4; ++u) {
+      EXPECT_EQ(cs.candidates(u), (std::vector<VertexId>{u}))
+          << rounds << " rounds, vertex " << u;
+    }
+  }
+  ExpectGqlEqualsPlainRefinement(q, g, "path");
+}
+
+TEST(GqlFilterTest, RejectsADataVertexLackingAQueryNeighboursLabel) {
+  // u0 (label 0) has neighbours labelled 1 and 2.
+  const Graph q = MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}});
+  // Of the label-0 data vertices with two neighbours, v0's neighbours are
+  // labelled 1 and 3 (the missing label falls between), v3's 1 and 1 (it
+  // falls past the end), and only v6's carry both 1 and 2.
+  const Graph g = MakeGraph({0, 1, 3, 0, 1, 1, 0, 1, 2},
+                            {{0, 1}, {0, 2}, {3, 4}, {3, 5}, {6, 7}, {6, 8}});
+  EXPECT_EQ(LDFFilter().Filter(q, g).ValueOrDie().candidates(0),
+            (std::vector<VertexId>{0, 3, 6}));
+  // NLF's count test already drops such a vertex; no round cap brings it
+  // back.
+  for (int rounds = 0; rounds <= 4; ++rounds) {
+    EXPECT_EQ(GQLFilter(rounds).Filter(q, g).ValueOrDie().candidates(0),
+              (std::vector<VertexId>{6}))
+        << rounds << " rounds";
+  }
+  ExpectGqlEqualsPlainRefinement(q, g, "missing label");
+}
+
+TEST(GqlFilterTest, SameLabelNeighboursNeedAnAugmentingPath) {
+  // u0 (label 0) has two label-1 neighbours; u2 also needs a label-2
+  // neighbour, u1 does not.
+  const Graph q = MakeGraph({0, 1, 1, 2}, {{0, 1}, {0, 2}, {2, 3}});
+  // v0 has label-1 neighbours v1 and v2; only v1 has a label-2 neighbour,
+  // so C(u1) = {v1, v2} and C(u2) = {v1}. Placing u1 first on its first
+  // free candidate v1 leaves u2 nothing; the augmenting path moves u1 to
+  // v2. v0 is in a match (u0 v0, u1 v2, u2 v1, u3 v3), so it must stay.
+  const Graph g = MakeGraph({0, 1, 1, 2}, {{0, 1}, {0, 2}, {1, 3}});
+  const CandidateSet nlf = NLFFilter().Filter(q, g).ValueOrDie();
+  ASSERT_EQ(nlf.candidates(1), (std::vector<VertexId>{1, 2}));
+  ASSERT_EQ(nlf.candidates(2), (std::vector<VertexId>{1}));
+  ASSERT_EQ(BruteForceMatch(q, g).size(), 1u);
+  for (int rounds = 1; rounds <= 4; ++rounds) {
+    EXPECT_EQ(GQLFilter(rounds).Filter(q, g).ValueOrDie().candidates(0),
+              (std::vector<VertexId>{0}))
+        << rounds << " rounds";
+  }
+  ExpectGqlEqualsPlainRefinement(q, g, "augmenting path");
 }
 
 TEST(GqlFilterTest, ConcurrentFirstUseOfADataGraphMatchesSerial) {
