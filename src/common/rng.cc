@@ -60,6 +60,10 @@ double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
+void Rng::FillBernoulli(double p, double value, std::span<double> out) {
+  for (double& v : out) v = NextDouble() < p ? value : 0.0;
+}
+
 double Rng::NextUniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }

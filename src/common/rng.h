@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -45,6 +46,10 @@ class Rng {
 
   /// \brief Bernoulli trial with probability p.
   bool NextBool(double p = 0.5) { return NextDouble() < p; }
+
+  /// \brief out[i] = NextBool(p) ? value : 0.0 for i in order: the draws
+  /// of out.size() NextBool calls, in one call (the generator inlines).
+  void FillBernoulli(double p, double value, std::span<double> out);
 
   /// \brief Samples an index from an (unnormalised, non-negative) weight
   /// vector. Returns weights.size() only if the total weight is zero.

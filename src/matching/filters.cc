@@ -142,12 +142,10 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
       // Exact screen: a label of N(u) whose bit v lacks is absent from N(v),
       // so DominatedBy would reject v too, at one lookup per label.
       if ((u_mask & ~data_masks[v]) != 0) continue;
-      // The labeled tests reject far more pairs than the skeleton count
-      // test, so they run first; the candidate must pass all of them.
-      if (labeled && (!LabeledDegreesDominate(query, data, u, v) ||
-                      !LabeledSlicesDominate(u_labeled, data, v))) {
-        continue;
-      }
+      // The labeled-slice test rejects far more pairs than the skeleton
+      // count test, so it runs first. It subsumes LDF's labeled-degree
+      // test: a labeled degree is the sum of its direction's slices.
+      if (labeled && !LabeledSlicesDominate(u_labeled, data, v)) continue;
       if (!DominatedBy(u_counts, data, v)) continue;
       c.push_back(v);
     }

@@ -281,6 +281,9 @@ Var Mean(const Var& a) {
 }
 
 Var Pick(const Var& a, size_t r, size_t c) {
+  RLQVO_CHECK(r < a.rows() && c < a.cols())
+      << "Pick(" << r << ", " << c << ") outside " << a.rows() << "x"
+      << a.cols();
   Matrix out(1, 1);
   out.At(0, 0) = a.value().At(r, c);
   auto pa = a.node();
@@ -288,6 +291,22 @@ Var Pick(const Var& a, size_t r, size_t c) {
     if (!pa->requires_grad) return;
     Matrix g = Matrix::Zeros(pa->value.rows(), pa->value.cols());
     g.At(r, c) = self->grad.At(0, 0);
+    AccumulateGrad(pa, g);
+  });
+}
+
+Var GatherRows(const Var& a, RowList rows) {
+  Matrix out = GatherRows(a.value(), rows);
+  auto pa = a.node();
+  std::vector<uint32_t> index(rows.begin(), rows.end());
+  return MakeOp(std::move(out), {pa}, [pa, index](Node* self) {
+    if (!pa->requires_grad) return;
+    const size_t cols = pa->value.cols();
+    Matrix g = Matrix::Zeros(pa->value.rows(), cols);
+    for (size_t i = 0; i < index.size(); ++i) {
+      std::copy_n(self->grad.data() + i * cols, cols,
+                  g.data() + index[i] * cols);
+    }
     AccumulateGrad(pa, g);
   });
 }
@@ -330,15 +349,29 @@ Var Clip(const Var& a, double lo, double hi) {
   });
 }
 
-Var Dropout(const Var& a, double p, Rng* rng, bool training) {
+Var Dropout(const Var& a, double p, Rng* rng, bool training, RowList rows,
+            size_t stream_rows) {
   if (!training || p <= 0.0) return a;
   RLQVO_CHECK(rng != nullptr);
   RLQVO_CHECK(p < 1.0);
-  const double keep = 1.0 - p;
-  Matrix mask(a.value().rows(), a.value().cols());
-  for (double& m : mask.values()) {
-    m = rng->NextBool(keep) ? 1.0 / keep : 0.0;
+  const size_t cols = a.value().cols();
+  if (rows.empty()) {
+    stream_rows = a.value().rows();
+  } else {
+    RLQVO_CHECK_EQ(rows.size(), a.value().rows());
   }
+  const double keep = 1.0 - p;
+  Matrix mask(a.value().rows(), cols);
+  size_t next = 0;  // the next row of `a`
+  for (size_t r = 0; r < stream_rows; ++r) {
+    if (!rows.empty() && (next == rows.size() || rows[next] != r)) {
+      rng->Discard(cols);
+      continue;
+    }
+    rng->FillBernoulli(keep, 1.0 / keep, {mask.data() + next * cols, cols});
+    ++next;
+  }
+  RLQVO_CHECK_EQ(next, a.value().rows()) << "dropout rows outside the stream";
   Matrix out = Hadamard(a.value(), mask);
   auto pa = a.node();
   return MakeOp(std::move(out), {pa}, [pa, mask](Node* self) {

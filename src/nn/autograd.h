@@ -102,13 +102,24 @@ Var Sum(const Var& a);
 Var Mean(const Var& a);
 /// Selects entry (r, c) -> (1, 1).
 Var Pick(const Var& a, size_t r, size_t c);
+/// out(i, ·) = a(rows[i], ·), copied exactly (−0.0 stays −0.0; a product
+/// with a 0/1 selection matrix would make it +0.0). The backward scatters:
+/// row rows[i] of a's gradient gets row i of out's, every other row +0.0.
+/// `rows` must be distinct.
+Var GatherRows(const Var& a, RowList rows);
 /// Elementwise min; gradient routes to the smaller operand (ties to a).
 Var Min(const Var& a, const Var& b);
 /// Clamps to [lo, hi]; gradient is zero where the clamp is active (the PPO
 /// clipped-surrogate convention).
 Var Clip(const Var& a, double lo, double hi);
-/// Inverted dropout with keep-prob 1-p; identity when !training.
-Var Dropout(const Var& a, double p, Rng* rng, bool training);
+/// Inverted dropout with keep-prob 1-p; identity when !training. The mask
+/// is drawn row-major, one NextBool per entry, over `stream_rows` rows of
+/// a.cols() entries, and row i of `a` takes mask row rows[i] (ascending);
+/// with no `rows`, `a` is the whole stream. A forward that computes a
+/// subset of an activation's rows thus advances `rng` as far as the
+/// every-row forward and applies the same mask entries to those rows.
+Var Dropout(const Var& a, double p, Rng* rng, bool training,
+            RowList rows = {}, size_t stream_rows = 0);
 /// Log-softmax over the masked entries of a column vector (n, 1). Entries
 /// with mask[i]==false get value kMaskedLogProb and receive no gradient.
 Var MaskedLogSoftmax(const Var& scores, const std::vector<bool>& mask);

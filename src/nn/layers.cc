@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -21,7 +22,37 @@ Var ZeroBias(size_t out) {
   return Var::Leaf(Matrix::Zeros(1, out), /*requires_grad=*/true);
 }
 
+/// The output rows of `x`, a product computed at every input row: the
+/// self term of a layer (GraphTensors::self_rows).
+Var SelfRows(const GraphTensors& g, const Var& x) {
+  return g.self_rows.empty() ? x : GatherRows(x, g.self_rows);
+}
+
+Var SliceVar(const Var& v, RowList rows, RowList cols) {
+  return Var::Constant(Slice(v.value(), rows, cols));
+}
+
 }  // namespace
+
+GraphTensors SliceGraphTensors(const GraphTensors& g, RowList rows,
+                               RowList cols) {
+  RLQVO_CHECK(g.self_rows.empty()) << "tensors are already a cut";
+  GraphTensors cut;
+  cut.adjacency = SliceVar(g.adjacency, rows, cols);
+  cut.norm_adjacency = SliceVar(g.norm_adjacency, rows, cols);
+  cut.mean_adjacency = SliceVar(g.mean_adjacency, rows, cols);
+  cut.attention_mask = Slice(g.attention_mask, rows, cols);
+  cut.degree_diag = SliceVar(g.degree_diag, rows, cols);
+  cut.self_rows.reserve(rows.size());
+  const uint32_t* col = cols.data();
+  for (const uint32_t r : rows) {
+    col = std::lower_bound(col, cols.data() + cols.size(), r);
+    RLQVO_CHECK(col != cols.data() + cols.size() && *col == r)
+        << "row " << r << " is not among the input rows";
+    cut.self_rows.push_back(static_cast<uint32_t>(col - cols.data()));
+  }
+  return cut;
+}
 
 Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
     : weight_(XavierWeight(in_features, out_features, rng)),
@@ -53,7 +84,7 @@ SageConv::SageConv(size_t in, size_t out, Rng* rng)
       bias_(ZeroBias(out)) {}
 
 Var SageConv::Forward(const GraphTensors& g, const Var& h) const {
-  Var self_part = MatMul(h, w_self_);
+  Var self_part = SelfRows(g, MatMul(h, w_self_));
   Var neigh_part = MatMul(MatMul(g.mean_adjacency, h), w_neigh_);
   return AddRowBroadcast(Add(self_part, neigh_part), bias_);
 }
@@ -69,14 +100,15 @@ GatConv::GatConv(size_t in, size_t out, Rng* rng)
       bias_(ZeroBias(out)) {}
 
 Var GatConv::Forward(const GraphTensors& g, const Var& h) const {
-  const size_t n = h.rows();
-  Var s = MatMul(h, weight_);                    // (n, out)
-  Var alpha_src = MatMul(s, att_src_);           // (n, 1)
-  Var alpha_dst = MatMul(s, att_dst_);           // (n, 1)
+  const size_t rows = g.attention_mask.rows();  // output rows
+  const size_t cols = h.rows();                 // input rows
+  Var s = MatMul(h, weight_);                          // (cols, out)
+  Var alpha_src = SelfRows(g, MatMul(s, att_src_));    // (rows, 1)
+  Var alpha_dst = MatMul(s, att_dst_);                 // (cols, 1)
   // E(i, j) = alpha_src_i + alpha_dst_j, built with constant ones-vectors.
-  Var ones_row = Var::Constant(Matrix::Ones(1, n));
-  Var e = Add(MatMul(alpha_src, ones_row),
-              Transpose(MatMul(alpha_dst, ones_row)));
+  Var e = Add(MatMul(alpha_src, Var::Constant(Matrix::Ones(1, cols))),
+              Transpose(MatMul(alpha_dst,
+                               Var::Constant(Matrix::Ones(1, rows)))));
   e = LeakyRelu(e, 0.2);
   Var attention = MaskedRowSoftmax(e, g.attention_mask);
   return AddRowBroadcast(MatMul(attention, s), bias_);
@@ -92,7 +124,7 @@ GraphNNConv::GraphNNConv(size_t in, size_t out, Rng* rng)
       bias_(ZeroBias(out)) {}
 
 Var GraphNNConv::Forward(const GraphTensors& g, const Var& h) const {
-  Var root_part = MatMul(h, w_root_);
+  Var root_part = SelfRows(g, MatMul(h, w_root_));
   Var neigh_part = MatMul(MatMul(g.adjacency, h), w_neigh_);
   return AddRowBroadcast(Add(root_part, neigh_part), bias_);
 }
@@ -108,7 +140,7 @@ LEConv::LEConv(size_t in, size_t out, Rng* rng)
       bias_(ZeroBias(out)) {}
 
 Var LEConv::Forward(const GraphTensors& g, const Var& h) const {
-  Var part1 = MatMul(h, w1_);
+  Var part1 = SelfRows(g, MatMul(h, w1_));
   Var part2 = MatMul(g.degree_diag, MatMul(h, w2_));
   Var part3 = MatMul(g.adjacency, MatMul(h, w3_));
   return AddRowBroadcast(Sub(Add(part1, part2), part3), bias_);

@@ -40,19 +40,38 @@ class Linear {
 
 /// \brief Constant graph matrices a GNN layer consumes. Built per query
 /// graph by the RL feature module; all are non-differentiable constants.
+///
+/// A layer's autograd Forward computes one output row per row of these
+/// matrices from one input row per column, so the (n, n) tensors compute
+/// every row and SliceGraphTensors' cuts compute a subset.
 struct GraphTensors {
   Var adjacency;       ///< A, (n, n)
   Var norm_adjacency;  ///< D̃^-1/2 (A+I) D̃^-1/2, the GCN propagation matrix
   Var mean_adjacency;  ///< D^-1 A (rows of isolated vertices are zero)
   Matrix attention_mask;  ///< A + I as a 0/1 mask for GAT attention
   Var degree_diag;     ///< diag(d(v)), (n, n), for LEConv
+  /// Empty for the (n, n) tensors. In a cut, output row i is the vertex of
+  /// input row self_rows[i]: where a layer's self term reads it.
+  std::vector<uint32_t> self_rows;
 };
+
+/// The cut of `g` (the (n, n) tensors) that computes output rows `rows`
+/// from input rows `cols`: every matrix restricted to (rows, cols). Both
+/// lists ascend, and `cols` holds each row's closed neighbourhood in
+/// g.attention_mask (so `rows` too), as PolicyNetwork's row plan does.
+GraphTensors SliceGraphTensors(const GraphTensors& g, RowList rows,
+                               RowList cols);
 
 /// \brief GNN layer interface: transforms node representations (n, in) to
 /// (n, out) using the graph structure in GraphTensors.
 class GraphLayer {
  public:
   virtual ~GraphLayer() = default;
+  /// Autograd forward: one output row per row of `g`'s matrices, from `h`'s
+  /// rows, one per column (GraphTensors). A self term reads output row i's
+  /// own input row through an exact GatherRows of g.self_rows, placed after
+  /// the product that reads h, so h feeds the same ops as in the (n, n)
+  /// forward and its gradient sums in the same order.
   virtual Var Forward(const GraphTensors& g, const Var& h) const = 0;
   /// Tape-free forward for serving: overwrites each row in `out_rows` of
   /// `out` (shaped (h.rows, out_features)) with the layer output, passed

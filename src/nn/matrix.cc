@@ -107,5 +107,29 @@ Matrix Scale(const Matrix& a, double s) {
   return out;
 }
 
+Matrix Slice(const Matrix& a, RowList rows, RowList cols) {
+  Matrix out(rows.size(), cols.size());
+  double* dst = out.data();
+  for (const uint32_t r : rows) {
+    RLQVO_CHECK_LT(r, a.rows());
+    const double* src = a.data() + r * a.cols();
+    for (const uint32_t c : cols) {
+      RLQVO_DCHECK_LT(c, a.cols());
+      *dst++ = src[c];
+    }
+  }
+  return out;
+}
+
+Matrix GatherRows(const Matrix& a, RowList rows) {
+  Matrix out(rows.size(), a.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    RLQVO_CHECK_LT(rows[i], a.rows());
+    std::copy_n(a.data() + rows[i] * a.cols(), a.cols(),
+                out.data() + i * a.cols());
+  }
+  return out;
+}
+
 }  // namespace nn
 }  // namespace rlqvo

@@ -103,6 +103,11 @@ Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);
 Matrix Hadamard(const Matrix& a, const Matrix& b);
 Matrix Scale(const Matrix& a, double s);
+/// out(i, j) = a(rows[i], cols[j]): the rows `rows` and columns `cols` of
+/// `a`, copied exactly, in list order.
+Matrix Slice(const Matrix& a, RowList rows, RowList cols);
+/// out(i, ·) = a(rows[i], ·), copied exactly.
+Matrix GatherRows(const Matrix& a, RowList rows);
 /// @}
 
 }  // namespace nn

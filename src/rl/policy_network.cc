@@ -1,6 +1,7 @@
 #include "rl/policy_network.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -26,23 +27,48 @@ PolicyNetwork::PolicyNetwork(const PolicyConfig& config) : config_(config) {
 
 PolicyNetwork::ForwardResult PolicyNetwork::Forward(
     const nn::GraphTensors& tensors, const nn::Matrix& features,
-    const std::vector<bool>& action_mask, bool training,
-    Rng* dropout_rng) const {
+    const std::vector<bool>& action_mask, bool training, Rng* dropout_rng,
+    const RowPlan* plan) const {
   RLQVO_CHECK_EQ(features.cols(), static_cast<size_t>(config_.feature_dim));
   RLQVO_CHECK_EQ(features.rows(), action_mask.size());
-  nn::Var h = nn::Var::Constant(features);
-  for (const auto& layer : gnn_layers_) {
-    h = nn::Relu(layer->Forward(tensors, h));
+  const size_t n = features.rows();
+  const size_t num_layers = gnn_layers_.size();
+  RowPlan every_row;  // the null plan: each level lists every row
+  if (plan == nullptr) {
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    every_row.assign(num_layers + 1, all);
+    plan = &every_row;
+  }
+  RLQVO_CHECK_EQ(plan->size(), num_layers + 1);
+  const RowPlan& rows_at = *plan;
+  nn::Var h = nn::Var::Constant(rows_at[0].size() == n
+                                    ? features
+                                    : nn::GatherRows(features, rows_at[0]));
+  for (size_t l = 0; l < num_layers; ++l) {
+    const nn::GraphLayer& layer = *gnn_layers_[l];
+    const std::vector<uint32_t>& rows = rows_at[l + 1];
+    // Layer l computes `rows` from the rows of h; a layer that computes
+    // every row, or reads no neighbours, reads the (n, n) tensors whole.
+    const bool cut = rows.size() != n && layer.ReadsNeighbours();
+    const nn::GraphTensors sliced =
+        cut ? nn::SliceGraphTensors(tensors, rows, rows_at[l])
+            : nn::GraphTensors{};
+    h = nn::Relu(layer.Forward(cut ? sliced : tensors, h));
     if (training && config_.dropout > 0.0) {
-      h = nn::Dropout(h, config_.dropout, dropout_rng, /*training=*/true);
+      h = nn::Dropout(h, config_.dropout, dropout_rng, /*training=*/true,
+                      rows, n);
     }
   }
   // Eq. 4: scores = W2 σ(W1 h); mask + softmax produce the distribution.
   nn::Var hidden = nn::Relu(mlp_hidden_->Forward(h));
-  nn::Var scores = mlp_out_->Forward(hidden);  // (n, 1)
+  nn::Var scores = mlp_out_->Forward(hidden);  // (m, 1)
+  const std::vector<uint32_t>& head = rows_at[num_layers];
+  std::vector<bool> head_mask(head.size());
+  for (size_t i = 0; i < head.size(); ++i) head_mask[i] = action_mask[head[i]];
   ForwardResult result;
   result.raw_scores = scores;
-  result.log_probs = nn::MaskedLogSoftmax(scores, action_mask);
+  result.log_probs = nn::MaskedLogSoftmax(scores, head_mask);
   return result;
 }
 
@@ -70,6 +96,33 @@ void AppendClosedNeighbourhood(const nn::Matrix& mask, nn::RowList rows,
 
 }  // namespace
 
+void PolicyNetwork::PlanRows(const nn::GraphTensors& tensors,
+                             const std::vector<bool>& action_mask,
+                             std::span<std::vector<uint32_t>> plan) const {
+  const size_t num_layers = gnn_layers_.size();
+  const size_t n = action_mask.size();
+  RLQVO_CHECK_EQ(plan.size(), num_layers + 1);
+  RLQVO_CHECK(tensors.attention_mask.rows() == n &&
+              tensors.attention_mask.cols() == n);
+  // Only the action rows of the scores are read (the masked log-softmax
+  // ignores the rest), and graph layer l reads the rows plan[l] of its
+  // input to compute plan[l + 1].
+  std::vector<uint32_t>& head = plan[num_layers];
+  head.clear();
+  for (uint32_t u = 0; u < n; ++u) {
+    if (action_mask[u]) head.push_back(u);
+  }
+  for (size_t l = num_layers; l-- > 0;) {
+    if (gnn_layers_[l]->ReadsNeighbours()) {
+      plan[l].clear();
+      AppendClosedNeighbourhood(tensors.attention_mask, plan[l + 1],
+                                &plan[l]);
+    } else {
+      plan[l] = plan[l + 1];
+    }
+  }
+}
+
 PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
     nn::InferenceWorkspace* workspace, const nn::GraphTensors& tensors,
     const nn::Matrix& features, const std::vector<bool>& action_mask) const {
@@ -77,29 +130,10 @@ PolicyNetwork::InferenceResult PolicyNetwork::ForwardInference(
   RLQVO_CHECK_EQ(features.cols(), static_cast<size_t>(config_.feature_dim));
   RLQVO_CHECK_EQ(features.rows(), action_mask.size());
   const size_t n = features.rows();
-  RLQVO_CHECK(tensors.attention_mask.rows() == n &&
-              tensors.attention_mask.cols() == n);
   const size_t hidden_dim = static_cast<size_t>(config_.hidden_dim);
   const size_t num_layers = gnn_layers_.size();
-  // Row plan, derived backwards from the action mask: only the action
-  // rows of the scores are read (MaskedLogSoftmax ignores the rest), so
-  // plan[num_layers] holds them, and graph layer l computes plan[l + 1]
-  // from the rows plan[l] of its input — the closed query-graph
-  // neighbourhood of plan[l + 1], or plan[l + 1] itself for a layer that
-  // reads no neighbours (MlpConv). A serving-only cut the autograd forward
-  // cannot make: no row is computed that nothing reads.
   std::vector<uint32_t>* plan = workspace->row_plan(num_layers + 1, n);
-  for (uint32_t u = 0; u < n; ++u) {
-    if (action_mask[u]) plan[num_layers].push_back(u);
-  }
-  for (size_t l = num_layers; l-- > 0;) {
-    if (gnn_layers_[l]->ReadsNeighbours()) {
-      AppendClosedNeighbourhood(tensors.attention_mask, plan[l + 1],
-                                &plan[l]);
-    } else {
-      plan[l] = plan[l + 1];
-    }
-  }
+  PlanRows(tensors, action_mask, {plan, num_layers + 1});
   // GNN stack: ping-pong between two activation buffers (a layer must not
   // write into the matrix it reads); every layer is followed by a ReLU,
   // which the layer applies before storing.

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,21 +27,41 @@ struct PolicyConfig {
 
 /// \brief The policy π_θ: maps (query state, action mask) to log-action-
 /// probabilities. Thin wrapper over the autograd layers; every Forward
-/// builds a fresh tape (query graphs are tiny). PPO's update pass builds
-/// one such tape per recorded step, each on a Clone whose weights
-/// CopyWeightsFrom keeps equal to the trained network's, and draws each
-/// step's dropout from its own copy of the trainer's Rng, advanced by
-/// TrainingForwardDraws per earlier step (rl/ppo.h).
+/// builds a fresh tape (query graphs are tiny) over the rows of a row
+/// plan, every row unless one is given. PPO's update pass builds one such
+/// tape per recorded step, on the plan of its action rows (PlanRows), each
+/// on a Clone whose weights CopyWeightsFrom keeps equal to the trained
+/// network's, and draws each step's dropout from its own copy of the
+/// trainer's Rng, advanced by TrainingForwardDraws per earlier step
+/// (rl/ppo.h). Rollouts and serving run the tape-free ForwardInference on
+/// the same plans.
 class PolicyNetwork {
  public:
   explicit PolicyNetwork(const PolicyConfig& config);
 
-  /// Output of one forward pass.
+  /// Rows a forward computes, one ascending list per level: plan[0] the
+  /// feature rows it reads, plan[l + 1] the rows graph layer l computes,
+  /// plan[num_gnn_layers] also the rows of the MLP head.
+  using RowPlan = std::vector<std::vector<uint32_t>>;
+
+  /// The row plan of a forward whose only use is the log-probabilities of
+  /// the action rows, derived backwards from `action_mask` into `plan`
+  /// (num_gnn_layers + 1 lists, overwritten): the head and the last graph
+  /// layer compute the action rows, and each earlier graph layer the
+  /// closed query-graph neighbourhood (A + I, read from
+  /// tensors.attention_mask) of the next layer's rows — the same rows for
+  /// MlpConv. No row is computed that nothing reads. ForwardInference and
+  /// PPO's update steps both plan with it.
+  void PlanRows(const nn::GraphTensors& tensors,
+                const std::vector<bool>& action_mask,
+                std::span<std::vector<uint32_t>> plan) const;
+
+  /// Output of one forward pass, one row per head row of the plan.
   struct ForwardResult {
-    /// (n, 1) log-probabilities; entries outside the mask hold
-    /// nn::kMaskedLogProb.
+    /// (m, 1) log-probabilities over the head rows' share of the action
+    /// mask; entries outside the mask hold nn::kMaskedLogProb.
     nn::Var log_probs;
-    /// (n, 1) raw pre-mask scores, used for the validity reward (whether
+    /// (m, 1) raw pre-mask scores, used for the validity reward (whether
     /// the unmasked argmax lies inside the action space).
     nn::Var raw_scores;
   };
@@ -48,11 +69,22 @@ class PolicyNetwork {
   /// \param tensors constant graph matrices from BuildGraphTensors.
   /// \param features (n, feature_dim) state features.
   /// \param action_mask true for vertices in the action space N(φ_t).
-  /// \param training enables dropout (requires dropout_rng).
+  /// \param training enables dropout (requires dropout_rng). Each dropout
+  /// mask is drawn over the whole (n, hidden_dim) stream, so a planned
+  /// forward draws what the every-row forward draws.
+  /// \param plan rows to compute, from PlanRows; null computes every row
+  /// (m = n). Output row i is query vertex plan->back()[i]. A planned
+  /// forward's values, and the gradients a loss on its head rows sends to
+  /// the parameters, equal the every-row forward's bit for bit, provided
+  /// the every-row forward's activations are finite: a row outside the
+  /// plan receives a gradient of +0.0, so each product it would add to a
+  /// parameter's gradient is ±0.0, which leaves a sum that starts at +0.0
+  /// unchanged; an inf or NaN there would make it NaN instead.
   ForwardResult Forward(const nn::GraphTensors& tensors,
                         const nn::Matrix& features,
                         const std::vector<bool>& action_mask, bool training,
-                        Rng* dropout_rng) const;
+                        Rng* dropout_rng,
+                        const RowPlan* plan = nullptr) const;
 
   /// Raw draws a training-mode Forward takes from `dropout_rng` on a
   /// query of `num_vertices` vertices: nn::Dropout draws one per entry of
@@ -77,14 +109,13 @@ class PolicyNetwork {
   /// Tape-free serving forward: masked scores/log-probs bit-identical to
   /// the eval-mode (training=false) Forward, with no Var tape and no
   /// allocation once `workspace` buffers reach their high-water mark.
-  /// Computes only the rows something reads, from a row plan derived
-  /// backwards from `action_mask` and kept in the workspace: the MLP head
-  /// and the last graph layer compute the action rows, and each earlier
-  /// graph layer the closed query-graph neighbourhood (A + I, read from
-  /// tensors.attention_mask) of the next layer's rows — the same rows for
-  /// MlpConv. Linear layers apply bias and ReLU before the single store of
-  /// each row, and nothing is zero-filled. Dropout is off by construction
-  /// (it only applies when training).
+  /// Computes only the rows something reads, on PlanRows' plan, kept in
+  /// the workspace. Linear layers apply bias and ReLU before the single
+  /// store of each row, and nothing is zero-filled. Dropout is off by
+  /// construction (it only applies when training). An all-true mask
+  /// computes every row's raw score; nn::MaskedLogSoftmaxInto over the
+  /// real mask then gives the eval-mode Forward's log-probabilities, as
+  /// PPO's rollouts do.
   InferenceResult ForwardInference(nn::InferenceWorkspace* workspace,
                                    const nn::GraphTensors& tensors,
                                    const nn::Matrix& features,

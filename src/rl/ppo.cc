@@ -7,22 +7,33 @@
 #include "common/timer.h"
 #include "matching/enumerator.h"
 #include "matching/ordering.h"
+#include "nn/inference.h"
 #include "nn/optimizer.h"
 
 namespace rlqvo {
 
 namespace {
 
-/// Step `step`'s share of the pass: its training forward under `dropout`,
-/// then Backward from its clipped-surrogate term scaled by `root_scale`
-/// (−1/N), accumulating into `network`'s parameter gradients.
+/// Step `step`'s share of the pass: its training forward under `dropout`
+/// on the row plan of its action rows, then Backward from its
+/// clipped-surrogate term scaled by `root_scale` (−1/N), accumulating into
+/// `network`'s parameter gradients.
 void AccumulateStepGradient(const PolicyNetwork& network, const PPOStep& step,
                             double clip_epsilon, double root_scale,
                             Rng* dropout) {
+  PolicyNetwork::RowPlan plan(
+      static_cast<size_t>(network.config().num_gnn_layers) + 1);
+  network.PlanRows(*step.tensors, step.mask, plan);
   const PolicyNetwork::ForwardResult forward =
       network.Forward(*step.tensors, step.features, step.mask,
-                      /*training=*/true, dropout);
-  const nn::Var log_prob = nn::Pick(forward.log_probs, step.action, 0);
+                      /*training=*/true, dropout, &plan);
+  // The head computes the action rows only; the action is one of them.
+  const std::vector<uint32_t>& actions = plan.back();
+  const auto action_row =
+      std::lower_bound(actions.begin(), actions.end(), step.action);
+  RLQVO_CHECK(action_row != actions.end() && *action_row == step.action);
+  const nn::Var log_prob = nn::Pick(
+      forward.log_probs, static_cast<size_t>(action_row - actions.begin()), 0);
   const nn::Var ratio = nn::Exp(nn::AddScalar(log_prob, -step.old_log_prob));
   const nn::Var unclipped = nn::Scale(ratio, step.advantage);
   const nn::Var clipped = nn::Scale(
@@ -189,6 +200,10 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
   nn::Adam adam(policy_->Parameters(), adam_options);
   ThreadPool pool(/*num_threads=*/0);  // hardware_concurrency workers
   PPOUpdatePass update(policy_, &pool);
+  // Rollout scoring: the tape-free forward's buffers and the masked
+  // log-probabilities, reused across every rollout step.
+  nn::InferenceWorkspace rollout_workspace;
+  nn::Matrix log_probs;
 
   TrainStats stats;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -209,6 +224,10 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
       qc.env.Reset();
       const size_t first_step = batch.size();
       std::vector<double> step_rewards;
+      const size_t n = qc.env.query().num_vertices();
+      // The validity reward reads every row's raw score, so the tape-free
+      // forward scores every row; the action mask applies afterwards.
+      const std::vector<bool> every_row(n, true);
 
       while (!qc.env.Done()) {
         const VertexId sole = qc.env.SoleAction();
@@ -220,14 +239,18 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
         record.tensors = &qc.env.tensors();
         record.features = qc.env.Features();
         record.mask = qc.env.ActionMask();
-        auto forward = sampling_policy.Forward(qc.env.tensors(),
-                                               record.features, record.mask,
-                                               /*training=*/false, nullptr);
+        const PolicyNetwork::InferenceResult scored =
+            sampling_policy.ForwardInference(&rollout_workspace,
+                                             qc.env.tensors(), record.features,
+                                             every_row);
+        const nn::Matrix& raw = *scored.raw_scores;
+        log_probs.ResizeForOverwrite(n, 1);
+        nn::MaskedLogSoftmaxInto(raw, record.mask, &log_probs);
         std::vector<double> probs;
         std::vector<VertexId> actions;
-        for (VertexId u = 0; u < qc.env.query().num_vertices(); ++u) {
+        for (VertexId u = 0; u < n; ++u) {
           if (record.mask[u]) {
-            probs.push_back(std::exp(forward.log_probs.value().At(u, 0)));
+            probs.push_back(std::exp(log_probs.At(u, 0)));
             actions.push_back(u);
           }
         }
@@ -243,11 +266,10 @@ Result<TrainStats> PPOTrainer::Train(const std::vector<Graph>& queries,
           action = pick < actions.size() ? actions[pick] : actions[0];
         }
         record.action = action;
-        record.old_log_prob = forward.log_probs.value().At(action, 0);
+        record.old_log_prob = log_probs.At(action, 0);
 
         // Validity reward: is the *unmasked* argmax a legal action?
         size_t argmax = 0;
-        const nn::Matrix& raw = forward.raw_scores.value();
         for (size_t i = 1; i < raw.rows(); ++i) {
           if (raw.At(i, 0) > raw.At(argmax, 0)) argmax = i;
         }

@@ -88,6 +88,13 @@ struct PPOStep {
 ///   it.
 /// - Each step's backward starts from min(·) scaled by −1/N, the gradient
 ///   the tape's Sub chain hands every step.
+/// - Each step's forward runs on the row plan of its action rows
+///   (PolicyNetwork::PlanRows): π_θ(a_s) reads only their receptive field.
+///   On the one tape a row outside the plan gets a gradient of +0.0, so
+///   every product it adds to a parameter's gradient is ±0.0, which leaves
+///   a sum that starts at +0.0 unchanged: skipping the row changes nothing
+///   while its activations are finite. A non-finite activation outside the
+///   plan made the one tape's gradients NaN; the planned step ignores it.
 /// - The per-step parameter gradients are added into the policy's in
 ///   reverse batch order, step N first: the tape's reverse-topological walk
 ///   finishes step N's subgraph before it enters step N−1's. Every
@@ -133,10 +140,13 @@ class PPOUpdatePass {
 /// completed order by running the shared enumeration engine and comparing
 /// #enum against the cached RI-baseline order (Sec III-C's reward), then
 /// run `ppo_epochs` clipped-surrogate updates (Eq. 6-7) with Adam. Rollouts
-/// and rewards run on the calling thread. Each update's gradient pass runs
-/// on a ThreadPool of std::thread::hardware_concurrency() workers that
-/// lives for one Train call (PPOUpdatePass), and the trained weights are
-/// the same bytes for any worker count.
+/// and rewards run on the calling thread; rollouts score each step on the
+/// tape-free PolicyNetwork::ForwardInference over every row, then mask
+/// with nn::MaskedLogSoftmaxInto, bit-identical to the eval-mode Forward.
+/// Each update's gradient pass runs on a ThreadPool of
+/// std::thread::hardware_concurrency() workers that lives for one Train
+/// call (PPOUpdatePass), and the trained weights are the same bytes for
+/// any worker count.
 class PPOTrainer {
  public:
   /// \param policy the network to train (borrowed; must outlive the trainer).

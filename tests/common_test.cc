@@ -123,6 +123,15 @@ TEST(RngTest, DiscardSkipsExactlyThatManyDraws) {
   }
 }
 
+TEST(RngTest, FillBernoulliTakesTheDrawsOfNextBool) {
+  Rng bulk(4);
+  Rng single(4);
+  std::vector<double> out(37);
+  bulk.FillBernoulli(0.3, 2.5, out);
+  for (double v : out) EXPECT_EQ(v, single.NextBool(0.3) ? 2.5 : 0.0);
+  EXPECT_EQ(bulk.NextUint64(), single.NextUint64());
+}
+
 TEST(RngTest, BoundedStaysInRange) {
   Rng rng(99);
   for (int i = 0; i < 1000; ++i) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "nn/autograd.h"
 
@@ -207,6 +208,49 @@ TEST(AutogradTest, DropoutTrainScalesKeptEntries) {
   }
   EXPECT_GT(kept, 30);
   EXPECT_LT(kept, 90);
+}
+
+TEST(AutogradTest, DropoutOnStreamRowsDrawsTheWholeStream) {
+  // A (2, 6) activation holding rows 1 and 3 of a 5-row stream takes the
+  // mask rows 1 and 3 of the whole-stream draw, and leaves the Rng where
+  // the whole-stream dropout leaves it.
+  Rng full_rng(21);
+  Rng rows_rng(21);
+  const Var full = Dropout(Var::Constant(Matrix::Ones(5, 6)), 0.5, &full_rng,
+                           /*training=*/true);
+  const std::vector<uint32_t> rows = {1, 3};
+  const Var part = Dropout(Var::Constant(Matrix::Ones(2, 6)), 0.5, &rows_rng,
+                           /*training=*/true, rows, /*stream_rows=*/5);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < 6; ++c) {
+      EXPECT_EQ(part.value().At(i, c), full.value().At(rows[i], c));
+    }
+  }
+  EXPECT_EQ(rows_rng.NextUint64(), full_rng.NextUint64());
+}
+
+TEST(AutogradTest, GatherRowsCopiesExactlyAndScattersTheGradient) {
+  Matrix m = Arange(4, 3, -0.5, 0.25);
+  m.At(2, 1) = -0.0;
+  Var x = Var::Leaf(m, true);
+  const std::vector<uint32_t> rows = {2, 0};
+  Var y = GatherRows(x, rows);
+  ASSERT_EQ(y.rows(), 2u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(std::signbit(y.value().At(i, c)),
+                std::signbit(m.At(rows[i], c)));
+      EXPECT_EQ(y.value().At(i, c), m.At(rows[i], c));
+    }
+  }
+  EXPECT_TRUE(std::signbit(y.value().At(0, 1)));  // -0.0 stays -0.0
+  Var weights = Var::Constant(Arange(2, 3, 0.7, -0.4));
+  CheckGradient(x, [&] { return Sum(Hadamard(GatherRows(x, rows), weights)); });
+  // Rows 1 and 3 are not gathered: their gradient is +0.0.
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(x.grad().At(1, c), 0.0);
+    EXPECT_FALSE(std::signbit(x.grad().At(3, c)));
+  }
 }
 
 TEST(AutogradTest, StopGradientBlocksFlow) {

@@ -273,6 +273,60 @@ TEST(InferenceEquivalence, PaperDefaultOn32VertexQueries) {
   }
 }
 
+TEST(InferenceEquivalence, RolloutScoringIsTheEvalForward) {
+  // PPO's rollouts score each step with ForwardInference over every row,
+  // because the validity reward reads the unmasked argmax, and take the
+  // log-probabilities from MaskedLogSoftmaxInto over the action mask. The
+  // raw scores at every row and the log-probabilities at the action rows
+  // must equal the eval-mode autograd Forward's bit for bit.
+  const Graph data = RandomData(/*seed=*/43, /*n=*/200, /*avg_degree=*/3.0,
+                                /*labels=*/4);
+  for (nn::Backbone backbone : kBackbones) {
+    SCOPED_TRACE(nn::BackboneName(backbone));
+    PolicyConfig config;
+    config.backbone = backbone;
+    config.hidden_dim = 32;
+    config.init_seed = 17 + static_cast<uint64_t>(backbone);
+    const PolicyNetwork policy = MakePolicy(config);
+    const Graph query =
+        RandomQuery(data, 600 + static_cast<uint64_t>(backbone), 24);
+    const size_t n = query.num_vertices();
+    const std::vector<bool> every_row(n, true);
+    nn::InferenceWorkspace ws;
+    nn::Matrix log_probs(n, 1);
+    OrderingEnv env(&query, &data, FeatureConfig{});
+    size_t steps = 0;
+    while (!env.Done()) {
+      const std::vector<bool>& mask = env.ActionMask();
+      const auto autograd = policy.Forward(env.tensors(), env.FeaturesView(),
+                                           mask, /*training=*/false, nullptr);
+      PoisonWorkspace(policy, n, &ws);
+      log_probs.Fill(std::nan(""));
+      const auto inference = policy.ForwardInference(
+          &ws, env.tensors(), env.FeaturesView(), every_row);
+      nn::MaskedLogSoftmaxInto(*inference.raw_scores, mask, &log_probs);
+      VertexId argmax = kInvalidVertex;
+      for (VertexId u = 0; u < n; ++u) {
+        EXPECT_TRUE(SameDouble(inference.raw_scores->At(u, 0),
+                               autograd.raw_scores.value().At(u, 0)))
+            << "raw score of vertex " << u << " at step " << env.step();
+        if (!mask[u]) continue;
+        EXPECT_TRUE(SameDouble(log_probs.At(u, 0),
+                               autograd.log_probs.value().At(u, 0)))
+            << "log_prob of vertex " << u << " at step " << env.step();
+        if (argmax == kInvalidVertex ||
+            log_probs.At(u, 0) > log_probs.At(argmax, 0)) {
+          argmax = u;
+        }
+      }
+      ASSERT_NE(argmax, kInvalidVertex);
+      env.Step(argmax);
+      ++steps;
+    }
+    EXPECT_EQ(steps, n);
+  }
+}
+
 /// The matmul sum, written out: ascending k, zero lhs coefficients skipped,
 /// multiply then add into a +0.0-initialised sum. The autograd MatMul and
 /// MatMulInto run one kernel, so this loop is the only independent

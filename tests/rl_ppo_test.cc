@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <numeric>
@@ -126,15 +127,29 @@ struct RecordedBatch {
   std::vector<std::unique_ptr<OrderingEnv>> envs;
   std::vector<PPOStep> steps;
 
-  RecordedBatch(const PolicyNetwork& policy, uint64_t seed) {
-    data = RandomData(seed, 80, 4.0, 3);
-    for (uint32_t size : {6u, 9u, 7u}) {
+  // The envs and steps point into this batch's own data and queries, so a
+  // batch is built in place and never copied or moved.
+  RecordedBatch(const RecordedBatch&) = delete;
+  RecordedBatch& operator=(const RecordedBatch&) = delete;
+
+  /// Queries of 6–9 vertices, where a two-layer plan covers every row on
+  /// most steps.
+  RecordedBatch(const PolicyNetwork& policy, uint64_t seed)
+      : RecordedBatch(policy, seed, RandomData(seed, 80, 4.0, 3), {6, 9, 7},
+                      FeatureConfig{}) {}
+
+  /// Queries of `sizes` vertices sampled from `data_graph`, whose features
+  /// follow `features`.
+  RecordedBatch(const PolicyNetwork& policy, uint64_t seed, Graph data_graph,
+                const std::vector<uint32_t>& sizes,
+                const FeatureConfig& features)
+      : data(std::move(data_graph)) {
+    for (uint32_t size : sizes) {
       queries.push_back(RandomQuery(data, seed + size, size));
     }
     Rng rng(seed);
     for (const Graph& q : queries) {
-      envs.push_back(
-          std::make_unique<OrderingEnv>(&q, &data, FeatureConfig{}));
+      envs.push_back(std::make_unique<OrderingEnv>(&q, &data, features));
       OrderingEnv& env = *envs.back();
       env.Reset();
       while (!env.Done()) {
@@ -251,6 +266,146 @@ TEST(PPOUpdatePassTest, MatchesOneTapeBitForBitOnEveryBackboneAndPoolSize) {
                               std::to_string(pool->size()) + " workers");
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-planned update steps: each step computes its action rows' receptive
+// field only, which 6–9-vertex queries rarely leave.
+
+const std::vector<nn::Backbone> kBackbones = {
+    nn::Backbone::kGcn,  nn::Backbone::kMlp,     nn::Backbone::kGat,
+    nn::Backbone::kSage, nn::Backbone::kGraphNN, nn::Backbone::kLEConv};
+
+/// A sparse data graph (average degree 2.5), whose sampled 24–32-vertex
+/// queries are sparse too; `directed` adds arcs and three edge labels.
+Graph SparseData(uint64_t seed, bool directed = false) {
+  LabelConfig labels;
+  labels.num_labels = 3;
+  labels.zipf_exponent = 0.5;
+  if (directed) {
+    labels.directed = true;
+    labels.num_edge_labels = 3;
+  }
+  return GenerateErdosRenyi(400, 2.5, labels, seed).ValueOrDie();
+}
+
+/// Recorded episodes of 24–32-vertex queries on SparseData(seed).
+RecordedBatch LargeQueryBatch(const PolicyConfig& config, uint64_t seed,
+                              bool directed = false,
+                              const FeatureConfig& features = {}) {
+  return RecordedBatch(PolicyNetwork(config), seed,
+                       SparseData(seed, directed), {24, 32, 28}, features);
+}
+
+PolicyNetwork::RowPlan PlanOf(const PolicyNetwork& policy,
+                              const PPOStep& step) {
+  PolicyNetwork::RowPlan plan(
+      static_cast<size_t>(policy.config().num_gnn_layers) + 1);
+  policy.PlanRows(*step.tensors, step.mask, plan);
+  return plan;
+}
+
+/// The batch drives both kinds of step: some whose plan leaves rows out of
+/// the first layer's input, and first steps, where every row is an action
+/// and the plan is every row.
+void ExpectCutAndEveryRowSteps(const PolicyConfig& config,
+                               const std::vector<PPOStep>& steps) {
+  const PolicyNetwork policy(config);
+  size_t cut = 0;
+  size_t every_row = 0;
+  for (const PPOStep& step : steps) {
+    const PolicyNetwork::RowPlan plan = PlanOf(policy, step);
+    const size_t n = step.features.rows();
+    cut += plan.front().size() < n;
+    every_row += plan.back().size() == n;
+  }
+  EXPECT_GT(cut, steps.size() / 2) << nn::BackboneName(config.backbone);
+  EXPECT_GT(every_row, 0u) << nn::BackboneName(config.backbone);
+}
+
+TEST(PPOUpdatePassTest, RowPlannedStepsMatchOneTapeOnLargeSparseQueries) {
+  ThreadPool one(1);
+  ThreadPool three(3);
+  for (nn::Backbone backbone : kBackbones) {
+    for (double dropout : {0.0, 0.2}) {
+      PolicyConfig config;
+      config.backbone = backbone;
+      config.hidden_dim = 16;
+      config.dropout = dropout;
+      const RecordedBatch batch = LargeQueryBatch(config, 310);
+      ExpectCutAndEveryRowSteps(config, batch.steps);
+      const TwoPassOutcome reference = TwoPasses(config, batch.steps, nullptr);
+      for (ThreadPool* pool : {&one, &three}) {
+        ExpectSameOutcome(TwoPasses(config, batch.steps, pool), reference,
+                          nn::BackboneName(backbone) + ", dropout " +
+                              std::to_string(dropout) + ", " +
+                              std::to_string(pool->size()) + " workers");
+      }
+    }
+  }
+}
+
+TEST(PPOUpdatePassTest, RowPlannedStepsMatchOneTapeWithEdgeLabelFeatures) {
+  // A directed, edge-labeled data graph and the 8th feature column.
+  FeatureConfig features;
+  features.edge_label_features = true;
+  PolicyConfig config;
+  config.hidden_dim = 16;
+  config.dropout = 0.2;
+  config.feature_dim = 8;
+  const RecordedBatch batch =
+      LargeQueryBatch(config, 311, /*directed=*/true, features);
+  ASSERT_TRUE(batch.data.directed());
+  ASSERT_EQ(batch.steps.front().features.cols(), 8u);
+  ExpectCutAndEveryRowSteps(config, batch.steps);
+  ThreadPool pool(3);
+  ExpectSameOutcome(TwoPasses(config, batch.steps, &pool),
+                    TwoPasses(config, batch.steps, nullptr),
+                    "edge-label features, directed graph");
+}
+
+TEST(PolicyRowPlanTest, PlannedStepGradientsEqualEveryRowGradients) {
+  // One training forward and Backward from the step's log-probability,
+  // through the step's plan and through the every-row forward, from the
+  // same weights and dropout stream: the values, the parameter gradients
+  // and the stream's end agree bit for bit.
+  for (nn::Backbone backbone : kBackbones) {
+    PolicyConfig config;
+    config.backbone = backbone;
+    config.hidden_dim = 16;
+    config.dropout = 0.2;
+    const RecordedBatch batch = LargeQueryBatch(config, 312);
+    size_t checked = 0;
+    for (const PPOStep& step : batch.steps) {
+      const size_t n = step.features.rows();
+      const PolicyNetwork::RowPlan plan = PlanOf(PolicyNetwork(config), step);
+      if (plan.front().size() == n) continue;
+      const std::vector<uint32_t>& actions = plan.back();
+      const size_t action_row = static_cast<size_t>(
+          std::find(actions.begin(), actions.end(), step.action) -
+          actions.begin());
+      ASSERT_LT(action_row, actions.size());
+      auto run = [&](const PolicyNetwork::RowPlan* row_plan) {
+        PolicyNetwork policy(config);
+        Rng dropout(99);
+        const auto forward =
+            policy.Forward(*step.tensors, step.features, step.mask,
+                           /*training=*/true, &dropout, row_plan);
+        const nn::Var log_prob = nn::Pick(
+            forward.log_probs, row_plan ? action_row : step.action, 0);
+        nn::Backward(nn::Scale(log_prob, -0.5));
+        std::vector<uint64_t> bits = GradBits(policy);
+        bits.push_back(std::bit_cast<uint64_t>(log_prob.value().At(0, 0)));
+        bits.push_back(dropout.NextUint64());
+        return bits;
+      };
+      EXPECT_EQ(run(&plan), run(nullptr))
+          << nn::BackboneName(backbone) << ", plan[0] " << plan.front().size()
+          << " of " << n << " rows, " << actions.size() << " actions";
+      if (++checked == 4) break;
+    }
+    EXPECT_EQ(checked, 4u) << nn::BackboneName(backbone);
   }
 }
 
