@@ -24,6 +24,12 @@
 // overhead check (<= 3% vs serial; serial must stay unregressed: compare
 // serial_us against previous runs).
 //
+// Every run also checks a cross-order oracle: each query's full serial
+// count under the RI order must equal its count under the QSI order
+// (checked fatally). A full count does not depend on the order, but a stale
+// slice memo or a wrong last-position count by subtraction would make it
+// depend on it, on graphs larger than the unit tests use.
+//
 // --smoke shrinks everything for CI: a seconds-long run that still
 // verifies serial/parallel agreement and JSON emission (into
 // BENCH_parallel_enum_smoke.json, so the committed default-run file is
@@ -66,7 +72,8 @@ struct WorkloadCase {
 struct PreparedQuery {
   Graph query;
   CandidateSet candidates;
-  std::vector<VertexId> order;
+  std::vector<VertexId> order;        // RI: the timed order
+  std::vector<VertexId> cross_order;  // QSI: the cross-order oracle's
 };
 
 struct CaseResult {
@@ -103,13 +110,14 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
   std::vector<PreparedQuery> queries;
   for (uint32_t i = 0; i < num_queries; ++i) {
     PreparedQuery pq{MustOk(sampler.SampleQuery(c.query_size), "sample"),
-                     CandidateSet(), {}};
+                     CandidateSet(), {}, {}};
     pq.candidates = MustOk(LDFFilter().Filter(pq.query, data), "filter");
     OrderingContext octx;
     octx.query = &pq.query;
     octx.data = &data;
     octx.candidates = &pq.candidates;
     pq.order = MustOk(RIOrdering().MakeOrder(octx), "order");
+    pq.cross_order = MustOk(QSIOrdering().MakeOrder(octx), "order");
     queries.push_back(std::move(pq));
   }
 
@@ -123,7 +131,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
   CaseResult out;
 
   // Serial baseline (warm-up run also records the expected counts and the
-  // work counters).
+  // work counters, and checks them against the cross-order oracle).
   std::vector<uint64_t> expected(num_queries);
   for (uint32_t i = 0; i < num_queries; ++i) {
     const PreparedQuery& pq = queries[i];
@@ -132,6 +140,18 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
                     "serial enumerate");
     expected[i] = r.num_matches;
     out.serial.Merge(r);
+    auto cross = MustOk(enumerator.Run(pq.query, data, pq.candidates,
+                                       pq.cross_order, eopts, &serial_ws),
+                        "cross-order enumerate");
+    if (cross.num_matches != expected[i]) {
+      std::fprintf(stderr,
+                   "FATAL: cross-order mismatch (%s, query %u: RI %llu vs "
+                   "QSI %llu)\n",
+                   c.name.c_str(), i,
+                   static_cast<unsigned long long>(expected[i]),
+                   static_cast<unsigned long long>(cross.num_matches));
+      std::exit(1);
+    }
   }
 
   auto run_serial = [&] {

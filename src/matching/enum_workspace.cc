@@ -50,9 +50,11 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   }
 #endif
 
-  // Backward-neighbor lists and per-depth local-candidate buffers for this
-  // order; inner vectors keep their capacity across queries.
+  // Backward-neighbor lists, their slice memos and per-depth local-candidate
+  // buffers for this order; inner vectors keep their capacity across
+  // queries.
   if (backward_.size() < nq) backward_.resize(nq);
+  if (slice_memo_.size() < nq) slice_memo_.resize(nq);
   if (local_.size() < nq) local_.resize(nq);
   placed_.assign(nq, 0);
   const bool degenerate = query.degenerate();
@@ -75,7 +77,17 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
         backward_[i].push_back({w, dir, elabel});
       }
     }
+    // A memo from another query or data graph could hold a span for the
+    // same anchor id: start every constraint without one.
+    slice_memo_[i].assign(backward_[i].size(), SliceMemo{});
     placed_[order[i]] = 1;
+  }
+
+  last_label_mates_.clear();
+  for (size_t i = 0; i + 1 < order.size(); ++i) {
+    if (query.label(order[i]) == query.label(order.back())) {
+      last_label_mates_.push_back(order[i]);
+    }
   }
 
   mapping_.assign(nq, kInvalidVertex);

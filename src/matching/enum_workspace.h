@@ -33,6 +33,10 @@ namespace rlqvo {
 ///   local-candidate buffers (the materialization target of the
 ///   intersection core, see intersect.h) are kept across runs and only
 ///   grow, so batch serving never reallocates in steady state.
+/// - **Slice memo.** Each backward constraint remembers the anchor vertex
+///   of its last slice lookup and the slice it got, so an anchor mapped
+///   several levels up is looked up once, not once per extension below it
+///   (see SliceMemo).
 ///
 /// A workspace may be reused across different (query, data) pairs of any
 /// size. It is NOT safe for concurrent use: one workspace per thread
@@ -75,7 +79,8 @@ class EnumeratorWorkspace {
 
   /// Readies the workspace for one enumeration of (query, data, candidates,
   /// order): bumps the epoch, rebuilds the backward-neighbor lists for
-  /// `order`, resets the mapping, picks the membership mode and (dense path)
+  /// `order` with empty slice memos and the last vertex's label mates,
+  /// resets the mapping, picks the membership mode and (dense path)
   /// stamps the candidate cells. Validates that every candidate vertex is in
   /// range for `data`. `order` must be a permutation of V(q) (checked by
   /// Enumerator::Run).
@@ -135,6 +140,30 @@ class EnumeratorWorkspace {
     return backward_;
   }
 
+  /// The last slice lookup of one backward constraint: the anchor data
+  /// vertex it was made for and the NeighborsWith span it returned. A span
+  /// depends only on the anchor, the constraint's (dir, elabel) and the
+  /// label of the vertex being extended, all fixed by Prepare's (query,
+  /// data, order) — so the memo stays valid across the segments a worker
+  /// runs and their prefix installs, and only Prepare resets it.
+  struct SliceMemo {
+    VertexId anchor = kInvalidVertex;
+    std::span<const VertexId> slice;
+  };
+
+  /// slice_memo(i)[j] memoizes the slice of backward()[i][j].
+  std::span<SliceMemo> slice_memo(size_t depth) {
+    RLQVO_DCHECK_LT(depth, slice_memo_.size());
+    return slice_memo_[depth];
+  }
+
+  /// The query vertices at order positions before the last one that carry
+  /// the last vertex's label: the only ones whose images can lie in a
+  /// last-position candidate list (the enumerator's count by subtraction).
+  const std::vector<VertexId>& last_label_mates() const {
+    return last_label_mates_;
+  }
+
   /// \brief Per-depth scratch for the intersection-driven local-candidate
   /// computation: `result` receives the materialized intersection of the
   /// backward neighbors' label slices, `scratch` is the ping-pong partner
@@ -183,6 +212,8 @@ class EnumeratorWorkspace {
   std::vector<uint8_t> visited_stamp_;  // |V(G)|
   std::vector<VertexId> mapping_;
   std::vector<std::vector<BackwardConstraint>> backward_;
+  std::vector<std::vector<SliceMemo>> slice_memo_;  // shaped like backward_
+  std::vector<VertexId> last_label_mates_;
   std::vector<std::pair<EdgeDir, EdgeLabel>> edge_scratch_;  // backward build
   std::vector<LocalBuffers> local_;  // one pair per recursion depth
   std::vector<std::span<const VertexId>> slice_scratch_;

@@ -23,8 +23,8 @@ namespace {
 /// per recursive call, per intersection comparison and per local-candidate
 /// scanned, so expiry detection is proportional to actual effort: a run
 /// overshoots its deadline by at most ~one quantum of work plus one
-/// in-flight slice intersection or one last-position count, regardless of
-/// how wide the slices are.
+/// in-flight slice intersection or one last-position count (a few binary
+/// searches, see CountLastPosition), regardless of how wide the slices are.
 /// (The seed polled once per 4096 recursive calls, which let overshoot
 /// scale with slice width after the intersection core made each call do
 /// large gallop/merge intersections.) A steady_clock read costs ~25 ns;
@@ -516,6 +516,10 @@ struct EnumContext {
   /// and records the full mapping. (Count-only runs never get here; their
   /// last order position goes through CountLastPosition.)
   void EmitMatch() {
+    // The last position skips the membership test: under a complete filter
+    // each unvisited vertex of its list is in C(u) (see CountLastPosition).
+    RLQVO_DCHECK(ws->InCandidates(*candidates, order->back(),
+                                  ws->mapping()[order->back()]));
     if (budget->TryClaimMatches(1) == 0) {
       // Global match budget exhausted. Serially this cannot happen (the
       // claim that reaches the limit stops the run below); in parallel,
@@ -549,23 +553,29 @@ struct EnumContext {
     }
   }
 
-  /// The last order position of a count-only run. Every candidate in
-  /// cands[begin, end) that passes the visited and membership tests
-  /// completes one embedding, so the level counts them and claims the
-  /// whole batch at once instead of descending into each. It charges
-  /// exactly what per-candidate Descend + EmitMatch would: per granted
-  /// match one terminating call, one match and two work units; a claim
-  /// that finds the budget already exhausted charges the one call whose
-  /// claim failed. The level never enters the spine, so splits carve only
-  /// internal levels.
+  /// The last order position of a count-only run. There every query edge
+  /// of u is a backward constraint, so each unvisited vertex of the list
+  /// cands[begin, end) completes an embedding and, by the complete filter
+  /// Enumerator::Run requires, lies in C(u). The level therefore counts by
+  /// subtraction: the list's length minus the images of u's label mates
+  /// (EnumeratorWorkspace::last_label_mates) that the sorted,
+  /// duplicate-free list holds, each found by binary search — the images
+  /// of other positions carry other labels. It claims the whole count at
+  /// once instead of descending into each candidate, and charges exactly
+  /// what per-candidate Descend + EmitMatch would: per granted match one
+  /// terminating call, one match and two work units; a claim that finds
+  /// the budget already exhausted charges the one call whose claim failed.
+  /// The level never enters the spine, so splits carve only internal
+  /// levels.
   void CountLastPosition(VertexId u, const VertexId* cands, size_t begin,
-                         size_t end, bool membership) {
-    uint64_t k = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const VertexId v = cands[i];
-      k += !ws->Visited(v) &&
-           (!membership || ws->InCandidates(*candidates, u, v));
+                         size_t end) {
+    const VertexId* first = cands + begin;
+    const VertexId* last = cands + end;
+    uint64_t k = end - begin;
+    for (const VertexId w : ws->last_label_mates()) {
+      k -= std::binary_search(first, last, ws->mapping()[w]);
     }
+    RLQVO_DCHECK_EQ(k, ScanLastPosition(u, first, last));
     if (k == 0) return;
     const uint64_t granted = budget->TryClaimMatches(k);
     if (granted == 0) {
@@ -583,6 +593,33 @@ struct EnumContext {
     }
   }
 
+  /// The reference for CountLastPosition's subtraction: the vertices of
+  /// [first, last) that pass the visited and membership tests. Debug
+  /// builds check every count against it, and with it the complete-filter
+  /// contract at the last position.
+  uint64_t ScanLastPosition(VertexId u, const VertexId* first,
+                            const VertexId* last) const {
+    uint64_t k = 0;
+    for (const VertexId* it = first; it != last; ++it) {
+      k += !ws->Visited(*it) && ws->InCandidates(*candidates, u, *it);
+    }
+    return k;
+  }
+
+  /// The slice of backward constraint `b` under the current mapping. It
+  /// is looked up only when b's anchor differs from the one `memo` last
+  /// looked up; the span stays valid for the prepared (query, data).
+  std::span<const VertexId> BackwardSlice(
+      const EnumeratorWorkspace::BackwardConstraint& b,
+      EnumeratorWorkspace::SliceMemo& memo, Label ul) {
+    const VertexId anchor = ws->mapping()[b.u];
+    if (memo.anchor != anchor) {
+      memo.anchor = anchor;
+      memo.slice = data->NeighborsWith(anchor, b.dir, b.elabel, ul);
+    }
+    return memo.slice;
+  }
+
   /// Counts one dispatched intersection, attributing SIMD paths to their
   /// counter.
   void TallyPath(IntersectPath path) {
@@ -596,19 +633,24 @@ struct EnumContext {
   /// The candidate loop at order position `depth` over cands[begin, end),
   /// whose storage index 0 sits at original-frame index `base` (nonzero
   /// only for resumed segments — fresh loops own their whole frame).
-  /// `membership` is false only for full-candidate-list levels (the root
-  /// and component breaks), whose vertices are members by construction.
-  /// In the stealable instantiation the loop bounds live in the spine so
-  /// TrySplit can shed the tail; `stable` records whether the storage
-  /// outlives the frame (see SpineLevel). A count-only run counts its last
-  /// order position instead of descending it (CountLastPosition).
+  /// Only a slice-derived list above the last position takes the
+  /// membership test: full candidate lists (the root and component breaks)
+  /// are members by construction, and at the last position a complete
+  /// filter makes every unvisited slice vertex a member (CountLastPosition;
+  /// debug builds check it in EmitMatch). In the stealable instantiation
+  /// the loop bounds live in the spine so TrySplit can shed the tail;
+  /// `stable` records whether the storage outlives the frame (see
+  /// SpineLevel). A count-only run counts its last order position instead
+  /// of descending it (CountLastPosition).
   void RunLevel(size_t depth, const VertexId* cands, size_t begin, size_t end,
-                size_t base, bool stable, bool membership) {
+                size_t base, bool stable) {
     const VertexId u = (*order)[depth];
-    if (depth + 1 == order->size() && !options->store_embeddings) {
-      CountLastPosition(u, cands, begin, end, membership);
+    const bool last = depth + 1 == order->size();
+    if (last && !options->store_embeddings) {
+      CountLastPosition(u, cands, begin, end);
       return;
     }
+    const bool membership = !last && !ws->backward()[depth].empty();
     if constexpr (kStealable) {
       SpineLevel& lvl = spine_[depth];
       lvl.cands = cands;
@@ -655,8 +697,7 @@ struct EnumContext {
     if (CheckStop()) return;
     RLQVO_DCHECK(ws->backward()[0].empty());
     const std::vector<VertexId>& roots = candidates->candidates((*order)[0]);
-    RunLevel(0, roots.data(), 0, roots.size(), /*base=*/0, /*stable=*/true,
-             /*membership=*/false);
+    RunLevel(0, roots.data(), 0, roots.size(), /*base=*/0, /*stable=*/true);
   }
 
   /// The work-stealing entry point: resumes one frontier segment on this
@@ -688,12 +729,8 @@ struct EnumContext {
     if (!stopped) {
       const std::span<const VertexId> prefix(segment->prefix);
       ws->InstallSegmentPrefix(*order, prefix);
-      // Same membership rule the level's original loop used: full
-      // candidate lists (root, component breaks) skip the test.
-      const bool membership = !ws->backward()[segment->depth].empty();
       RunLevel(segment->depth, segment->cands.data(), 0,
-               segment->cands.size(), segment->base, /*stable=*/true,
-               membership);
+               segment->cands.size(), segment->base, /*stable=*/true);
       ws->RemoveSegmentPrefix(*order, prefix);
     }
     segment->result = std::move(result);
@@ -714,8 +751,7 @@ struct EnumContext {
       // No mapped backward neighbor (a component break in a disconnected
       // query/order): iterate C(u).
       const std::vector<VertexId>& c = candidates->candidates(u);
-      RunLevel(depth, c.data(), 0, c.size(), /*base=*/0, /*stable=*/true,
-               /*membership=*/false);
+      RunLevel(depth, c.data(), 0, c.size(), /*base=*/0, /*stable=*/true);
       return;
     }
 
@@ -727,20 +763,23 @@ struct EnumContext {
     // (intersect.h) instead of the seed's per-candidate HasEdge probe per
     // additional backward neighbor. In the degenerate case every constraint
     // is (kOut, 0) and NeighborsWith forwards to the skeleton label slice —
-    // same spans, bit-identical kernels and counters.
-    const std::vector<VertexId>& mapping = ws->mapping();
+    // same spans, bit-identical kernels and counters. Each slice comes
+    // through its constraint's memo, so an anchor that has not changed
+    // since this depth last ran is not looked up again.
+    const std::span<EnumeratorWorkspace::SliceMemo> memo =
+        ws->slice_memo(depth);
     const Label ul = query->label(u);
     ++result.local_candidate_sets;
 
     if (backward.size() == 1) {
       // One backward constraint: its slice IS the local candidate set;
       // iterate it in place without materializing.
-      const std::span<const VertexId> slice = data->NeighborsWith(
-          mapping[backward[0].u], backward[0].dir, backward[0].elabel, ul);
+      const std::span<const VertexId> slice =
+          BackwardSlice(backward[0], memo[0], ul);
       result.local_candidates_total += slice.size();
       work += slice.size();
       RunLevel(depth, slice.data(), 0, slice.size(), /*base=*/0,
-               /*stable=*/true, /*membership=*/true);
+               /*stable=*/true);
       return;
     }
 
@@ -751,8 +790,8 @@ struct EnumContext {
     // while deeper calls run.
     std::vector<std::span<const VertexId>>& slices = ws->slice_scratch();
     slices.clear();
-    for (const EnumeratorWorkspace::BackwardConstraint& b : backward) {
-      slices.push_back(data->NeighborsWith(mapping[b.u], b.dir, b.elabel, ul));
+    for (size_t j = 0; j < backward.size(); ++j) {
+      slices.push_back(BackwardSlice(backward[j], memo[j], ul));
     }
     std::sort(slices.begin(), slices.end(), [](const auto& a, const auto& b) {
       return a.size() < b.size();
@@ -777,7 +816,7 @@ struct EnumContext {
     // The intersection output is this worker's per-depth buffer: NOT
     // stable across frames, so a split of this level copies its half.
     RunLevel(depth, bufs.result.data(), 0, bufs.result.size(), /*base=*/0,
-             /*stable=*/false, /*membership=*/true);
+             /*stable=*/false);
   }
 
   void Descend(size_t depth, VertexId u, VertexId v) {

@@ -30,14 +30,16 @@ struct EnumerateOptions {
   /// Expiry is re-checked every ~16k units of charged work (recursive
   /// calls, intersection comparisons, local-candidate scans), so overshoot
   /// is bounded by one work quantum plus one slice intersection or one
-  /// last-position count — not by how many recursive calls the slices
-  /// amortize.
+  /// last-position count — O(s log L) for s label mates of the last vertex
+  /// and a list of L candidates — not by how many recursive calls the
+  /// slices amortize.
   double time_limit_seconds = 0.0;
   /// Keep the embeddings in EnumerateResult::embeddings. When false, only
   /// counts are tracked, and the last order position is counted instead of
-  /// descended: its candidates that pass the visited and membership tests
-  /// are claimed from the match budget in one batch. #enum, the match count
-  /// and the work units read as if each of them had been descended.
+  /// descended: its unvisited candidates, counted as the list's length
+  /// minus the mapped label mates found in it, are claimed from the match
+  /// budget in one batch. #enum, the match count and the work units read as
+  /// if each of them had been descended.
   bool store_embeddings = false;
   /// Intra-query enumeration parallelism. 0 (default) runs the classic
   /// serial recursion. N >= 1 runs the work-stealing scheduler: the search
@@ -201,13 +203,15 @@ struct ParallelEnumResources {
 /// set is the adaptive sorted-set intersection (see intersect.h) of the
 /// label-restricted adjacency slices NeighborsWithLabel(M(ub), label(u)) of
 /// all already-mapped backward neighbors ub, intersected smallest-first into
-/// per-depth workspace buffers and finished with the candidate-membership
-/// and visited tests. With one backward neighbor the slice is iterated
-/// directly — no per-candidate adjacency probes in either case. A query
-/// vertex with no mapped backward neighbor (the first vertex, or a component
-/// break in a disconnected query/order) iterates its full candidate list
-/// instead, so any permutation of V(q) is a legal order — connected orders
-/// are merely faster.
+/// per-depth workspace buffers and finished with the visited test, plus the
+/// candidate-membership test above the last position. With one backward
+/// neighbor the slice is iterated directly — no per-candidate adjacency
+/// probes in either case. Each slice lookup is memoized per backward
+/// constraint in the workspace, so an anchor mapped several levels up is
+/// looked up once. A query vertex with no mapped backward neighbor (the
+/// first vertex, or a component break in a disconnected query/order)
+/// iterates its full candidate list instead, so any permutation of V(q) is
+/// a legal order — connected orders are merely faster.
 class Enumerator {
  public:
   /// Runs the enumeration with a throwaway workspace. `order` must be a
@@ -217,8 +221,13 @@ class Enumerator {
   /// candidates from label(u) adjacency slices, so a label-mismatched
   /// candidate — which could never be part of a genuine match — is not
   /// enumerated at depths with mapped backward neighbors; DCHECK-enforced
-  /// in debug builds). Convenience for one-shot callers; hot paths should
-  /// reuse a workspace via the overload below.
+  /// in debug builds). The last order position reads only its slices:
+  /// every query edge of its vertex is a backward constraint there, so by
+  /// completeness each unvisited slice vertex is in C(u), and the position
+  /// skips the membership test (a count-only run counts it by subtraction).
+  /// Debug builds check that against the candidate set on every run.
+  /// Convenience for one-shot callers; hot paths should reuse a workspace
+  /// via the overload below.
   Result<EnumerateResult> Run(const Graph& query, const Graph& data,
                               const CandidateSet& candidates,
                               const std::vector<VertexId>& order,

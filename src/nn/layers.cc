@@ -35,14 +35,24 @@ Var SliceVar(const Var& v, RowList rows, RowList cols) {
 }  // namespace
 
 GraphTensors SliceGraphTensors(const GraphTensors& g, RowList rows,
-                               RowList cols) {
+                               RowList cols, uint32_t fields) {
   RLQVO_CHECK(g.self_rows.empty()) << "tensors are already a cut";
   GraphTensors cut;
-  cut.adjacency = SliceVar(g.adjacency, rows, cols);
-  cut.norm_adjacency = SliceVar(g.norm_adjacency, rows, cols);
-  cut.mean_adjacency = SliceVar(g.mean_adjacency, rows, cols);
-  cut.attention_mask = Slice(g.attention_mask, rows, cols);
-  cut.degree_diag = SliceVar(g.degree_diag, rows, cols);
+  if (fields & GraphTensors::kAdjacency) {
+    cut.adjacency = SliceVar(g.adjacency, rows, cols);
+  }
+  if (fields & GraphTensors::kNormAdjacency) {
+    cut.norm_adjacency = SliceVar(g.norm_adjacency, rows, cols);
+  }
+  if (fields & GraphTensors::kMeanAdjacency) {
+    cut.mean_adjacency = SliceVar(g.mean_adjacency, rows, cols);
+  }
+  if (fields & GraphTensors::kAttentionMask) {
+    cut.attention_mask = Slice(g.attention_mask, rows, cols);
+  }
+  if (fields & GraphTensors::kDegreeDiag) {
+    cut.degree_diag = SliceVar(g.degree_diag, rows, cols);
+  }
   cut.self_rows.reserve(rows.size());
   const uint32_t* col = cols.data();
   for (const uint32_t r : rows) {

@@ -45,6 +45,16 @@ class Linear {
 /// matrices from one input row per column, so the (n, n) tensors compute
 /// every row and SliceGraphTensors' cuts compute a subset.
 struct GraphTensors {
+  /// Bits naming the matrices below: the set a layer reads
+  /// (GraphLayer::TensorsRead) and a cut slices (SliceGraphTensors).
+  enum Field : uint32_t {
+    kAdjacency = 1u << 0,
+    kNormAdjacency = 1u << 1,
+    kMeanAdjacency = 1u << 2,
+    kAttentionMask = 1u << 3,
+    kDegreeDiag = 1u << 4,
+  };
+
   Var adjacency;       ///< A, (n, n)
   Var norm_adjacency;  ///< D̃^-1/2 (A+I) D̃^-1/2, the GCN propagation matrix
   Var mean_adjacency;  ///< D^-1 A (rows of isolated vertices are zero)
@@ -56,11 +66,13 @@ struct GraphTensors {
 };
 
 /// The cut of `g` (the (n, n) tensors) that computes output rows `rows`
-/// from input rows `cols`: every matrix restricted to (rows, cols). Both
-/// lists ascend, and `cols` holds each row's closed neighbourhood in
-/// g.attention_mask (so `rows` too), as PolicyNetwork's row plan does.
+/// from input rows `cols`, for a layer that reads the matrices `fields`
+/// (GraphTensors::Field bits): each of those restricted to (rows, cols),
+/// the others left empty, and self_rows filled. Both lists ascend, and
+/// `cols` holds each row's closed neighbourhood in g.attention_mask (so
+/// `rows` too), as PolicyNetwork's row plan does.
 GraphTensors SliceGraphTensors(const GraphTensors& g, RowList rows,
-                               RowList cols);
+                               RowList cols, uint32_t fields);
 
 /// \brief GNN layer interface: transforms node representations (n, in) to
 /// (n, out) using the graph structure in GraphTensors.
@@ -85,10 +97,13 @@ class GraphLayer {
   virtual void ForwardInference(const GraphTensors& g, const Matrix& h,
                                 RowList h_rows, RowList out_rows, bool relu,
                                 InferenceWorkspace* ws, Matrix* out) const = 0;
+  /// The GraphTensors matrices Forward reads, as GraphTensors::Field bits:
+  /// what a cut for this layer slices. 0 only for MlpConv, which ignores
+  /// the graph.
+  virtual uint32_t TensorsRead() const = 0;
   /// Whether output row i reads rows of h other than row i (those of its
-  /// closed neighbourhood). False only for MlpConv, which ignores the
-  /// graph.
-  virtual bool ReadsNeighbours() const { return true; }
+  /// closed neighbourhood), i.e. whether the layer reads the graph.
+  bool ReadsNeighbours() const { return TensorsRead() != 0; }
   virtual std::vector<Var> Parameters() const = 0;
 };
 
@@ -101,6 +116,7 @@ class GcnConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
+  uint32_t TensorsRead() const override { return GraphTensors::kNormAdjacency; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -116,7 +132,7 @@ class MlpConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
-  bool ReadsNeighbours() const override { return false; }
+  uint32_t TensorsRead() const override { return 0; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -132,6 +148,7 @@ class SageConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
+  uint32_t TensorsRead() const override { return GraphTensors::kMeanAdjacency; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -150,6 +167,7 @@ class GatConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
+  uint32_t TensorsRead() const override { return GraphTensors::kAttentionMask; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -168,6 +186,7 @@ class GraphNNConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
+  uint32_t TensorsRead() const override { return GraphTensors::kAdjacency; }
   std::vector<Var> Parameters() const override;
 
  private:
@@ -185,6 +204,9 @@ class LEConv : public GraphLayer {
   void ForwardInference(const GraphTensors& g, const Matrix& h,
                         RowList h_rows, RowList out_rows, bool relu,
                         InferenceWorkspace* ws, Matrix* out) const override;
+  uint32_t TensorsRead() const override {
+    return GraphTensors::kAdjacency | GraphTensors::kDegreeDiag;
+  }
   std::vector<Var> Parameters() const override;
 
  private:

@@ -52,7 +52,8 @@ PolicyNetwork::ForwardResult PolicyNetwork::Forward(
     // every row, or reads no neighbours, reads the (n, n) tensors whole.
     const bool cut = rows.size() != n && layer.ReadsNeighbours();
     const nn::GraphTensors sliced =
-        cut ? nn::SliceGraphTensors(tensors, rows, rows_at[l])
+        cut ? nn::SliceGraphTensors(tensors, rows, rows_at[l],
+                                    layer.TensorsRead())
             : nn::GraphTensors{};
     h = nn::Relu(layer.Forward(cut ? sliced : tensors, h));
     if (training && config_.dropout > 0.0) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "matching/matcher.h"
@@ -190,6 +193,98 @@ TEST(EnumWorkspaceTest, ReuseAcrossQueriesAndGraphsLeavesNoStaleState) {
   EXPECT_GE(reused.stats().epoch_resets, 1u);
   // Steady state: the stamp array grew to the high-water mark and stopped.
   EXPECT_LE(reused.stats().stamp_grows, cases.size());
+}
+
+/// Vertices 1..20 on a path, labels alternating 1 and 0, and a hub, vertex
+/// 0, of label 2 joined to vertices first..last. Graphs built with other
+/// spoke ranges share every vertex id and label but differ in adjacency.
+Graph HubAndPath(VertexId first, VertexId last) {
+  GraphBuilder b;
+  b.AddVertex(2);
+  for (VertexId v = 1; v <= 20; ++v) b.AddVertex(v % 2);
+  for (VertexId v = 1; v < 20; ++v) b.AddEdge(v, v + 1);
+  for (VertexId v = first; v <= last; ++v) b.AddEdge(0, v);
+  return b.Build();
+}
+
+/// A triangle of the hub label and labels `a` and 1 - a, ordered hub first.
+/// Mapped into a HubAndPath graph, the hub always lands on vertex 0, so
+/// every run's slice lookups at both depths anchor on the same vertex.
+Graph HubTriangle(Label a) {
+  GraphBuilder b;
+  b.AddVertex(2);
+  b.AddVertex(a);
+  b.AddVertex(1 - a);
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 2);
+  b.AddEdge(2, 0);
+  return b.Build();
+}
+
+/// The slice memo across Prepares: one workspace (and one set of worker
+/// workspaces) serves data graphs that share vertex ids but differ in
+/// adjacency, and queries whose labels differ at the same depth, with the
+/// same anchor vertex every time. Each run must equal a fresh workspace's
+/// run, counters and embeddings alike, in both modes, serial and parallel.
+TEST(EnumWorkspaceTest, SliceMemoStartsEmptyOnEveryPrepare) {
+  const Graph graphs[] = {HubAndPath(1, 12), HubAndPath(5, 20)};
+  const Graph queries[] = {HubTriangle(0), HubTriangle(1)};
+  const std::vector<VertexId> order = {0, 1, 2};
+  Enumerator enumerator;
+  EnumeratorWorkspace reused;
+  ThreadPool pool(2);
+  std::vector<EnumeratorWorkspace> reused_workers(pool.size());
+  EnumeratorWorkspace reused_caller;
+  ParallelEnumResources resources;
+  resources.pool = &pool;
+  resources.worker_workspaces = &reused_workers;
+  resources.caller_workspace = &reused_caller;
+
+  std::set<uint64_t> match_counts;
+  for (int round = 0; round < 2; ++round) {
+    for (const Graph& data : graphs) {
+      for (const Graph& query : queries) {
+        const CandidateSet cs = LDFFilter().Filter(query, data).ValueOrDie();
+        for (const bool store : {false, true}) {
+          SCOPED_TRACE("round " + std::to_string(round) + " spokes " +
+                       std::to_string(data.degree(0)) + " a-label " +
+                       std::to_string(query.label(1)) +
+                       (store ? " storing" : " count-only"));
+          EnumerateOptions opts = Unlimited();
+          opts.store_embeddings = store;
+          EnumeratorWorkspace fresh;
+          const EnumerateResult expected =
+              enumerator.Run(query, data, cs, order, opts, &fresh)
+                  .ValueOrDie();
+          ASSERT_GT(expected.num_matches, 0u);
+          match_counts.insert(expected.num_matches);
+          const EnumerateResult serial =
+              enumerator.Run(query, data, cs, order, opts, &reused)
+                  .ValueOrDie();
+          opts.parallel_threads = pool.size();
+          const EnumerateResult parallel =
+              enumerator.RunParallel(query, data, cs, order, opts, resources)
+                  .ValueOrDie();
+          EnumWorkCounters::ForEachField(
+              [&](const char* name, uint64_t EnumWorkCounters::*field,
+                  EnumWorkCounters::Rule) {
+                EXPECT_EQ(serial.*field, expected.*field) << name;
+              });
+          EXPECT_EQ(serial.embeddings, expected.embeddings);
+          // The parallel run's scheduler diagnostics describe its schedule.
+          EXPECT_EQ(parallel.num_matches, expected.num_matches);
+          EXPECT_EQ(parallel.num_enumerations, expected.num_enumerations);
+          EXPECT_EQ(parallel.local_candidates_total,
+                    expected.local_candidates_total);
+          EXPECT_EQ(parallel.num_probe_comparisons,
+                    expected.num_probe_comparisons);
+          EXPECT_EQ(parallel.embeddings, expected.embeddings);
+        }
+      }
+    }
+  }
+  // The two graphs really differ where the memo could confuse them.
+  EXPECT_EQ(match_counts.size(), 2u);
 }
 
 TEST(EnumWorkspaceTest, MatchLimitPathWithReusedWorkspace) {

@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -606,11 +607,111 @@ TEST(CountOnlyTest, MatchLimitInsideOneLastPositionList) {
   }
 }
 
-/// Candidate membership at the last position, in both membership modes.
-/// With a complete filter every unvisited vertex the last position's
-/// slices offer completes a match, so membership never decides there; a
-/// narrowed C(u) makes it decide. `workspace.grow=error` denies the stamp
-/// array, so the second pass runs the binary-search membership path.
+/// Where the images of the last vertex's label mates (earlier positions
+/// with its label) fall for the prefixes of `embeddings`: inside the last
+/// position's list, which the count by subtraction must take them out of,
+/// or outside it, where its binary search must leave the count alone. A
+/// prefix's list holds the vertices joined, by every labeled query edge of
+/// the last vertex, to the images of that vertex's query neighbours.
+struct MateImages {
+  uint64_t in_list = 0;
+  uint64_t outside = 0;
+};
+
+MateImages CountMateImages(
+    const Graph& q, const Graph& g, const std::vector<VertexId>& order,
+    const std::vector<std::vector<VertexId>>& embeddings) {
+  const VertexId u = order.back();
+  MateImages images;
+  std::vector<std::pair<EdgeDir, EdgeLabel>> edges;
+  for (const std::vector<VertexId>& m : embeddings) {
+    for (size_t p = 0; p + 1 < order.size(); ++p) {
+      const VertexId mate = order[p];
+      if (q.label(mate) != q.label(u)) continue;
+      bool in_list = true;
+      for (const VertexId x : q.neighbors(u)) {
+        edges.clear();
+        q.EdgesBetween(x, u, &edges);
+        for (const auto& [dir, elabel] : edges) {
+          in_list = in_list && g.HasEdge(m[x], m[mate], dir, elabel);
+        }
+      }
+      ++(in_list ? images.in_list : images.outside);
+    }
+  }
+  return images;
+}
+
+/// Last vertices that share their label with 1, 2 and 3 earlier order
+/// positions, on undirected and on directed two-edge-label graphs, under
+/// every filter: count-only runs charge what storing runs charge and find
+/// the brute-force count, and the mates' images fall both inside and
+/// outside last-position lists.
+TEST(CountOnlyTest, LastVertexLabelMates) {
+  LabelConfig directed_labels = DirectedEdgeLabeled();
+  directed_labels.num_labels = 2;
+  directed_labels.num_edge_labels = 2;
+  const Graph undirected = RandomData(81, 40, 4.0, 2);
+  const Graph directed =
+      GenerateErdosRenyi(30, 6.0, directed_labels, 82).ValueOrDie();
+  for (const Graph* data : {&undirected, &directed}) {
+    SCOPED_TRACE(data->directed() ? "directed" : "undirected");
+    std::set<size_t> mate_counts;
+    MateImages images;
+    const auto covered = [&] {
+      return mate_counts.size() == 3 && images.in_list > 0 &&
+             images.outside > 0;
+    };
+    for (uint64_t seed = 1; seed < 60 && !covered(); ++seed) {
+      const Graph q = RandomQuery(*data, seed, 3 + seed % 3);
+      const CandidateSet ldf = LDFFilter().Filter(q, *data).ValueOrDie();
+      OrderingContext ctx;
+      ctx.query = &q;
+      ctx.data = data;
+      ctx.candidates = &ldf;
+      const std::vector<VertexId> order =
+          RIOrdering().MakeOrder(ctx).ValueOrDie();
+      size_t mates = 0;
+      for (size_t p = 0; p + 1 < order.size(); ++p) {
+        mates += q.label(order[p]) == q.label(order.back());
+      }
+      if (mates == 0 || mates > 3) continue;
+      mate_counts.insert(mates);
+      SCOPED_TRACE("query seed " + std::to_string(seed) + ", " +
+                   std::to_string(mates) + " mates");
+      const uint64_t expected = BruteForceMatch(q, *data).size();
+      for (const char* filter_name : {"LDF", "NLF", "GQL", "DAG-DP"}) {
+        SCOPED_TRACE(filter_name);
+        const CandidateSet cs = MakeFilter(filter_name)
+                                    .ValueOrDie()
+                                    ->Filter(q, *data)
+                                    .ValueOrDie();
+        EXPECT_EQ(ExpectCountOnlyChargesAsStored(q, *data, cs, order),
+                  expected);
+      }
+      EnumerateOptions store;
+      store.match_limit = 0;
+      store.store_embeddings = true;
+      const EnumerateResult stored =
+          Enumerator().Run(q, *data, ldf, order, store).ValueOrDie();
+      const MateImages found =
+          CountMateImages(q, *data, order, stored.embeddings);
+      images.in_list += found.in_list;
+      images.outside += found.outside;
+    }
+    EXPECT_EQ(mate_counts, (std::set<size_t>{1, 2, 3}));
+    EXPECT_GT(images.in_list, 0u);
+    EXPECT_GT(images.outside, 0u);
+  }
+}
+
+/// Candidate membership in both membership modes. Narrowing C(u) at an
+/// internal order position with a backward constraint makes the membership
+/// test decide there. (The last position takes no membership test: under
+/// the complete-filter contract every unvisited vertex of its lists is in
+/// C(u), and debug builds check that, so narrowing its C(u) by hand would
+/// break the contract.) `workspace.grow=error` denies the stamp array, so
+/// the second pass runs the binary-search membership path.
 TEST(CountOnlyTest, MembershipDecidesOnNarrowedSetsInBothModes) {
   const Graph data = RandomData(73, 60, 5.0, 2);
   const Graph q = RandomQuery(data, 74, 4);
@@ -626,12 +727,18 @@ TEST(CountOnlyTest, MembershipDecidesOnNarrowedSetsInBothModes) {
   const uint64_t full =
       Enumerator().Run(q, data, cs, order, count).ValueOrDie().num_matches;
 
-  const VertexId last = order.back();
-  std::vector<VertexId> narrowed;
-  for (size_t i = 0; i < cs.candidates(last).size(); i += 2) {
-    narrowed.push_back(cs.candidates(last)[i]);
+  const size_t position = order.size() - 2;
+  const VertexId narrowed_u = order[position];
+  bool has_backward = false;
+  for (size_t p = 0; p < position; ++p) {
+    has_backward |= q.HasEdge(order[p], narrowed_u);
   }
-  cs.Set(last, std::move(narrowed));
+  ASSERT_TRUE(has_backward);
+  std::vector<VertexId> narrowed;
+  for (size_t i = 0; i < cs.candidates(narrowed_u).size(); i += 2) {
+    narrowed.push_back(cs.candidates(narrowed_u)[i]);
+  }
+  cs.Set(narrowed_u, std::move(narrowed));
 
   for (const bool grow_denied : {false, true}) {
     SCOPED_TRACE(grow_denied ? "binary search" : "stamped");
