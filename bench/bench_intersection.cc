@@ -1,32 +1,28 @@
-// Local-candidate generation: the seed's probe loop (pivot neighborhood
-// scan + one HasEdge binary search per additional backward neighbor) vs the
-// intersection-driven core (adaptive merge/gallop over label-restricted
-// adjacency slices), across label skews and density scales.
+// The enumeration core's intersection kernels, across label skews and
+// density scales.
 //
 // Three parts:
 //   1. A merge-vs-gallop crossover microbench over sorted random sets at
 //      growing size ratios — the measurement behind intersect.h's
 //      kGallopRatio.
 //   2. Full enumeration runs on generated workloads, timing the current
-//      Enumerator (the CPU's kernel), the same enumeration under the forced
-//      scalar kernel (the pre-SIMD baseline), and a faithful re-implementation
-//      of the pre-change probe loop on identical inputs (same workspace
-//      machinery, same candidate sets, same orders). All traverse the
-//      identical recursion tree, so match counts must agree exactly —
-//      checked fatally.
+//      Enumerator (the CPU's kernel) and the same enumeration under the
+//      forced scalar kernel (the pre-SIMD baseline) on identical inputs
+//      (same candidate sets, same orders). Both traverse the identical
+//      recursion tree, so match counts must agree exactly — checked
+//      fatally.
 //   3. Dispatch under every supported kernel (SupportedIntersectKernels():
 //      scalar, plus avx2 on AVX2 hardware) on harvested hub-slice pairs —
 //      the dense slices where intersection time concentrates — with fatal
 //      output-equality per kernel.
 //
-// Acceptance bars: >= 2x over the probe loop on the skewed-label
-// configuration at scale >= 1.0, and avx2 >= 2x scalar on both degenerate
-// part 3 configurations on AVX2 hardware.
+// Acceptance bar: avx2 >= 2x scalar on both degenerate part 3
+// configurations on AVX2 hardware.
 // Metrics (including the enumeration work counters and the kernel grid)
 // land in BENCH_intersection.json.
 //
 // --smoke shrinks everything for CI: a seconds-long run that still verifies
-// probe/intersection agreement and JSON emission, into
+// scalar/CPU-kernel agreement and JSON emission, into
 // BENCH_intersection_smoke.json so a default run's file is never
 // overwritten with smoke-sized numbers.
 #include <algorithm>
@@ -102,78 +98,8 @@ void CrossoverMicrobench(std::vector<std::pair<std::string, double>>* metrics,
 }
 
 // ---------------------------------------------------------------------------
-// Part 2: probe loop vs intersection core on full enumerations.
+// Part 2: the CPU's kernel vs forced scalar on full enumerations.
 // ---------------------------------------------------------------------------
-
-/// The pre-change Extend loop, verbatim in strategy: iterate the minimum-
-/// degree mapped backward neighbor's whole neighborhood, test candidate
-/// membership per vertex, then one HasEdge per remaining backward neighbor.
-/// Runs on the same EnumeratorWorkspace machinery (epoch-stamped visited/
-/// membership, backward lists) so the measured delta is purely the
-/// local-candidate strategy.
-struct ProbeEnumerator {
-  const Graph* query = nullptr;
-  const Graph* data = nullptr;
-  const CandidateSet* candidates = nullptr;
-  const std::vector<VertexId>* order = nullptr;
-  EnumeratorWorkspace* ws = nullptr;
-  uint64_t match_limit = 0;
-  uint64_t num_matches = 0;
-
-  bool Done() const { return match_limit > 0 && num_matches >= match_limit; }
-
-  void Extend(size_t depth) {
-    if (Done()) return;
-    const VertexId u = (*order)[depth];
-    // This benchmark runs degenerate (undirected, single-edge-label)
-    // workloads only, so each backward constraint is just its query vertex.
-    const std::vector<EnumeratorWorkspace::BackwardConstraint>& backward =
-        ws->backward()[depth];
-    if (backward.empty()) {
-      for (VertexId v : candidates->candidates(u)) {
-        if (ws->Visited(v)) continue;
-        Descend(depth, u, v);
-        if (Done()) return;
-      }
-      return;
-    }
-    const std::vector<VertexId>& mapping = ws->mapping();
-    VertexId pivot = kInvalidVertex;
-    for (const auto& b : backward) {
-      const VertexId vb = mapping[b.u];
-      if (pivot == kInvalidVertex || data->degree(vb) < data->degree(pivot)) {
-        pivot = vb;
-      }
-    }
-    for (VertexId v : data->neighbors(pivot)) {
-      if (ws->Visited(v) || !ws->InCandidates(*candidates, u, v)) continue;
-      bool adjacent_to_all = true;
-      for (const auto& b : backward) {
-        const VertexId vb = mapping[b.u];
-        if (vb == pivot) continue;
-        if (!data->HasEdge(vb, v)) {
-          adjacent_to_all = false;
-          break;
-        }
-      }
-      if (!adjacent_to_all) continue;
-      Descend(depth, u, v);
-      if (Done()) return;
-    }
-  }
-
-  void Descend(size_t depth, VertexId u, VertexId v) {
-    ws->mapping()[u] = v;
-    ws->MarkVisited(v);
-    if (depth + 1 == order->size()) {
-      ++num_matches;
-    } else {
-      Extend(depth + 1);
-    }
-    ws->UnmarkVisited(v);
-    ws->mapping()[u] = kInvalidVertex;
-  }
-};
 
 struct WorkloadCase {
   std::string name;
@@ -185,10 +111,8 @@ struct WorkloadCase {
 };
 
 struct CaseResult {
-  double probe_us_per_query = 0.0;
   double intersect_us_per_query = 0.0;  // the CPU's kernel
   double scalar_us_per_query = 0.0;     // forced kScalar (pre-SIMD baseline)
-  double speedup = 0.0;                 // probe / CPU kernel
   double kernel_speedup = 0.0;          // forced-scalar / CPU kernel
   EnumWorkCounters accumulated;  // merged over the query set (CPU kernel)
 };
@@ -209,7 +133,7 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
                    "generate");
 
   // Queries, candidates and orders are computed once and shared by both
-  // sides; only the enumeration strategy differs.
+  // kernels.
   const uint32_t query_size = smoke ? 6 : 10;
   const uint32_t num_queries = smoke ? 3 : 8;
   QuerySampler sampler(&data, opts.seed + 3);
@@ -235,8 +159,8 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
   EnumerateOptions eopts;
   eopts.match_limit = match_limit;
 
-  // Warm-up (grows workspace buffers) + correctness gate: both strategies
-  // walk the identical recursion tree, so counts must agree exactly.
+  // Warm-up (grows workspace buffers); the counts are the reference the
+  // scalar runs below must reproduce.
   std::vector<uint64_t> expected(num_queries);
   for (uint32_t i = 0; i < num_queries; ++i) {
     auto r = MustOk(
@@ -245,22 +169,8 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     expected[i] = r.num_matches;
     out.accumulated.Merge(r);
   }
-  for (uint32_t i = 0; i < num_queries; ++i) {
-    RLQVO_CHECK(ws.Prepare(queries[i], data, css[i], orders[i]).ok());
-    ProbeEnumerator probe{&queries[i], &data, &css[i], &orders[i], &ws,
-                          match_limit};
-    probe.Extend(0);
-    if (probe.num_matches != expected[i]) {
-      std::fprintf(stderr,
-                   "FATAL: probe/intersection mismatch on query %u "
-                   "(%llu vs %llu)\n",
-                   i, static_cast<unsigned long long>(probe.num_matches),
-                   static_cast<unsigned long long>(expected[i]));
-      std::exit(1);
-    }
-  }
 
-  // Calibrate repetitions to ~0.3 s per side, then measure.
+  // Calibrate repetitions to ~0.3 s per kernel, then measure.
   auto run_intersection = [&] {
     for (uint32_t i = 0; i < num_queries; ++i) {
       auto r = MustOk(
@@ -269,29 +179,15 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
       KeepAlive(&r);
     }
   };
-  auto run_probe = [&] {
-    for (uint32_t i = 0; i < num_queries; ++i) {
-      RLQVO_CHECK(ws.Prepare(queries[i], data, css[i], orders[i]).ok());
-      ProbeEnumerator probe{&queries[i], &data, &css[i], &orders[i], &ws,
-                            match_limit};
-      probe.Extend(0);
-      KeepAlive(&probe.num_matches);
-    }
-  };
   Stopwatch calib;
-  run_probe();
+  run_intersection();
   const double once = std::max(1e-6, calib.ElapsedSeconds());
   const int reps = std::clamp(static_cast<int>(0.3 / once), 1, 500);
 
-  Stopwatch pw;
-  for (int r = 0; r < reps; ++r) run_probe();
-  out.probe_us_per_query =
-      pw.ElapsedSeconds() / (reps * num_queries) * 1e6;
   Stopwatch iw;
   for (int r = 0; r < reps; ++r) run_intersection();
   out.intersect_us_per_query =
       iw.ElapsedSeconds() / (reps * num_queries) * 1e6;
-  out.speedup = out.probe_us_per_query / out.intersect_us_per_query;
 
   // Same enumeration under the forced scalar kernel — the pre-SIMD
   // baseline — with a fatal equality gate (kernel choice must not change
@@ -498,21 +394,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  PrintBanner("Enumeration core: probe loop vs slice intersection", opts);
+  PrintBanner("Enumeration core: slice intersection kernels", opts);
   if (smoke) std::printf("# --smoke: reduced sizes for CI\n");
 
   std::vector<std::pair<std::string, double>> metrics;
   CrossoverMicrobench(&metrics, smoke);
 
-  // Label regimes x density scales. "skewed" (zipf 1.2 over 32 labels) is
-  // the acceptance configuration: hub labels produce big slices that the
-  // probe loop re-scans per pivot while intersections gallop through them.
-  // The power-law case samples queries around Chung-Lu hubs, which makes
-  // them cyclic (multi-backward depths) — the multi-way intersection path
-  // at scale, not just the slice-scan path.
-  // Skewed cases run denser (d=32): label skew concentrates both the
-  // queries and the slices on hub labels, which is where the probe loop's
-  // full-neighborhood rescans hurt most.
+  // Label regimes x density scales. Skewed labels (zipf 1.2 over 32
+  // labels, d=32) produce big hub-label slices. The power-law case samples
+  // queries around Chung-Lu hubs, which makes them cyclic (multi-backward
+  // depths) — the multi-way intersection path at scale, not just the
+  // slice-scan path.
   const std::vector<WorkloadCase> cases = {
       {"uniform_s0.5", 32, 0.0, 0.5},
       {"uniform_s1.0", 32, 0.0, 1.0},
@@ -522,33 +414,23 @@ int main(int argc, char** argv) {
       {"powerlaw_s1.0", 32, 1.2, 1.0, 16.0, true},
   };
   const char* cpu_kernel = IntersectKernelName(GetIntersectKernel());
-  std::printf("\n-- enumeration: probe vs scalar vs %s kernels (us/query) "
-              "--\n",
+  std::printf("\n-- enumeration: scalar vs %s kernel (us/query) --\n",
               cpu_kernel);
-  std::printf("%16s %10s %10s %10s %8s %8s %12s\n", "case", "probe", "scalar",
-              cpu_kernel, "vs probe", "vs scal", "simd");
-  double skewed_full_speedup = 0.0;
+  std::printf("%16s %10s %10s %8s %12s\n", "case", "scalar", cpu_kernel,
+              "vs scal", "simd");
   for (const WorkloadCase& c : cases) {
     const CaseResult r = RunCase(c, opts, smoke);
-    std::printf("%16s %10.1f %10.1f %10.1f %7.2fx %7.2fx %12llu\n",
-                c.name.c_str(), r.probe_us_per_query, r.scalar_us_per_query,
-                r.intersect_us_per_query, r.speedup, r.kernel_speedup,
+    std::printf("%16s %10.1f %10.1f %7.2fx %12llu\n", c.name.c_str(),
+                r.scalar_us_per_query, r.intersect_us_per_query,
+                r.kernel_speedup,
                 static_cast<unsigned long long>(
                     r.accumulated.num_simd_intersections));
-    metrics.emplace_back("probe_us_" + c.name, r.probe_us_per_query);
     metrics.emplace_back("intersect_us_" + c.name, r.intersect_us_per_query);
     metrics.emplace_back("intersect_scalar_us_" + c.name,
                          r.scalar_us_per_query);
-    metrics.emplace_back("speedup_" + c.name, r.speedup);
     metrics.emplace_back("enum_kernel_speedup_" + c.name, r.kernel_speedup);
     AppendEnumWorkMetrics(&metrics, c.name, r.accumulated);
-    if (c.name == "skewed_s1.0") skewed_full_speedup = r.speedup;
   }
-
-  metrics.emplace_back("skewed_s1_speedup", skewed_full_speedup);
-  std::printf("skewed scale-1.0 speedup: %.2fx %s\n", skewed_full_speedup,
-              skewed_full_speedup >= 2.0 ? "(PASS >= 2x)"
-                                         : "(below 2x bar)");
 
   KernelMicrobench(&metrics, opts, smoke);
 

@@ -55,7 +55,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"nn.checkpoint_load", StatusCode::kIOError,
      "model checkpoint read fails mid-stream"},
     {"workspace.grow", StatusCode::kResourceExhausted,
-     "EnumeratorWorkspace stamp growth fails; sparse fallback"},
+     "CandidateMembership stamp growth fails; binary-search fallback"},
 };
 
 constexpr int kNumSites = static_cast<int>(std::size(kCatalog));

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <sstream>
+#include <utility>
+
+#include "common/failpoint.h"
 
 namespace rlqvo {
 
@@ -51,6 +54,36 @@ std::string CandidateSet::ToString() const {
     out << "C(" << u << ")=" << sets_[u].size();
   }
   return out.str();
+}
+
+bool CandidateMembership::Stamp(const CandidateSet& cs,
+                                uint32_t data_vertices) {
+  Bind(cs);
+  const uint32_t nq = cs.num_query_vertices();
+  const size_t bytes = static_cast<size_t>(nq) * data_vertices;
+  if (bytes > kMaxStampBytes) return false;
+  if (stamp_.size() < bytes) {
+    MemoryCharge charge = MemoryBudget::Global().TryCharge(bytes);
+    if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
+      ++stats_.denied_grows;
+      return false;
+    }
+    charge_ = std::move(charge);  // releases the old footprint's charge
+    stamp_.resize(bytes, 0);
+    ++stats_.stamp_grows;
+  }
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), uint8_t{0});
+    epoch_ = 1;
+    ++stats_.epoch_resets;
+  }
+  nv_ = data_vertices;
+  stamped_ = true;
+  for (VertexId u = 0; u < nq; ++u) {
+    uint8_t* row = stamp_.data() + static_cast<size_t>(u) * nv_;
+    for (VertexId v : cs.candidates(u)) row[v] = epoch_;
+  }
+  return true;
 }
 
 }  // namespace rlqvo

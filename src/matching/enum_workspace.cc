@@ -1,9 +1,6 @@
 #include "matching/enum_workspace.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "common/failpoint.h"
+#include <string>
 
 namespace rlqvo {
 
@@ -91,53 +88,20 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   }
 
   mapping_.assign(nq, kInvalidVertex);
+  if (visited_.size() < nv) visited_.resize(nv, 0);
 
-  // Bump the epoch: every stamp from previous queries is now stale. On
-  // uint8 wrap-around, old stamps could collide with reused epoch values,
-  // so both arrays get their once-per-255-queries zero-fill here.
-  ++epoch_;
-  if (epoch_ == 0) {
-    std::fill(cand_stamp_.begin(), cand_stamp_.end(), uint8_t{0});
-    std::fill(visited_stamp_.begin(), visited_stamp_.end(), uint8_t{0});
-    epoch_ = 1;
-    ++stats_.epoch_resets;
+  // The density rule: stamp on small graphs, or where the candidates fill
+  // enough of the nq·|V(G)| cells to pay for their scattered writes.
+  const size_t cells = static_cast<size_t>(nq) * nv;
+  const bool dense = nv <= kDenseVertexCutoff ||
+                     static_cast<double>(total_candidates) >=
+                         kDenseMinFill * static_cast<double>(cells);
+  if (dense) {
+    dense_prepares_ += membership_.Stamp(candidates, data.num_vertices());
+  } else {
+    membership_.Bind(candidates);
   }
-  if (visited_stamp_.size() < nv) visited_stamp_.resize(nv, 0);
-
-  const size_t stamp_bytes = static_cast<size_t>(nq) * nv;
-  dense_ = nv <= kDenseVertexCutoff ||
-           (stamp_bytes <= kMaxStampBytes &&
-            static_cast<double>(total_candidates) >=
-                kDenseMinFill * static_cast<double>(stamp_bytes));
-
-  nv_ = nv;
-  if (dense_ && cand_stamp_.size() < stamp_bytes) {
-    // Growth is the one allocation that scales with nq·|V(G)|, so it is
-    // the degradation point: charge the *whole* new footprint (replacing
-    // the previous footprint's charge) and, when the budget or the
-    // `workspace.grow` failpoint denies it, fall back to binary-search
-    // membership — identical results, slower membership check.
-    MemoryCharge charge = MemoryBudget::Global().TryCharge(stamp_bytes);
-    if (charge.empty() || RLQVO_FAILPOINT_FIRED("workspace.grow")) {
-      dense_ = false;
-      ++stats_.sparse_fallbacks;
-    } else {
-      stamp_charge_ = std::move(charge);
-      cand_stamp_.resize(stamp_bytes, 0);
-      ++stats_.stamp_grows;
-      stats_.stamp_bytes = cand_stamp_.size();
-    }
-  }
-  if (dense_) {
-    for (VertexId u = 0; u < nq; ++u) {
-      uint8_t* row = cand_stamp_.data() + static_cast<size_t>(u) * nv;
-      for (VertexId v : candidates.candidates(u)) row[v] = epoch_;
-    }
-    ++stats_.dense_prepares;
-  }
-
-  ++stats_.prepares;
-  stats_.last_dense = dense_;
+  ++prepares_;
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "common/memory_budget.h"
 #include "common/status.h"
 #include "matching/candidate_set.h"
 
@@ -18,17 +17,13 @@ namespace rlqvo {
 /// workspace replaces that with state whose *steady-state* per-query cost is
 /// O(|V(q)| + Σ|C(u)|):
 ///
-/// - **Epoch-stamped membership.** Candidate-membership and visited arrays
-///   store a one-byte epoch instead of a boolean. Prepare() bumps the epoch,
-///   instantly invalidating every stamp from previous queries without
-///   touching the arrays; only the Σ|C(u)| live candidate cells are written.
-///   The uint8 epoch wraps every 255 queries, at which point both arrays are
-///   zero-filled once — an amortized 1/255 of the seed's per-query memset.
-/// - **Sparse fallback.** When the data graph is large and the candidate
-///   lists are sparse, even Σ|C(u)| stamping (and the nq·|V(G)| stamp-array
-///   footprint) is wasted work: membership falls back to
-///   CandidateSet::Contains binary search and the stamp array is never
-///   allocated. See the kDense* thresholds below.
+/// - **Candidate membership.** A CandidateMembership (candidate_set.h),
+///   the class the refinement filters use too, answers `v ∈ C(u)`. Prepare
+///   stamps it or binds it for binary search by the density rule below;
+///   stamping writes only the Σ|C(u)| live cells.
+/// - **Visited marks.** A plain 0/1 array over V(G). It is all-clear
+///   between runs: every mark is undone by the Descend or
+///   RemoveSegmentPrefix that set it, so Prepare never clears it.
 /// - **Preallocated buffers.** The mapping, backward-neighbor and per-depth
 ///   local-candidate buffers (the materialization target of the
 ///   intersection core, see intersect.h) are kept across runs and only
@@ -58,18 +53,18 @@ class EnumeratorWorkspace {
     bool last_dense = false;      ///< membership mode of the last prepare
   };
 
-  /// Below this many data vertices the stamp rows fit comfortably in cache
-  /// and stamping always wins (Prepare picks dense). Covers the paper's
-  /// benchmark graphs (yeast ≈ 3k vertices); larger graphs decide by fill.
+  /// The density rule, the workspace's own choice between stamps and
+  /// binary search (the filters always stamp). Below this many data
+  /// vertices the stamp rows fit comfortably in cache and stamping always
+  /// wins (Prepare picks dense). Covers the paper's benchmark graphs
+  /// (yeast ≈ 3k vertices); larger graphs decide by fill.
   static constexpr uint32_t kDenseVertexCutoff = 8192;
   /// Minimum fill ratio Σ|C(u)| / (nq·|V(G)|) for Prepare to pick dense on
   /// graphs above the cutoff: below ~1.6% the stamped cells are too sparse
   /// to amortize the scattered writes, and binary search's log factor on
-  /// the hot membership check is cheaper than the setup. Chosen from
-  /// bench_enum_setup sweeps in this container (see docs/BENCHMARKS.md).
+  /// the hot membership check is cheaper than the setup. Both sides of the
+  /// rule are measured in docs/BENCHMARKS.md ("Density rule: kept").
   static constexpr double kDenseMinFill = 1.0 / 64.0;
-  /// Hard cap on the stamp-array footprint; Prepare never allocates more.
-  static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
 
   EnumeratorWorkspace() = default;
   EnumeratorWorkspace(const EnumeratorWorkspace&) = delete;
@@ -78,12 +73,12 @@ class EnumeratorWorkspace {
   EnumeratorWorkspace& operator=(EnumeratorWorkspace&&) = default;
 
   /// Readies the workspace for one enumeration of (query, data, candidates,
-  /// order): bumps the epoch, rebuilds the backward-neighbor lists for
-  /// `order` with empty slice memos and the last vertex's label mates,
-  /// resets the mapping, picks the membership mode and (dense path)
-  /// stamps the candidate cells. Validates that every candidate vertex is in
-  /// range for `data`. `order` must be a permutation of V(q) (checked by
-  /// Enumerator::Run).
+  /// order): rebuilds the backward-neighbor lists for `order` with empty
+  /// slice memos and the last vertex's label mates, resets the mapping, and
+  /// binds `candidates` to the membership, stamped or for binary search.
+  /// Validates that every candidate vertex is in range for `data`. `order`
+  /// must be a permutation of V(q) (checked by Enumerator::Run).
+  /// `candidates` must outlive the enumeration.
   Status Prepare(const Graph& query, const Graph& data,
                  const CandidateSet& candidates,
                  const std::vector<VertexId>& order);
@@ -91,17 +86,14 @@ class EnumeratorWorkspace {
   /// \name Hot-path accessors used by the enumeration recursion.
   /// Valid between a Prepare() and the next Prepare().
   /// @{
-  bool dense() const { return dense_; }
-
-  bool InCandidates(const CandidateSet& candidates, VertexId u,
-                    VertexId v) const {
-    return dense_ ? cand_stamp_[static_cast<size_t>(u) * nv_ + v] == epoch_
-                  : candidates.Contains(u, v);
+  /// v ∈ C(u) for the candidate set Prepare bound.
+  bool InCandidates(VertexId u, VertexId v) const {
+    return membership_.Test(u, v);
   }
 
-  bool Visited(VertexId v) const { return visited_stamp_[v] == epoch_; }
-  void MarkVisited(VertexId v) { visited_stamp_[v] = epoch_; }
-  void UnmarkVisited(VertexId v) { visited_stamp_[v] = 0; }
+  bool Visited(VertexId v) const { return visited_[v] != 0; }
+  void MarkVisited(VertexId v) { visited_[v] = 1; }
+  void UnmarkVisited(VertexId v) { visited_[v] = 0; }
 
   /// mapping[u] = mapped data vertex (kInvalidVertex if unmapped).
   std::vector<VertexId>& mapping() { return mapping_; }
@@ -188,7 +180,16 @@ class EnumeratorWorkspace {
   }
   /// @}
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    const CandidateMembership::Stats& m = membership_.stats();
+    return {.prepares = prepares_,
+            .dense_prepares = dense_prepares_,
+            .epoch_resets = m.epoch_resets,
+            .stamp_grows = m.stamp_grows,
+            .sparse_fallbacks = m.denied_grows,
+            .stamp_bytes = membership_.stamp_bytes(),
+            .last_dense = membership_.stamped()};
+  }
 
   /// \name Parallel-run prepare dedupe (used by Enumerator::RunParallel).
   /// A parallel run prepares each per-worker workspace at most once: after
@@ -205,11 +206,8 @@ class EnumeratorWorkspace {
   /// @}
 
  private:
-  // Stamps equal to epoch_ mean "member"/"visited"; anything else (older
-  // epochs, or 0 from the wrap-around clear and from unmarking) means "no".
-  std::vector<uint8_t> cand_stamp_;     // row-major nq x |V(G)| when dense
-  MemoryCharge stamp_charge_;           // budget charge for cand_stamp_
-  std::vector<uint8_t> visited_stamp_;  // |V(G)|
+  CandidateMembership membership_;
+  std::vector<uint8_t> visited_;  // |V(G)|, 1 = mapped in the current path
   std::vector<VertexId> mapping_;
   std::vector<std::vector<BackwardConstraint>> backward_;
   std::vector<std::vector<SliceMemo>> slice_memo_;  // shaped like backward_
@@ -219,11 +217,9 @@ class EnumeratorWorkspace {
   std::vector<std::span<const VertexId>> slice_scratch_;
   std::vector<uint8_t> placed_;  // scratch for the backward build
 
-  size_t nv_ = 0;      // stamp-row stride for the current query
-  uint8_t epoch_ = 0;  // 1..255 once prepared; 0 marks "never stamped"
-  bool dense_ = false;
   uint64_t parallel_run_token_ = 0;  // see parallel_run_token()
-  Stats stats_;
+  uint64_t prepares_ = 0;
+  uint64_t dense_prepares_ = 0;
 };
 
 }  // namespace rlqvo

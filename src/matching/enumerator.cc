@@ -518,8 +518,7 @@ struct EnumContext {
   void EmitMatch() {
     // The last position skips the membership test: under a complete filter
     // each unvisited vertex of its list is in C(u) (see CountLastPosition).
-    RLQVO_DCHECK(ws->InCandidates(*candidates, order->back(),
-                                  ws->mapping()[order->back()]));
+    RLQVO_DCHECK(ws->InCandidates(order->back(), ws->mapping()[order->back()]));
     if (budget->TryClaimMatches(1) == 0) {
       // Global match budget exhausted. Serially this cannot happen (the
       // claim that reaches the limit stops the run below); in parallel,
@@ -601,7 +600,7 @@ struct EnumContext {
                             const VertexId* last) const {
     uint64_t k = 0;
     for (const VertexId* it = first; it != last; ++it) {
-      k += !ws->Visited(*it) && ws->InCandidates(*candidates, u, *it);
+      k += !ws->Visited(*it) && ws->InCandidates(u, *it);
     }
     return k;
   }
@@ -663,7 +662,7 @@ struct EnumContext {
       while (lvl.next < lvl.end) {
         const VertexId v = lvl.cands[lvl.next++];
         if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(*candidates, u, v)) continue;
+        if (membership && !ws->InCandidates(u, v)) continue;
         Descend(depth, u, v);
         if (CheckStop()) break;
       }
@@ -681,7 +680,7 @@ struct EnumContext {
       for (size_t i = begin; i < end; ++i) {
         const VertexId v = cands[i];
         if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(*candidates, u, v)) continue;
+        if (membership && !ws->InCandidates(u, v)) continue;
         Descend(depth, u, v);
         if (CheckStop()) return;
       }

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/memory_budget.h"
-
 namespace rlqvo {
 
 namespace {
@@ -154,82 +152,13 @@ CandidateSet NlfCandidates(const Graph& query, const Graph& data) {
   return result;
 }
 
-/// \brief Reusable candidate-membership structure for the refinement
-/// filters' `v in C(u)` tests.
-///
-/// The seed allocated and zeroed an nq × |V(G)| vector<bool> on every
-/// GQLFilter call and every DagDpFilter sweep — the exact per-query
-/// pathology PR 2 removed from the enumerator. This is the filter-side
-/// equivalent of EnumeratorWorkspace's epoch trick: one thread_local
-/// instance (filters are stateless and shared across engine workers) is
-/// reused across calls; Reset() bumps a uint8 epoch — instantly
-/// invalidating all previous stamps, zero-filling only on the 255-call
-/// wrap — and stamps the Σ|C(u)| live cells. Clearing writes 0, which no
-/// epoch equals.
-///
-/// Growth charges the whole new footprint to MemoryBudget::Global(), like
-/// EnumeratorWorkspace's stamp arrays. Above kMaxStampBytes, or when the
-/// budget denies the charge, the stamp array is not grown; Test() falls
-/// back to binary search in the live CandidateSet. The fallback is exact
-/// for both refinement loops because Test(w, x) is only ever issued for
-/// w != u while vertex u's candidates are being decided, and every earlier
-/// vertex's removals have already been applied to the CandidateSet via
-/// Set() — pending Clears exist only on row u, which is never read.
-class CandidateMembership {
- public:
-  static constexpr size_t kMaxStampBytes = size_t{1} << 28;  // 256 MiB
-
-  /// Binds the membership to `cs` and stamps its current contents.
-  void Reset(const CandidateSet& cs, uint32_t data_vertices) {
-    cs_ = &cs;
-    nv_ = data_vertices;
-    const size_t bytes =
-        static_cast<size_t>(cs.num_query_vertices()) * data_vertices;
-    stamped_ = bytes <= kMaxStampBytes;
-    if (stamped_ && stamp_.size() < bytes) {
-      MemoryCharge charge = MemoryBudget::Global().TryCharge(bytes);
-      stamped_ = !charge.empty();
-      if (stamped_) {
-        charge_ = std::move(charge);  // releases the old footprint's charge
-        stamp_.resize(bytes, 0);
-      }
-    }
-    if (!stamped_) return;
-    ++epoch_;
-    if (epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), uint8_t{0});
-      epoch_ = 1;
-    }
-    for (VertexId u = 0; u < cs.num_query_vertices(); ++u) {
-      uint8_t* row = stamp_.data() + static_cast<size_t>(u) * nv_;
-      for (VertexId v : cs.candidates(u)) row[v] = epoch_;
-    }
-  }
-
-  bool Test(VertexId u, VertexId v) const {
-    return stamped_ ? stamp_[static_cast<size_t>(u) * nv_ + v] == epoch_
-                    : cs_->Contains(u, v);
-  }
-  void Clear(VertexId u, VertexId v) {
-    if (stamped_) stamp_[static_cast<size_t>(u) * nv_ + v] = 0;
-  }
-
- private:
-  const CandidateSet* cs_ = nullptr;
-  std::vector<uint8_t> stamp_;
-  MemoryCharge charge_;  // the budget's share of stamp_
-  size_t nv_ = 0;
-  uint8_t epoch_ = 0;
-  bool stamped_ = false;
-};
-
-/// The per-thread instance the refinement filters reuse across queries.
-/// thread_local is the whole concurrency story: each engine worker (or
-/// caller thread) owns its instance outright, so the shared, stateless
-/// filter objects stay const-callable from any number of threads without a
-/// lock. The instance is rebound via Reset() at the top of every filter
-/// call; nothing leaks between queries except the (intentional) buffer
-/// high-water mark.
+/// The per-thread membership the refinement filters stamp once per call
+/// and reuse across queries. thread_local is the whole concurrency story:
+/// each engine worker (or caller thread) owns its instance outright, so the
+/// shared, stateless filter objects stay const-callable from any number of
+/// threads without a lock. Both refinement loops keep the stamps equal to
+/// the live sets: while deciding C(u) they test only C(w) for w != u, they
+/// Clear() each removal, and they Set() C(u) before moving on.
 CandidateMembership& ThreadLocalMembership() {
   static thread_local CandidateMembership membership;
   return membership;
@@ -340,7 +269,7 @@ Result<CandidateSet> GQLFilter::Filter(const Graph& query,
   CandidateSet cs = NlfCandidates(query, data);
 
   CandidateMembership& bitmap = ThreadLocalMembership();
-  bitmap.Reset(cs, data.num_vertices());
+  bitmap.Stamp(cs, data.num_vertices());
   SemiPerfectMatcher matcher;
   // Removal clock: every check of a query vertex takes the next tick. Covers
   // at u reads only the candidate sets of u's neighbours, so when none of
@@ -430,9 +359,11 @@ Result<CandidateSet> DagDpFilter::Filter(const Graph& query,
             (level[p] == level[child] && p < child));
   };
 
+  // Stamped once: each sweep Clear()s what it removes, so the stamps
+  // still equal cs when the next sweep starts.
+  CandidateMembership& bitmap = ThreadLocalMembership();
+  bitmap.Stamp(cs, data.num_vertices());
   auto sweep = [&](bool top_down) {
-    CandidateMembership& bitmap = ThreadLocalMembership();
-    bitmap.Reset(cs, data.num_vertices());
     const auto& order = bfs_order;
     // The labeled constraints between u and a relevant DAG neighbor are
     // candidate-independent; gather them once per u, in neighbor-list order.
@@ -493,7 +424,7 @@ Result<CandidateSet> DagDpFilter::Filter(const Graph& query,
     }
   };
 
-  for (int s = 0; s < num_sweeps_; ++s) {
+  for (int s = 0; s < kNumSweeps; ++s) {
     sweep(/*top_down=*/true);
     sweep(/*top_down=*/false);
   }

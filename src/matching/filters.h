@@ -95,17 +95,16 @@ class GQLFilter : public CandidateFilter {
 /// \brief DAG dynamic-programming filter in the style of CFL / DP-iso / VEQ:
 /// builds a BFS DAG of the query rooted at the vertex minimising
 /// |C_NLF(u)|/d(u), then alternately sweeps the DAG top-down and bottom-up,
-/// keeping v in C(u) only if every DAG parent (resp. child) u' of u has a
-/// candidate adjacent to v. Used as the candidate generator for VEQ.
+/// kNumSweeps times each, keeping v in C(u) only if every DAG parent
+/// (resp. child) u' of u has a candidate adjacent to v. Used as the
+/// candidate generator for VEQ.
 class DagDpFilter : public CandidateFilter {
  public:
-  explicit DagDpFilter(int num_sweeps = 3) : num_sweeps_(num_sweeps) {}
+  static constexpr int kNumSweeps = 3;
+
   std::string name() const override { return "DAG-DP"; }
   Result<CandidateSet> Filter(const Graph& query,
                               const Graph& data) const override;
-
- private:
-  int num_sweeps_;
 };
 
 /// \brief Builds a filter by name: "LDF", "NLF", "GQL" or "DAG-DP".

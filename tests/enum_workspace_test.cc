@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "matching/matcher.h"
@@ -329,6 +330,114 @@ TEST(EnumWorkspaceTest, ExpiredExternalDeadlineCountsSetupAgainstBudget) {
   EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(result.num_matches, 0u);
   EXPECT_EQ(result.num_enumerations, 0u);
+}
+
+/// The steady state allocates nothing: after one warm-up Prepare, further
+/// Prepares of the same query leave the stamp array as it was.
+TEST(EnumWorkspaceTest, SteadyStatePreparesNeverGrowTheStampArray) {
+  const Graph data = RandomData(171, 2000, 8.0, 4);
+  const Graph query = RandomQuery(data, 172, 12);
+  const CandidateSet cs = LDFFilter().Filter(query, data).ValueOrDie();
+  OrderingContext octx;
+  octx.query = &query;
+  octx.data = &data;
+  octx.candidates = &cs;
+  const auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
+
+  EnumeratorWorkspace ws;
+  ASSERT_TRUE(ws.Prepare(query, data, cs, order).ok());  // warm-up growth
+  const EnumeratorWorkspace::Stats warm = ws.stats();
+  EXPECT_EQ(warm.stamp_grows, 1u);
+  EXPECT_EQ(warm.stamp_bytes,
+            static_cast<size_t>(query.num_vertices()) * data.num_vertices());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(ws.Prepare(query, data, cs, order).ok());
+  }
+  EXPECT_EQ(ws.stats().stamp_grows, warm.stamp_grows);
+  EXPECT_EQ(ws.stats().stamp_bytes, warm.stamp_bytes);
+  EXPECT_EQ(ws.stats().prepares, 51u);
+  EXPECT_EQ(ws.stats().dense_prepares, 51u);
+}
+
+/// The visited marks are a plain array that Prepare never clears: every
+/// mark must be undone by the code that set it, however the run ends. A
+/// workspace reused after runs cut by a match limit, by a deadline and by
+/// a parallel match limit must equal a fresh one on every counter of a
+/// full run, counting and storing.
+TEST(EnumWorkspaceTest, ReuseAfterCutRunsEqualsAFreshWorkspace) {
+  const Graph data = RandomData(181, 60, 6.0, 1);
+  const Graph query = RandomQuery(data, 182, 5);
+  const CandidateSet cs = GQLFilter().Filter(query, data).ValueOrDie();
+  OrderingContext octx;
+  octx.query = &query;
+  octx.data = &data;
+  octx.candidates = &cs;
+  const auto order = RIOrdering().MakeOrder(octx).ValueOrDie();
+  Enumerator enumerator;
+  ThreadPool pool(2);
+  int mid_run_deadline_cuts = 0;
+
+  for (const bool store : {false, true}) {
+    SCOPED_TRACE(store ? "storing" : "count-only");
+    EnumerateOptions full = Unlimited();
+    full.store_embeddings = store;
+    EnumeratorWorkspace fresh;
+    const EnumerateResult expected =
+        enumerator.Run(query, data, cs, order, full, &fresh).ValueOrDie();
+    ASSERT_GT(expected.num_matches, 100u);
+    auto expect_full_run = [&](EnumeratorWorkspace* ws,
+                               const std::string& after) {
+      const EnumerateResult r =
+          enumerator.Run(query, data, cs, order, full, ws).ValueOrDie();
+      EnumWorkCounters::ForEachField(
+          [&](const char* name, uint64_t EnumWorkCounters::*field,
+              EnumWorkCounters::Rule) {
+            EXPECT_EQ(r.*field, expected.*field) << after << ": " << name;
+          });
+      EXPECT_EQ(r.embeddings, expected.embeddings) << after;
+    };
+
+    EnumerateOptions cut = full;
+    cut.match_limit = expected.num_matches / 3;
+    EnumeratorWorkspace reused;
+    const EnumerateResult limited =
+        enumerator.Run(query, data, cs, order, cut, &reused).ValueOrDie();
+    ASSERT_TRUE(limited.hit_match_limit);
+    expect_full_run(&reused, "match limit");
+
+    for (const double seconds : {2e-5, 1e-4, 5e-4, 2e-3}) {
+      const Deadline deadline(seconds);
+      const EnumerateResult timed =
+          enumerator.Run(query, data, cs, order, full, &reused, &deadline)
+              .ValueOrDie();
+      if (!timed.timed_out) continue;
+      mid_run_deadline_cuts += timed.num_enumerations > 0;
+      expect_full_run(&reused, "deadline " + std::to_string(seconds));
+    }
+
+    // Eight loop tasks on two workers and the caller: the seeds no loop
+    // claimed are stolen, and the limit cuts only after nearly all the
+    // work, carved segments with their installed prefixes included.
+    std::vector<EnumeratorWorkspace> workers(pool.size());
+    ParallelEnumResources resources;
+    resources.pool = &pool;
+    resources.worker_workspaces = &workers;
+    resources.caller_workspace = &reused;
+    cut.match_limit = expected.num_matches - 1;
+    cut.parallel_threads = 8;
+    ASSERT_GE(cs.candidates(order[0]).size(), cut.parallel_threads);
+    const EnumerateResult parallel =
+        enumerator.RunParallel(query, data, cs, order, cut, resources)
+            .ValueOrDie();
+    ASSERT_TRUE(parallel.hit_match_limit);
+    EXPECT_GT(parallel.num_steals, 0u);
+    expect_full_run(&reused, "parallel match limit, caller");
+    for (size_t w = 0; w < workers.size(); ++w) {
+      expect_full_run(&workers[w],
+                      "parallel match limit, worker " + std::to_string(w));
+    }
+  }
+  EXPECT_GT(mid_run_deadline_cuts, 0);
 }
 
 TEST(EnumWorkspaceTest, AutoModePicksBinarySearchOnLargeSparseGraph) {

@@ -10,6 +10,7 @@
 
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
@@ -548,6 +549,132 @@ TEST(GqlFilterTest, EqualsPlainRefinementOnZipfLabeledPowerLawGraphs) {
   EXPECT_GT(later_round_removals, 0);
 }
 
+/// DAG-DP with its membership table rebuilt from the candidate sets at the
+/// start of every sweep, and each removal cleared from it at once: the
+/// filter as it ran when it re-stamped per sweep. Unlike the filter it
+/// scans all of N(v) for a witness and tests every parallel edge with
+/// HasEdge. `sweep_pairs` top-down/bottom-up pairs run.
+CandidateSet PerSweepDagDp(const Graph& query, const Graph& data,
+                           int sweep_pairs) {
+  CandidateSet cs = NLFFilter().Filter(query, data).ValueOrDie();
+  const uint32_t nq = query.num_vertices();
+  VertexId root = 0;
+  double best = 1e300;
+  for (VertexId u = 0; u < nq; ++u) {
+    const double score = static_cast<double>(cs.candidates(u).size()) /
+                         std::max(1u, query.degree(u));
+    if (score < best) {
+      best = score;
+      root = u;
+    }
+  }
+  std::vector<int> level(nq, -1);
+  std::vector<VertexId> bfs_order = {root};
+  level[root] = 0;
+  for (size_t i = 0; i < bfs_order.size(); ++i) {
+    for (VertexId w : query.neighbors(bfs_order[i])) {
+      if (level[w] < 0) {
+        level[w] = level[bfs_order[i]] + 1;
+        bfs_order.push_back(w);
+      }
+    }
+  }
+  auto is_parent = [&](VertexId p, VertexId child) {
+    return level[p] < level[child] || (level[p] == level[child] && p < child);
+  };
+  std::vector<std::vector<bool>> member(nq);
+  std::vector<std::pair<EdgeDir, EdgeLabel>> edges;
+  for (int sweep = 0; sweep < 2 * sweep_pairs; ++sweep) {
+    const bool top_down = sweep % 2 == 0;
+    for (VertexId u = 0; u < nq; ++u) {
+      member[u].assign(data.num_vertices(), false);
+      for (VertexId v : cs.candidates(u)) member[u][v] = true;
+    }
+    for (size_t i = 0; i < bfs_order.size(); ++i) {
+      const VertexId u = bfs_order[top_down ? i : bfs_order.size() - 1 - i];
+      std::vector<VertexId> kept;
+      for (VertexId v : cs.candidates(u)) {
+        bool ok = true;
+        for (VertexId w : query.neighbors(u)) {
+          if (!(top_down ? is_parent(w, u) : is_parent(u, w))) continue;
+          edges.clear();
+          query.EdgesBetween(u, w, &edges);
+          bool witness = false;
+          for (VertexId x : data.neighbors(v)) {
+            if (!member[w][x]) continue;
+            witness = true;
+            for (const auto& [dir, elabel] : edges) {
+              witness = witness && data.HasEdge(v, x, dir, elabel);
+            }
+            if (witness) break;
+          }
+          if (!witness) {
+            ok = false;
+            break;
+          }
+        }
+        if (ok) {
+          kept.push_back(v);
+        } else {
+          member[u][v] = false;
+        }
+      }
+      cs.Set(u, std::move(kept));
+    }
+  }
+  return cs;
+}
+
+/// DagDpFilter stamps its membership once per call. It must return the
+/// per-sweep reference's sets, stamped and (on a fresh thread whose stamp
+/// array `workspace.grow` keeps from growing) by binary search. Later
+/// sweep pairs must prune something on these inputs, so they read what
+/// earlier sweeps cleared.
+TEST(DagDpFilterTest, StampedOnceEqualsPerSweepReference) {
+  int later_sweep_removals = 0;
+  size_t dag_total = 0, nlf_total = 0;
+  auto check = [&](const Graph& query, const Graph& data,
+                   const std::string& what) {
+    const CandidateSet expected =
+        PerSweepDagDp(query, data, DagDpFilter::kNumSweeps);
+    const CandidateSet stamped = DagDpFilter().Filter(query, data).ValueOrDie();
+    CandidateSet searched;
+    std::thread([&] {
+      EXPECT_TRUE(failpoint::Activate("workspace.grow", "error").ok());
+      searched = DagDpFilter().Filter(query, data).ValueOrDie();
+      failpoint::Deactivate("workspace.grow");
+    }).join();
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      EXPECT_EQ(stamped.candidates(u), expected.candidates(u))
+          << what << " vertex " << u;
+      EXPECT_EQ(searched.candidates(u), expected.candidates(u))
+          << what << " vertex " << u << " (binary search)";
+    }
+    later_sweep_removals +=
+        expected.TotalSize() < PerSweepDagDp(query, data, 1).TotalSize();
+    dag_total += expected.TotalSize();
+    nlf_total += NLFFilter().Filter(query, data).ValueOrDie().TotalSize();
+  };
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph data = RandomData(seed, 200, 5.0, 3);
+    for (uint64_t i = 0; i < 3; ++i) {
+      check(RandomQuery(data, seed * 100 + i, 6 + i), data,
+            "undirected seed " + std::to_string(seed) + " query " +
+                std::to_string(i));
+    }
+  }
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const Graph data = DirectedData(seed, 4);
+    for (uint64_t i = 0; i < 3; ++i) {
+      check(RandomQuery(data, seed * 100 + i, 8), data,
+            "directed seed " + std::to_string(seed) + " query " +
+                std::to_string(i));
+    }
+  }
+  EXPECT_LT(dag_total, nlf_total);
+  EXPECT_GT(later_sweep_removals, 0);
+}
+
 /// Builds an undirected graph from vertex labels and edges.
 Graph MakeGraph(const std::vector<Label>& labels,
                 const std::vector<std::pair<VertexId, VertexId>>& edges) {
@@ -729,6 +856,162 @@ TEST(FiltersTest, CandidateSetSortsOnlyWhatIsNotStrictlyAscending) {
   EXPECT_EQ(cs.candidates(0).data(), storage);
   EXPECT_EQ(cs.AllocatedBytes(),
             sizeof(std::vector<VertexId>) + 64 * sizeof(VertexId));
+}
+
+/// A candidate set over `data_vertices` vertices holding each (u, v) with
+/// probability `fill`.
+CandidateSet RandomCandidates(uint64_t seed, uint32_t nq,
+                              uint32_t data_vertices, double fill) {
+  Rng rng(seed);
+  CandidateSet cs(nq);
+  for (VertexId u = 0; u < nq; ++u) {
+    std::vector<VertexId> c;
+    for (VertexId v = 0; v < data_vertices; ++v) {
+      if (rng.NextDouble() < fill) c.push_back(v);
+    }
+    cs.Set(u, std::move(c));
+  }
+  return cs;
+}
+
+/// Expects `m` to answer CandidateSet::Contains of `cs` on every cell.
+void ExpectMembershipIs(const CandidateMembership& m, const CandidateSet& cs,
+                        uint32_t data_vertices, const std::string& what) {
+  for (VertexId u = 0; u < cs.num_query_vertices(); ++u) {
+    for (VertexId v = 0; v < data_vertices; ++v) {
+      ASSERT_EQ(m.Test(u, v), cs.Contains(u, v))
+          << what << ": u " << u << " v " << v;
+    }
+  }
+}
+
+TEST(FiltersTest, CandidateMembershipStampedAndBoundAgreeWithContains) {
+  const CandidateSet cs = RandomCandidates(1, 5, 300, 0.2);
+  CandidateMembership m;
+  EXPECT_FALSE(m.stamped());
+  EXPECT_TRUE(m.Stamp(cs, 300));
+  EXPECT_TRUE(m.stamped());
+  EXPECT_EQ(m.stamp_bytes(), 5u * 300u);
+  ExpectMembershipIs(m, cs, 300, "stamped");
+  m.Bind(cs);
+  EXPECT_FALSE(m.stamped());
+  EXPECT_EQ(m.stamp_bytes(), 5u * 300u);  // binding keeps the array
+  ExpectMembershipIs(m, cs, 300, "bound");
+}
+
+TEST(FiltersTest, CandidateMembershipClearRemovesOneStampedCell) {
+  CandidateSet cs = RandomCandidates(2, 3, 100, 0.3);
+  CandidateMembership m;
+  ASSERT_TRUE(m.Stamp(cs, 100));
+  const VertexId u = 1;
+  const VertexId v = cs.candidates(u)[cs.candidates(u).size() / 2];
+  m.Clear(u, v);
+  EXPECT_FALSE(m.Test(u, v));
+  // Mirrored in the set, the clear leaves stamps equal to binary search.
+  std::vector<VertexId> rest;
+  for (VertexId x : cs.candidates(u)) {
+    if (x != v) rest.push_back(x);
+  }
+  const std::vector<VertexId> before = cs.candidates(u);
+  cs.Set(u, rest);
+  ExpectMembershipIs(m, cs, 100, "after Clear");
+  // The next Stamp rebuilds from the set, so the cleared cell is back.
+  cs.Set(u, before);
+  ASSERT_TRUE(m.Stamp(cs, 100));
+  EXPECT_TRUE(m.Test(u, v));
+  // A bound membership answers from the set: Clear is a no-op.
+  m.Bind(cs);
+  m.Clear(u, v);
+  EXPECT_TRUE(m.Test(u, v));
+}
+
+/// One instance across 600 stamps (two epoch wraps) of sets over data
+/// graphs of three sizes, some members cleared in between: every stamp
+/// reads exactly its own set, and the array grows only to a larger
+/// footprint. The first stamp marks every cell of its footprint, and later
+/// sets leave many of those cells alone, so they still hold epoch 1 when
+/// the epoch wraps back to 1: only the zero-fill keeps them out.
+TEST(FiltersTest, CandidateMembershipReuseAcrossEpochWrapsAndGraphSizes) {
+  struct Shape {
+    CandidateSet cs;
+    uint32_t data_vertices;
+  };
+  const Shape first = {RandomCandidates(9, 5, 300, 1.0), 300};
+  const Shape shapes[] = {{RandomCandidates(3, 5, 50, 0.3), 50},
+                          {RandomCandidates(4, 4, 400, 0.05), 400},
+                          {RandomCandidates(5, 6, 120, 0.5), 120}};
+  CandidateMembership m;
+  Rng rng(6);
+  for (int i = 0; i < 600; ++i) {
+    const Shape& shape = i == 0 ? first : shapes[i % 3];
+    ASSERT_TRUE(m.Stamp(shape.cs, shape.data_vertices));
+    ExpectMembershipIs(m, shape.cs, shape.data_vertices,
+                       "stamp " + std::to_string(i));
+    // Clear members only: non-member cells must keep their stale stamps.
+    for (int k = 0; k < 5; ++k) {
+      const auto u = static_cast<VertexId>(
+          rng.NextBounded(shape.cs.num_query_vertices()));
+      const std::vector<VertexId>& c = shape.cs.candidates(u);
+      if (c.empty()) continue;
+      const VertexId v = c[rng.NextBounded(c.size())];
+      m.Clear(u, v);
+      ASSERT_FALSE(m.Test(u, v));
+    }
+  }
+  EXPECT_EQ(m.stats().epoch_resets, 2u);
+  EXPECT_EQ(m.stats().stamp_grows, 2u);  // 1500 bytes, then 1600
+  EXPECT_EQ(m.stamp_bytes(), 1600u);
+  EXPECT_EQ(m.stats().denied_grows, 0u);
+}
+
+/// Growth denied by the `workspace.grow` failpoint or by the memory budget
+/// binds for binary search with the same answers; an array grown before
+/// keeps serving footprints that fit it.
+TEST(FiltersTest, CandidateMembershipDeniedGrowthAnswersByBinarySearch) {
+  const CandidateSet small = RandomCandidates(7, 3, 80, 0.3);
+  const CandidateSet large = RandomCandidates(8, 5, 200, 0.2);
+  for (const char* site : {"workspace.grow", "budget.charge"}) {
+    SCOPED_TRACE(site);
+    CandidateMembership m;
+    ASSERT_TRUE(failpoint::Activate(site, "error").ok());
+    EXPECT_FALSE(m.Stamp(small, 80));
+    EXPECT_FALSE(m.stamped());
+    EXPECT_EQ(m.stamp_bytes(), 0u);
+    ExpectMembershipIs(m, small, 80, "denied");
+    failpoint::Deactivate(site);
+    EXPECT_TRUE(m.Stamp(small, 80));
+    ExpectMembershipIs(m, small, 80, "granted");
+
+    ASSERT_TRUE(failpoint::Activate(site, "error").ok());
+    EXPECT_FALSE(m.Stamp(large, 200));  // needs 1000 bytes, has 240
+    ExpectMembershipIs(m, large, 200, "denied larger");
+    EXPECT_TRUE(m.Stamp(small, 80));  // fits: no growth to deny
+    ExpectMembershipIs(m, small, 80, "fits while denied");
+    failpoint::Deactivate(site);
+    EXPECT_EQ(m.stats().denied_grows, 2u);
+    EXPECT_EQ(m.stats().stamp_grows, 1u);
+    EXPECT_EQ(m.stamp_bytes(), 240u);
+  }
+}
+
+/// A footprint over kMaxStampBytes binds for binary search without
+/// charging or allocating anything; it is not a denied growth.
+TEST(FiltersTest, CandidateMembershipOverTheCapBindsWithoutAllocating) {
+  const uint32_t data_vertices = static_cast<uint32_t>(
+      CandidateMembership::kMaxStampBytes / 2 + 1);
+  CandidateSet cs(2);
+  cs.Set(0, {3, data_vertices - 1});
+  cs.Set(1, {7});
+  CandidateMembership m;
+  const size_t used_before = MemoryBudget::Global().used_bytes();
+  EXPECT_FALSE(m.Stamp(cs, data_vertices));
+  EXPECT_EQ(MemoryBudget::Global().used_bytes(), used_before);
+  EXPECT_EQ(m.stamp_bytes(), 0u);
+  EXPECT_EQ(m.stats().denied_grows, 0u);
+  EXPECT_TRUE(m.Test(0, data_vertices - 1));
+  EXPECT_TRUE(m.Test(1, 7));
+  EXPECT_FALSE(m.Test(0, 7));
+  EXPECT_FALSE(m.Test(1, data_vertices - 1));
 }
 
 }  // namespace
