@@ -30,6 +30,14 @@
 // slice memo or a wrong last-position count by subtraction would make it
 // depend on it, on graphs larger than the unit tests use.
 //
+// Before each thread count's timed loop, every query also runs once with
+// store_embeddings, and its embeddings must equal one serial storing run's,
+// order included (checked fatally): the merge of the segments' runs on
+// bench-sized split trees (the smoke dense case splits down to depth 4).
+// A query whose serial count exceeds kMaxOrderCheckEmbeddings is left out
+// of this check to bound memory, and the run says so; no smoke query
+// comes near it.
+//
 // --smoke shrinks everything for CI: a seconds-long run that still
 // verifies serial/parallel agreement and JSON emission (into
 // BENCH_parallel_enum_smoke.json, so the committed default-run file is
@@ -75,6 +83,10 @@ struct PreparedQuery {
   std::vector<VertexId> order;        // RI: the timed order
   std::vector<VertexId> cross_order;  // QSI: the cross-order oracle's
 };
+
+/// Largest serial count whose embeddings the order check stores (about
+/// 120 MB per stored copy of 7-vertex embeddings).
+constexpr uint64_t kMaxOrderCheckEmbeddings = uint64_t{1} << 21;
 
 struct CaseResult {
   double serial_us = 0.0;
@@ -154,6 +166,26 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
     }
   }
 
+  // The order check's reference: one serial storing run per query.
+  EnumerateOptions store_opts = eopts;
+  store_opts.store_embeddings = true;
+  std::vector<std::vector<std::vector<VertexId>>> serial_embeddings(
+      num_queries);
+  for (uint32_t i = 0; i < num_queries; ++i) {
+    if (expected[i] > kMaxOrderCheckEmbeddings) {
+      std::printf("# %s query %u: order check skipped (%llu embeddings)\n",
+                  c.name.c_str(), i,
+                  static_cast<unsigned long long>(expected[i]));
+      continue;
+    }
+    const PreparedQuery& pq = queries[i];
+    serial_embeddings[i] =
+        MustOk(enumerator.Run(pq.query, data, pq.candidates, pq.order,
+                              store_opts, &serial_ws),
+               "serial storing enumerate")
+            .embeddings;
+  }
+
   auto run_serial = [&] {
     for (const PreparedQuery& pq : queries) {
       auto r = MustOk(enumerator.Run(pq.query, data, pq.candidates, pq.order,
@@ -203,6 +235,26 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
         }
       }
     };
+    // Order check (untimed): storing runs return the serial sequence.
+    EnumerateOptions store_popts = popts;
+    store_popts.store_embeddings = true;
+    for (uint32_t i = 0; i < num_queries; ++i) {
+      if (expected[i] > kMaxOrderCheckEmbeddings) continue;
+      const PreparedQuery& pq = queries[i];
+      const EnumerateResult r =
+          MustOk(enumerator.RunParallel(pq.query, data, pq.candidates,
+                                        pq.order, store_popts, resources),
+                 "parallel storing enumerate");
+      if (r.embeddings != serial_embeddings[i]) {
+        std::fprintf(stderr,
+                     "FATAL: parallel embeddings differ from serial (%s, %u "
+                     "threads, query %u: %zu vs %zu embeddings, order "
+                     "included)\n",
+                     c.name.c_str(), threads, i, r.embeddings.size(),
+                     serial_embeddings[i].size());
+        std::exit(1);
+      }
+    }
     run_parallel();  // warm-up: grows per-worker workspaces + checks counts
     Stopwatch pw;
     for (int r = 0; r < reps; ++r) run_parallel();

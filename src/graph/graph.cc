@@ -295,7 +295,10 @@ Graph GraphBuilder::Build() {
   g.slice_offsets_[n] = g.slice_labels_.size();
 
   g.num_labels_ = 0;
-  for (Label l : g.labels_) g.num_labels_ = std::max(g.num_labels_, l + 1);
+  for (Label l : g.labels_) {
+    RLQVO_CHECK_LE(l, kMaxLabel);  // l + 1 must not wrap the label count
+    g.num_labels_ = std::max(g.num_labels_, l + 1);
+  }
 
   // Label index.
   g.label_freq_.assign(g.num_labels_, 0);

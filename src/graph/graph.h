@@ -24,6 +24,11 @@ using EdgeLabel = uint32_t;
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = UINT32_MAX;
 
+/// The largest vertex label a graph can hold: Graph::num_labels() is the
+/// largest label plus one, a 32-bit count. The graph loaders reject larger
+/// labels and GraphBuilder::Build CHECKs them.
+inline constexpr Label kMaxLabel = UINT32_MAX - 1;
+
 /// Direction class of a labeled adjacency lookup. A directed graph keeps
 /// two (edge-label, vertex-label)-sliced CSRs per the model below; an
 /// undirected graph has ONE direction class — kIn lookups forward to the
@@ -387,7 +392,8 @@ class GraphBuilder {
   /// Pre-sizes internal storage for n vertices.
   explicit GraphBuilder(uint32_t expected_vertices);
 
-  /// Adds a vertex with the given label; returns its id (sequential).
+  /// Adds a vertex with the given label (at most kMaxLabel; Build CHECKs
+  /// it); returns its id (sequential).
   VertexId AddVertex(Label label);
 
   /// Adds an edge carrying edge label 0 (undirected, or u -> v when

@@ -81,6 +81,7 @@ Result<Graph> ParseGraphText(const std::string& text) {
       if (id != builder.num_vertices()) {
         return error("vertex ids must be dense and ascending");
       }
+      if (label > kMaxLabel) return error("vertex label exceeds 2^32-2");
       builder.AddVertex(static_cast<Label>(label));
     } else if (tok[0] == "e") {
       if (tok.size() < 3 || tok.size() > 4) return error("malformed edge");
@@ -218,6 +219,7 @@ class BinaryReader {
   bool ReadU32(uint32_t* v) { return ReadLE(v, 4); }
   bool ReadU64(uint64_t* v) { return ReadLE(v, 8); }
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   template <typename T>
@@ -303,11 +305,15 @@ Result<Graph> ParseGraphBinary(const std::string& bytes) {
   uint32_t n = 0;
   uint64_t m = 0;
   if (!in.ReadU32(&n) || !in.ReadU64(&m)) return corrupt("truncated header");
+  // Check the payload before the builder reserves for n vertices: a short
+  // payload that declares a huge n must not allocate for it.
+  if (in.remaining() / 4 < n) return corrupt("truncated vertex labels");
   GraphBuilder builder(n);
   builder.set_directed(directed);
   for (uint32_t v = 0; v < n; ++v) {
     uint32_t label = 0;
     if (!in.ReadU32(&label)) return corrupt("truncated vertex labels");
+    if (label > kMaxLabel) return corrupt("vertex label exceeds 2^32-2");
     builder.AddVertex(label);
   }
   for (uint64_t i = 0; i < m; ++i) {

@@ -21,7 +21,9 @@ namespace rlqvo {
 /// Lines starting with '#' or '%' are skipped as comments. A trailing
 /// `directed` on the header makes every edge a directed u -> v arc; an
 /// omitted edge label means label 0, so every pre-existing undirected file
-/// loads unchanged as the degenerate single-edge-label case.
+/// loads unchanged as the degenerate single-edge-label case. A vertex label
+/// above kMaxLabel (2^32-2) or an edge label above 2^32-1 is rejected with
+/// InvalidArgument.
 Result<Graph> ParseGraphText(const std::string& text);
 
 /// \brief Loads a graph from a file in the format of ParseGraphText.
@@ -50,8 +52,10 @@ std::string GraphToBinary(const Graph& g);
 
 /// \brief Parses the binary format of GraphToBinary. Version-1 payloads
 /// load as degenerate single-edge-label graphs; corrupt magic/version,
-/// truncated payloads, out-of-range endpoints, self-loops, out-of-range
-/// edge labels and malformed flags are all rejected with InvalidArgument.
+/// truncated payloads (checked against n before anything is reserved for
+/// the vertices), vertex labels above kMaxLabel, out-of-range endpoints,
+/// self-loops, out-of-range edge labels and malformed flags are all
+/// rejected with InvalidArgument.
 Result<Graph> ParseGraphBinary(const std::string& bytes);
 
 /// \brief File wrappers around GraphToBinary / ParseGraphBinary.

@@ -43,10 +43,10 @@ namespace rlqvo {
 /// **Memory-order protocol.** Every atomic here uses
 /// std::memory_order_relaxed, deliberately: the budget only *counts* and
 /// *signals* — it never publishes data. A successful claim entitles the
-/// worker loop to emit into the emission blocks of the segment it is
-/// running; those blocks are handed to the coordinator through the
-/// scheduler and Completion mutexes (see Enumerator::RunParallel), which
-/// provide all the happens-before edges the emitted embeddings need.
+/// worker loop to append to the embeddings of the segment it is running;
+/// the segment's results reach the coordinator through the Completion
+/// mutex (see Enumerator::RunParallel), which provides all the
+/// happens-before edges the emitted embeddings need.
 /// `stop_` is a pure hint — a worker loop that misses a freshly-raised
 /// stop merely burns the rest of its current work quantum before
 /// re-polling, which affects latency, never correctness (claims, not the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -42,61 +43,26 @@ constexpr uint64_t kDeadlineCheckWorkQuantum = uint64_t{1} << 14;
 constexpr uint64_t kSplitCheckWorkQuantum = uint64_t{1} << 11;
 
 /// Minimum remaining-sibling-range width an owner will split off. Below
-/// this the stolen half cannot amortize the segment overhead (prefix copy,
-/// deque round-trip, per-segment result buffers), so tiny ranges always
-/// stay with their owner.
+/// this the stolen half cannot amortize the segment overhead (prefix and
+/// candidate copies, deque round-trip, per-segment results), so tiny
+/// ranges always stay with their owner.
 constexpr size_t kMinSplitWidth = 4;
 
-/// A maximal run of consecutively-emitted embeddings, tagged with the
-/// *index path* of its first emission: for each order position, the
-/// candidate's index in the original (unsplit) frame of the loop instance
-/// it came from. Serial enumeration visits emissions in strictly
-/// increasing lexicographic index-path order, so sorting blocks by `path`
-/// reproduces the serial emission sequence exactly — the deterministic
-/// stitching of RunParallel. Two paths are only compared component-wise
-/// until they first differ, and equal components at every shallower level
-/// imply the *same* loop instance at the next level, so indices from
-/// different branches of the search tree are never compared against each
-/// other's frames.
-struct EmissionBlock {
-  std::vector<size_t> path;
-  std::vector<std::vector<VertexId>> embeddings;
-};
-
 /// One stealable unit of enumeration work: resume the candidate loop at
-/// order position `depth` over the remaining sub-range `cands`, with
-/// positions 0..depth-1 already mapped as recorded in `prefix`.
-///
-/// **Emission blocks.** A segment's output is a list of EmissionBlocks
-/// rather than one stream: whenever the segment pops a loop level that a
-/// split carved a tail from, its subsequent emissions come *after* the
-/// carved interval in serial order, so the current block is closed there
-/// and the next emission opens a new one (see EnumContext::EmitMatch and
-/// RunLevel). Block paths then interleave parent and child output
-/// correctly under the global sort no matter how deep the split was.
+/// order position `depth` over the sub-range `cands`, with positions
+/// 0..depth-1 already mapped as recorded in `prefix`.
 struct FrontierSegment {
   /// Order position of the resumed loop; prefix.size() == depth.
   size_t depth = 0;
   /// prefix[p] = data image of order[p] for p < depth.
   std::vector<VertexId> prefix;
-  /// path_prefix[p] = original-frame candidate index behind prefix[p] —
-  /// the first `depth` components of every index path this segment emits.
-  std::vector<size_t> path_prefix;
-  /// Original-frame index of cands[0] within the loop instance this
-  /// segment resumes (splits hand the tail to the child, so the child's
-  /// storage starts mid-frame).
-  size_t base = 0;
-  /// Backing storage for `cands` when the parent's range lived in a
-  /// worker-local intersection buffer (mutated after the parent's frame
-  /// exits); empty when `cands` points into stable storage (candidate
-  /// lists, graph adjacency, or an ancestor segment's owned_cands — all
-  /// immutable for the run, segments are kept alive until stitching).
-  std::vector<VertexId> owned_cands;
-  std::span<const VertexId> cands;
-  /// Segment-local counters (embeddings live in `blocks`), published to
-  /// the coordinator through the completion rendezvous.
+  /// The segment's own copy of its candidates, strictly id-ascending like
+  /// every list it was carved from (the source may be a worker-local
+  /// intersection buffer, which is overwritten once its frame exits).
+  std::vector<VertexId> cands;
+  /// Segment-local counters and embeddings, published to the coordinator
+  /// through the completion rendezvous.
   EnumerateResult result;
-  std::vector<EmissionBlock> blocks;
 };
 
 /// Per-run work-stealing scheduler: one deque of queued segments per
@@ -334,9 +300,8 @@ class SegmentScheduler {
   Mutex mu_;
   CondVar cv_;  // signaled on push, finish, and run completion
   std::vector<std::deque<FrontierSegment*>> deques_ GUARDED_BY(mu_);
-  /// Master list: owns every segment for the whole run, so a child's
-  /// `cands` span into an ancestor's owned_cands stays valid until the
-  /// coordinator stitches.
+  /// Master list: owns every segment for the whole run, so the coordinator
+  /// can merge their results after the completion rendezvous.
   std::vector<std::unique_ptr<FrontierSegment>> all_ GUARDED_BY(mu_);
   size_t queued_ GUARDED_BY(mu_) = 0;
   size_t executing_ GUARDED_BY(mu_) = 0;
@@ -409,20 +374,7 @@ struct EnumContext {
     const VertexId* cands = nullptr;
     size_t next = 0;
     size_t end = 0;
-    /// Original-frame index of cands[0]: storage position i corresponds
-    /// to index base + i of the loop instance as it existed before any
-    /// split shrank or re-based it. Index paths are built from these so
-    /// split-off children and their parents stay comparable.
-    size_t base = 0;
-    /// Whether `cands` outlives this frame unmutated (candidate list,
-    /// graph adjacency slice, or this segment's own cands span). A split
-    /// of an unstable level must copy its half out (see TrySplit).
-    bool stable = false;
     bool active = false;
-    /// Set by TrySplit when a tail of this level was carved off: the
-    /// loop's exit is then a serial-order discontinuity, so it closes the
-    /// segment's current emission block (see RunLevel).
-    bool carved = false;
   };
 
   /// The per-iteration stop test: one compare on the fast path. Once the
@@ -457,22 +409,12 @@ struct EnumContext {
     }
   }
 
-  /// Original-frame candidate index currently selected at order position
-  /// `p` — the component every index path records for that level. `next`
-  /// was already advanced past the current candidate, hence the -1.
-  size_t PathComponent(size_t p) const {
-    static_assert(kStealable);
-    if (p < seg->depth) return seg->path_prefix[p];
-    return spine_[p].base + spine_[p].next - 1;
-  }
-
   /// Splits the shallowest active level with enough remaining iterations:
   /// the *tail half* of its untouched sub-range becomes a stealable child
-  /// segment. The child records the original-frame index path down to its
-  /// level, so the stitching sort puts its emissions exactly where the
-  /// carved interval sat in serial order; the owner marks the level
-  /// carved so its own stream breaks a block there (see RunLevel).
-  /// One split per poll; the prefix copy is the only O(depth) cost.
+  /// segment, which copies the current images of the levels above it and
+  /// the carved candidates. Both halves stay ascending, so each segment's
+  /// emissions remain one ascending run (see RunParallel's merge). One
+  /// split per poll.
   void TrySplit() {
     static_assert(kStealable);
     for (size_t d = seg->depth; d < order->size(); ++d) {
@@ -489,24 +431,11 @@ struct EnumContext {
       auto child = std::make_unique<FrontierSegment>();
       child->depth = d;
       child->prefix.resize(d);
-      child->path_prefix.resize(d);
       for (size_t p = 0; p < d; ++p) {
         child->prefix[p] = ws->mapping()[(*order)[p]];
-        child->path_prefix[p] = PathComponent(p);
       }
-      child->base = lvl.base + mid;
-      if (lvl.stable) {
-        child->cands = std::span<const VertexId>(lvl.cands + mid, give);
-      } else {
-        // The range lives in this worker's per-depth intersection buffer,
-        // which is overwritten the next time this depth intersects: copy
-        // the stolen half out. The child's own copy *is* stable, so its
-        // sub-splits take spans again.
-        child->owned_cands.assign(lvl.cands + mid, lvl.cands + lvl.end);
-        child->cands = std::span<const VertexId>(child->owned_cands);
-      }
+      child->cands.assign(lvl.cands + mid, lvl.cands + lvl.end);
       lvl.end = mid;
-      lvl.carved = true;
       scheduler->Push(slot, std::move(child));
       return;
     }
@@ -529,23 +458,7 @@ struct EnumContext {
     }
     ++result.num_matches;
     ++work;
-    if constexpr (kStealable) {
-      // Consecutive emissions extend the current block; the first one —
-      // and the first after crossing a carved-off interval — opens a new
-      // block stamped with this emission's index path.
-      if (seg->blocks.empty() || pending_block_break_) {
-        seg->blocks.emplace_back();
-        EmissionBlock& block = seg->blocks.back();
-        block.path.resize(order->size());
-        for (size_t p = 0; p < order->size(); ++p) {
-          block.path[p] = PathComponent(p);
-        }
-        pending_block_break_ = false;
-      }
-      seg->blocks.back().embeddings.push_back(ws->mapping());
-    } else {
-      result.embeddings.push_back(ws->mapping());
-    }
+    result.embeddings.push_back(ws->mapping());
     if (budget->LimitReached()) {
       result.hit_match_limit = true;
       stopped = true;
@@ -554,7 +467,7 @@ struct EnumContext {
 
   /// The last order position of a count-only run. There every query edge
   /// of u is a backward constraint, so each unvisited vertex of the list
-  /// cands[begin, end) completes an embedding and, by the complete filter
+  /// `cands` completes an embedding and, by the complete filter
   /// Enumerator::Run requires, lies in C(u). The level therefore counts by
   /// subtraction: the list's length minus the images of u's label mates
   /// (EnumeratorWorkspace::last_label_mates) that the sorted,
@@ -566,15 +479,12 @@ struct EnumContext {
   /// the budget already exhausted charges the one call whose claim failed.
   /// The level never enters the spine, so splits carve only internal
   /// levels.
-  void CountLastPosition(VertexId u, const VertexId* cands, size_t begin,
-                         size_t end) {
-    const VertexId* first = cands + begin;
-    const VertexId* last = cands + end;
-    uint64_t k = end - begin;
+  void CountLastPosition(VertexId u, std::span<const VertexId> cands) {
+    uint64_t k = cands.size();
     for (const VertexId w : ws->last_label_mates()) {
-      k -= std::binary_search(first, last, ws->mapping()[w]);
+      k -= std::binary_search(cands.begin(), cands.end(), ws->mapping()[w]);
     }
-    RLQVO_DCHECK_EQ(k, ScanLastPosition(u, first, last));
+    RLQVO_DCHECK_EQ(k, ScanLastPosition(u, cands));
     if (k == 0) return;
     const uint64_t granted = budget->TryClaimMatches(k);
     if (granted == 0) {
@@ -593,14 +503,13 @@ struct EnumContext {
   }
 
   /// The reference for CountLastPosition's subtraction: the vertices of
-  /// [first, last) that pass the visited and membership tests. Debug
-  /// builds check every count against it, and with it the complete-filter
-  /// contract at the last position.
-  uint64_t ScanLastPosition(VertexId u, const VertexId* first,
-                            const VertexId* last) const {
+  /// `cands` that pass the visited and membership tests. Debug builds check
+  /// every count against it, and with it the complete-filter contract at
+  /// the last position.
+  uint64_t ScanLastPosition(VertexId u, std::span<const VertexId> cands) const {
     uint64_t k = 0;
-    for (const VertexId* it = first; it != last; ++it) {
-      k += !ws->Visited(*it) && ws->InCandidates(u, *it);
+    for (const VertexId v : cands) {
+      k += !ws->Visited(v) && ws->InCandidates(u, v);
     }
     return k;
   }
@@ -629,36 +538,29 @@ struct EnumContext {
     }
   }
 
-  /// The candidate loop at order position `depth` over cands[begin, end),
-  /// whose storage index 0 sits at original-frame index `base` (nonzero
-  /// only for resumed segments — fresh loops own their whole frame).
-  /// Only a slice-derived list above the last position takes the
-  /// membership test: full candidate lists (the root and component breaks)
-  /// are members by construction, and at the last position a complete
-  /// filter makes every unvisited slice vertex a member (CountLastPosition;
-  /// debug builds check it in EmitMatch). In the stealable instantiation
-  /// the loop bounds live in the spine so TrySplit can shed the tail;
-  /// `stable` records whether the storage outlives the frame (see
-  /// SpineLevel). A count-only run counts its last order position instead
-  /// of descending it (CountLastPosition).
-  void RunLevel(size_t depth, const VertexId* cands, size_t begin, size_t end,
-                size_t base, bool stable) {
+  /// The candidate loop at order position `depth` over the strictly
+  /// id-ascending list `cands`. Only a slice-derived list above the last
+  /// position takes the membership test: full candidate lists (the root
+  /// and component breaks) are members by construction, and at the last
+  /// position a complete filter makes every unvisited slice vertex a member
+  /// (CountLastPosition; debug builds check it in EmitMatch). In the
+  /// stealable instantiation the loop bounds live in the spine so TrySplit
+  /// can shed the tail. A count-only run counts its last order position
+  /// instead of descending it (CountLastPosition).
+  void RunLevel(size_t depth, std::span<const VertexId> cands) {
     const VertexId u = (*order)[depth];
     const bool last = depth + 1 == order->size();
     if (last && !options->store_embeddings) {
-      CountLastPosition(u, cands, begin, end);
+      CountLastPosition(u, cands);
       return;
     }
     const bool membership = !last && !ws->backward()[depth].empty();
     if constexpr (kStealable) {
       SpineLevel& lvl = spine_[depth];
-      lvl.cands = cands;
-      lvl.next = begin;
-      lvl.end = end;
-      lvl.base = base;
-      lvl.stable = stable;
+      lvl.cands = cands.data();
+      lvl.next = 0;
+      lvl.end = cands.size();
       lvl.active = true;
-      lvl.carved = false;
       while (lvl.next < lvl.end) {
         const VertexId v = lvl.cands[lvl.next++];
         if (ws->Visited(v)) continue;
@@ -667,18 +569,8 @@ struct EnumContext {
         if (CheckStop()) break;
       }
       lvl.active = false;
-      if (lvl.carved) {
-        // A split took this level's tail: everything this segment emits
-        // from here on comes *after* the carved interval in serial order,
-        // so the current emission block ends at this boundary.
-        lvl.carved = false;
-        pending_block_break_ = true;
-      }
     } else {
-      (void)base;
-      (void)stable;
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId v = cands[i];
+      for (const VertexId v : cands) {
         if (ws->Visited(v)) continue;
         if (membership && !ws->InCandidates(u, v)) continue;
         Descend(depth, u, v);
@@ -695,8 +587,7 @@ struct EnumContext {
     ++work;
     if (CheckStop()) return;
     RLQVO_DCHECK(ws->backward()[0].empty());
-    const std::vector<VertexId>& roots = candidates->candidates((*order)[0]);
-    RunLevel(0, roots.data(), 0, roots.size(), /*base=*/0, /*stable=*/true);
+    RunLevel(0, candidates->candidates((*order)[0]));
   }
 
   /// The work-stealing entry point: resumes one frontier segment on this
@@ -710,7 +601,6 @@ struct EnumContext {
     seg = segment;
     result = EnumerateResult();
     stopped = false;
-    pending_block_break_ = false;
     // Re-arm the polling quanta on handoff: a stolen segment must not
     // inherit the victim's partially-burned quantum (stale-quantum
     // deadline overshoot), and the immediate check below catches a
@@ -728,8 +618,7 @@ struct EnumContext {
     if (!stopped) {
       const std::span<const VertexId> prefix(segment->prefix);
       ws->InstallSegmentPrefix(*order, prefix);
-      RunLevel(segment->depth, segment->cands.data(), 0,
-               segment->cands.size(), segment->base, /*stable=*/true);
+      RunLevel(segment->depth, segment->cands);
       ws->RemoveSegmentPrefix(*order, prefix);
     }
     segment->result = std::move(result);
@@ -749,8 +638,7 @@ struct EnumContext {
     if (backward.empty()) {
       // No mapped backward neighbor (a component break in a disconnected
       // query/order): iterate C(u).
-      const std::vector<VertexId>& c = candidates->candidates(u);
-      RunLevel(depth, c.data(), 0, c.size(), /*base=*/0, /*stable=*/true);
+      RunLevel(depth, candidates->candidates(u));
       return;
     }
 
@@ -777,8 +665,7 @@ struct EnumContext {
           BackwardSlice(backward[0], memo[0], ul);
       result.local_candidates_total += slice.size();
       work += slice.size();
-      RunLevel(depth, slice.data(), 0, slice.size(), /*base=*/0,
-               /*stable=*/true);
+      RunLevel(depth, slice);
       return;
     }
 
@@ -812,10 +699,7 @@ struct EnumContext {
     // polling stays proportional to effort whatever the slice widths are.
     work += result.num_probe_comparisons - comparisons_before;
     work += bufs.result.size();
-    // The intersection output is this worker's per-depth buffer: NOT
-    // stable across frames, so a split of this level copies its half.
-    RunLevel(depth, bufs.result.data(), 0, bufs.result.size(), /*base=*/0,
-             /*stable=*/false);
+    RunLevel(depth, bufs.result);
   }
 
   void Descend(size_t depth, VertexId u, VertexId v) {
@@ -834,9 +718,6 @@ struct EnumContext {
 
  private:
   std::vector<SpineLevel> spine_;  // sized |order| in the stealable path
-  /// Stealable only: the next emission must open a fresh EmissionBlock
-  /// because a carved-off interval lies between it and the previous one.
-  bool pending_block_break_ = false;
 };
 
 /// True iff `order` is a permutation of [0, n). Connectivity is not
@@ -895,6 +776,48 @@ EnumeratorWorkspace* PickWorkerWorkspace(const ParallelEnumResources& res) {
     return nullptr;
   }
   return res.caller_workspace;
+}
+
+/// Orders embeddings by their images at order positions 0, 1, ... in turn.
+/// Every list an order position iterates is strictly id-ascending (a
+/// candidate list, a label slice or an intersection of slices), so serial
+/// enumeration emits embeddings in strictly ascending order of this.
+struct ImageOrderLess {
+  const std::vector<VertexId>* order;
+  bool operator()(const std::vector<VertexId>& a,
+                  const std::vector<VertexId>& b) const {
+    for (const VertexId u : *order) {
+      if (a[u] != b[u]) return a[u] < b[u];
+    }
+    return false;
+  }
+};
+
+/// Merges the ascending runs [0, ends[0]), [ends[0], ends[1]), ... of
+/// `embeddings` into one ascending sequence. Neighbouring runs merge
+/// pairwise in rounds, so M embeddings in S runs cost O(M log S).
+void MergeRuns(ImageOrderLess less, std::vector<size_t> ends,
+               std::vector<std::vector<VertexId>>* embeddings) {
+  const auto first = embeddings->begin();
+  const auto not_less = [&less](const auto& a, const auto& b) {
+    return !less(a, b);
+  };
+  size_t begin = 0;
+  for (const size_t end : ends) {
+    RLQVO_DCHECK(std::adjacent_find(first + begin, first + end, not_less) ==
+                 first + end);
+    begin = end;
+  }
+  while (ends.size() > 1) {
+    begin = 0;
+    size_t kept = 0;
+    for (size_t i = 0; i < ends.size(); i += 2) {
+      const size_t end = ends[std::min(i + 1, ends.size() - 1)];
+      std::inplace_merge(first + begin, first + ends[i], first + end, less);
+      ends[kept++] = begin = end;
+    }
+    ends.resize(kept);
+  }
 }
 
 }  // namespace
@@ -999,10 +922,7 @@ Result<EnumerateResult> Enumerator::RunParallel(
       g_parallel_run_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 
   // Seed the scheduler with up to num_workers contiguous root pieces, one
-  // per worker deque, so every loop starts with local work. Each piece
-  // records its absolute offset into the root candidate list (`base`), so
-  // the index paths its emissions carry line up with every other piece's
-  // under the stitching sort below.
+  // per worker deque, so every loop starts with local work.
   SegmentScheduler scheduler(num_workers, &budget, resources.pool);
   const size_t num_seeds =
       std::min(roots.size(), static_cast<size_t>(num_workers));
@@ -1010,9 +930,7 @@ Result<EnumerateResult> Enumerator::RunParallel(
     const size_t begin = k * roots.size() / num_seeds;
     const size_t end = (k + 1) * roots.size() / num_seeds;
     auto seed = std::make_unique<FrontierSegment>();
-    seed->depth = 0;
-    seed->base = begin;
-    seed->cands = std::span<const VertexId>(roots.data() + begin, end - begin);
+    seed->cands.assign(roots.begin() + begin, roots.begin() + end);
     scheduler.Seed(static_cast<int>(k), std::move(seed));
   }
 
@@ -1110,37 +1028,32 @@ Result<EnumerateResult> Enumerator::RunParallel(
     if (!worker_status[t].ok()) return worker_status[t];
   }
 
-  // Stitch. Work counters merge (sum) in any order: every loop iteration
-  // (and the Extend call that opened each level) ran exactly once, in
-  // exactly one segment; a segment's scheduler diagnostics are all zero,
-  // and the scheduler fills in the run's own below. Embeddings are
-  // ordered by their blocks' index paths — serial enumeration emits in
-  // strictly increasing lexicographic index-path order, each block is a
-  // maximal consecutive run with no other segment's emission inside its
-  // interval (segments break blocks exactly where splits carved their
-  // stream, see EmissionBlock), so the sorted concatenation *is* the
-  // serial emission sequence — for any thread count, steal schedule and
-  // split timing.
+  // Merge. Work counters sum in any order: every loop iteration (and the
+  // Extend call that opened each level) ran exactly once, in exactly one
+  // segment; a segment's scheduler diagnostics are all zero, and the
+  // scheduler fills in the run's own below. Serial enumeration emits
+  // embeddings in strictly ascending image order (ImageOrderLess), and a
+  // segment walks ascending sub-ranges of the same lists, so its
+  // emissions are an ascending subsequence of the serial sequence.
+  // Merging the segments' runs therefore yields the serial sequence for
+  // any thread count, steal schedule and split depth.
   std::vector<std::unique_ptr<FrontierSegment>> segments =
       scheduler.TakeSegments();
   merged.num_enumerations = 1;  // the root recursive call, charged once
-  std::vector<EmissionBlock*> blocks;
+  std::vector<size_t> run_ends;
   for (std::unique_ptr<FrontierSegment>& sp : segments) {
     merged.Merge(sp->result);
     merged.timed_out |= sp->result.timed_out;
     merged.max_segment_depth =
         std::max<uint64_t>(merged.max_segment_depth, sp->depth);
-    for (EmissionBlock& block : sp->blocks) blocks.push_back(&block);
+    std::vector<std::vector<VertexId>>& run = sp->result.embeddings;
+    if (run.empty()) continue;
+    merged.embeddings.insert(merged.embeddings.end(),
+                             std::make_move_iterator(run.begin()),
+                             std::make_move_iterator(run.end()));
+    run_ends.push_back(merged.embeddings.size());
   }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const EmissionBlock* a, const EmissionBlock* b) {
-              return a->path < b->path;
-            });
-  for (EmissionBlock* block : blocks) {
-    for (std::vector<VertexId>& embedding : block->embeddings) {
-      merged.embeddings.push_back(std::move(embedding));
-    }
-  }
+  MergeRuns(ImageOrderLess{&order}, std::move(run_ends), &merged.embeddings);
   merged.num_steals = scheduler.steals();
   merged.num_splits = scheduler.splits();
   const std::pair<uint64_t, uint64_t> spread = scheduler.WorkerWorkMinMax();

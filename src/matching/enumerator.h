@@ -256,30 +256,32 @@ class Enumerator {
   /// deep in a heavy subtree lazily splits the tail half of a live sibling
   /// range into a stealable segment when the shared EnumBudget observes
   /// hungry workers (only above a minimum sub-range width, so tiny ranges
-  /// never pay the prefix-copy cost). Every segment runs against one shared
-  /// EnumBudget, so match_limit and the deadline are global per-query
-  /// limits — exactly the serial semantics, just executed elastically. The
-  /// calling thread donates itself as one of the loops while waiting
-  /// (TryRunOneTask), so nested fan-out from a pool worker cannot deadlock.
+  /// never pay the prefix and candidate copies). Every segment runs against
+  /// one shared EnumBudget, so match_limit and the deadline are global
+  /// per-query limits — exactly the serial semantics, just executed
+  /// elastically. The calling thread donates itself as one of the loops
+  /// while waiting (TryRunOneTask), so nested fan-out from a pool worker
+  /// cannot deadlock.
   ///
-  /// **Determinism contract.** Serial enumeration emits embeddings in
-  /// strictly increasing lexicographic order of their *index paths* — the
-  /// candidate's position, per order level, within the original frame of
-  /// the loop instance it came from. Each segment buffers its emissions as
-  /// index-path-tagged blocks, breaking a block exactly where a split
-  /// carved an interval out of its stream, so blocks are maximal
-  /// consecutive runs of the serial sequence; stitching sorts all blocks
-  /// by path and concatenates — serial order, even for splits carved deep
-  /// below a segment's base level. A run that is not truncated (no
-  /// limit fired, no deadline expired) is therefore bit-identical to the
-  /// serial path: same embeddings in the same order, and every work
-  /// counter (num_enumerations, num_intersections, ...) sums to exactly
-  /// the serial value, independent of thread count, steal schedule,
-  /// split timing and intersection kernel. (The scheduler diagnostics —
-  /// num_steals, num_splits, max_segment_depth, per-worker min/max — are
-  /// schedule descriptions and excluded from that contract.) When a finite
-  /// match_limit fires, the run still emits *exactly* match_limit matches
-  /// (the budget claim is atomic and capped), but which valid embeddings
+  /// **Determinism contract.** Every list an order position iterates — a
+  /// candidate list, a label slice of the data graph or an intersection of
+  /// such slices — is strictly id-ascending, so serial enumeration emits
+  /// embeddings in strictly ascending lexicographic order of their images
+  /// (M(order[0]), ..., M(order[n-1])). A segment walks ascending
+  /// sub-ranges of the same lists, so its embeddings are an ascending
+  /// subsequence of the serial sequence, and the coordinator merges the
+  /// segments' runs by their images (O(M log S) for M embeddings in S
+  /// segments): serial order, however deep the splits were carved. A run
+  /// that is not truncated (no limit fired, no deadline expired) is
+  /// therefore bit-identical to the serial path: same embeddings in the
+  /// same order, and every work counter (num_enumerations,
+  /// num_intersections, ...) sums to exactly the serial value, independent
+  /// of thread count, steal schedule, split timing and intersection
+  /// kernel. (The scheduler diagnostics — num_steals, num_splits,
+  /// max_segment_depth, per-worker min/max — are schedule descriptions and
+  /// excluded from that contract.) When a finite match_limit fires, the run
+  /// still emits *exactly* match_limit matches (the budget claim is atomic
+  /// and capped), in ascending image order, but which valid embeddings
   /// fill the quota depends on the schedule — same count, possibly
   /// different members than serial. Deadline cuts are timing-dependent in
   /// serial mode already; the parallel path keeps that (weaker) semantics

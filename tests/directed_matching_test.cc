@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/query_sampler.h"
@@ -355,6 +359,108 @@ TEST(DirectedMatchingTest, ThreadCountsAgreeOnDirectedGraphs) {
         EXPECT_EQ(got.num_enumerations, expected[i].num_enumerations);
         EXPECT_EQ(got.num_intersections, expected[i].num_intersections);
         EXPECT_EQ(got.embeddings, expected[i].embeddings);
+      }
+    }
+  }
+}
+
+/// `g` with every vertex v renamed perm[v]: the same labels, labeled edges
+/// and direction on another id layout.
+Graph RelabelVertices(const Graph& g, const std::vector<VertexId>& perm) {
+  std::vector<Label> labels(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) labels[perm[v]] = g.label(v);
+  GraphBuilder builder(g.num_vertices());
+  builder.set_directed(g.directed());
+  for (const Label l : labels) builder.AddVertex(l);
+  g.ForEachLabeledEdge([&](VertexId u, VertexId v, EdgeLabel e) {
+    builder.AddEdge(perm[u], perm[v], e);
+  });
+  return builder.Build();
+}
+
+/// A storing, untruncated run of the named filter and ordering: serial when
+/// `threads` is 0, else RunParallel with `threads` loops on `pool`.
+EnumerateResult EnumerateWith(const Graph& query, const Graph& data,
+                              const char* filter, const char* ordering,
+                              uint32_t threads, ThreadPool* pool,
+                              std::vector<EnumeratorWorkspace>* workspaces) {
+  const CandidateSet cs =
+      MakeFilter(filter).ValueOrDie()->Filter(query, data).ValueOrDie();
+  OrderingContext octx;
+  octx.query = &query;
+  octx.data = &data;
+  octx.candidates = &cs;
+  const std::vector<VertexId> order =
+      MakeOrdering(ordering).ValueOrDie()->MakeOrder(octx).ValueOrDie();
+  EnumerateOptions opts;
+  opts.match_limit = 0;
+  opts.store_embeddings = true;
+  opts.parallel_threads = threads;
+  ParallelEnumResources resources;
+  resources.pool = threads == 0 ? nullptr : pool;
+  resources.worker_workspaces = workspaces;
+  return Enumerator()
+      .RunParallel(query, data, cs, order, opts, resources)
+      .ValueOrDie();
+}
+
+// Renaming the data vertices by a seeded permutation π renames the
+// embeddings and leaves the search's shape alone: a serial run on the
+// renamed graph returns π of the original embedding set, with the same
+// matches, #enum, intersections, SIMD intersections and local candidates
+// (comparison counts depend on the id layout and are left out). Every list
+// walks ascending ids, so the renamed graph emits in another order, and its
+// 2- and 4-thread runs must return its own serial sequence.
+TEST(DirectedMatchingTest, RelabelledVertexIdsMapEmbeddingsBijectively) {
+  ThreadPool pool(4);
+  std::vector<EnumeratorWorkspace> workspaces(pool.size());
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool directed : {false, true}) {
+      const Graph data =
+          GenerateErdosRenyi(200, 10.0, DirectedLabels(2, 2, directed), seed)
+              .ValueOrDie();
+      ASSERT_FALSE(data.degenerate());
+      std::vector<VertexId> perm(data.num_vertices());
+      std::iota(perm.begin(), perm.end(), VertexId{0});
+      Rng rng(seed * 7919 + directed);
+      rng.Shuffle(&perm);
+      const Graph renamed = RelabelVertices(data, perm);
+      QuerySampler sampler(&data, seed * 31 + directed);
+      const Graph query = sampler.SampleQuery(5).ValueOrDie();
+      for (const char* filter : {"LDF", "NLF", "GQL", "DAG-DP"}) {
+        for (const char* ordering : {"RI", "QSI"}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " directed " +
+                       std::to_string(directed) + " " + filter + " " +
+                       ordering);
+          const EnumerateResult base =
+              EnumerateWith(query, data, filter, ordering, 0, nullptr, nullptr);
+          const EnumerateResult serial = EnumerateWith(
+              query, renamed, filter, ordering, 0, nullptr, nullptr);
+          ASSERT_GE(base.num_matches, 1u);  // the sampled subgraph itself
+          std::set<std::vector<VertexId>> expected;
+          for (std::vector<VertexId> embedding : base.embeddings) {
+            for (VertexId& v : embedding) v = perm[v];
+            expected.insert(std::move(embedding));
+          }
+          EXPECT_EQ(std::set<std::vector<VertexId>>(serial.embeddings.begin(),
+                                                    serial.embeddings.end()),
+                    expected);
+          EXPECT_EQ(serial.num_matches, base.num_matches);
+          EXPECT_EQ(serial.num_enumerations, base.num_enumerations);
+          EXPECT_EQ(serial.num_intersections, base.num_intersections);
+          EXPECT_EQ(serial.local_candidates_total, base.local_candidates_total);
+          EXPECT_EQ(serial.local_candidate_sets, base.local_candidate_sets);
+          EXPECT_EQ(serial.num_simd_intersections,
+                    base.num_simd_intersections);
+          for (const uint32_t threads : {2u, 4u}) {
+            const EnumerateResult parallel = EnumerateWith(
+                query, renamed, filter, ordering, threads, &pool, &workspaces);
+            EXPECT_EQ(parallel.embeddings, serial.embeddings)
+                << threads << " threads";
+            EXPECT_EQ(parallel.num_enumerations, serial.num_enumerations)
+                << threads << " threads";
+          }
+        }
       }
     }
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -168,6 +169,20 @@ TEST(GraphIoTest, OversizedEdgeLabelFails) {
   EXPECT_NE(result.status().message().find("2^32-1"), std::string::npos);
 }
 
+// Graph::num_labels() is the largest label plus one, a 32-bit count, so a
+// vertex label must stay at or below kMaxLabel: 2^32-1 would wrap the count
+// to 0 and 2^32 and above would truncate to another label.
+TEST(GraphIoTest, UnrepresentableVertexLabelFails) {
+  for (const char* label :
+       {"4294967295", "4294967296", "18446744073709551615"}) {
+    auto result = ParseGraphText(std::string("t 1 0\nv 0 ") + label + " 0\n");
+    ASSERT_FALSE(result.ok()) << label;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << label;
+    EXPECT_NE(result.status().message().find("2^32-2"), std::string::npos)
+        << result.status().message();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Versioned binary format.
 // ---------------------------------------------------------------------------
@@ -296,6 +311,18 @@ TEST(GraphIoBinaryTest, CorruptPayloadsAreRejected) {
   bad_version[4] = 9;
   std::string bad_flags = valid;
   bad_flags[5] = 0x02;  // an undefined flag bit
+  // Headers alone (17 and 22 bytes) that declare n = 2^32-1 vertices: the
+  // loader must see the missing labels before it reserves for n vertices.
+  std::string v1_huge_n = "RLQV";
+  v1_huge_n.push_back(1);
+  AppendU32(&v1_huge_n, UINT32_MAX);
+  AppendU64(&v1_huge_n, 0);
+  std::string v2_huge_n = "RLQV";
+  v2_huge_n.push_back(2);
+  v2_huge_n.push_back(1);
+  AppendU32(&v2_huge_n, 2);
+  AppendU32(&v2_huge_n, UINT32_MAX);
+  AppendU64(&v2_huge_n, 0);
   const std::vector<Case> cases = {
       {"empty", "", "bad magic"},
       {"bad magic", bad_magic, "bad magic"},
@@ -307,6 +334,14 @@ TEST(GraphIoBinaryTest, CorruptPayloadsAreRejected) {
        "zero edge-label count"},
       {"truncated header", valid.substr(0, 12), "truncated"},
       {"truncated vertex labels", valid.substr(0, 24), "truncated"},
+      {"v1 header declaring 2^32-1 vertices", v1_huge_n,
+       "truncated vertex labels"},
+      {"v2 header declaring 2^32-1 vertices", v2_huge_n,
+       "truncated vertex labels"},
+      {"vertex label 2^32-1", V2Bytes(1, 2, {0, UINT32_MAX}, edges),
+       "vertex label exceeds 2^32-2"},
+      {"v1 vertex label 2^32-1", V1Bytes({UINT32_MAX}, {}),
+       "vertex label exceeds 2^32-2"},
       {"truncated edge list", valid.substr(0, valid.size() - 1),
        "truncated edge list"},
       {"trailing bytes", valid + '\0', "trailing bytes"},

@@ -263,6 +263,103 @@ TEST(ParallelEnumTest, StealsFireAndStayBitIdenticalUnderSkewedSchedules) {
   failpoint::DeactivateAll();
 }
 
+// A hub instance. The data graph is a random graph on labels 0 and 1, plus
+// one hub (label 2) and three anchors (label 3), each adjacent to every
+// random vertex, with the hub also adjacent to the anchors. The query is a
+// pattern sampled from the random part, plus a hub vertex 0 and an anchor
+// vertex 1 adjacent to each other and to every pattern vertex. The order
+// is 0, 1, 2, ..., so C(order[0]) holds the hub alone and order[1] walks
+// the three anchors, each with the whole pattern count beneath it.
+PreparedQuery PrepareHubQuery(Graph* data, uint64_t seed, uint32_t n,
+                              double avg_degree, uint32_t pattern_size) {
+  constexpr Label kHubLabel = 2;
+  constexpr Label kAnchorLabel = 3;
+  const Graph base =
+      MakeData(seed, n, avg_degree, /*num_labels=*/kHubLabel, 0.0);
+  GraphBuilder builder;
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    builder.AddVertex(base.label(v));
+  }
+  const VertexId hub = builder.AddVertex(kHubLabel);
+  std::vector<VertexId> hub_and_anchors = {hub};
+  for (int a = 0; a < 3; ++a) {
+    hub_and_anchors.push_back(builder.AddVertex(kAnchorLabel));
+    builder.AddEdge(hub, hub_and_anchors.back());
+  }
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    for (VertexId h : hub_and_anchors) builder.AddEdge(h, v);
+    for (VertexId w : base.neighbors(v)) {
+      if (v < w) builder.AddEdge(v, w);
+    }
+  }
+  *data = builder.Build();
+
+  const Graph pattern = RandomQuery(base, seed + 1, pattern_size);
+  GraphBuilder qb;
+  qb.AddVertex(kHubLabel);
+  qb.AddVertex(kAnchorLabel);
+  qb.AddEdge(0, 1);
+  for (VertexId u = 0; u < pattern.num_vertices(); ++u) {
+    qb.AddVertex(pattern.label(u));
+  }
+  for (VertexId u = 0; u < pattern.num_vertices(); ++u) {
+    qb.AddEdge(0, u + 2);
+    qb.AddEdge(1, u + 2);
+    for (VertexId w : pattern.neighbors(u)) {
+      if (u < w) qb.AddEdge(u + 2, w + 2);
+    }
+  }
+  PreparedQuery out{qb.Build(), CandidateSet(), {}};
+  out.candidates = LDFFilter().Filter(out.query, *data).ValueOrDie();
+  for (VertexId u = 0; u < out.query.num_vertices(); ++u) {
+    out.order.push_back(u);
+  }
+  return out;
+}
+
+// The merge on splits carved below the root. C(order[0]) holds one vertex,
+// so the one root seed is never split at depth 0, and every embedding
+// shares its image at order[0]: only the deeper images order the
+// segments' runs. order[1] has three candidates, too few to split, so
+// every split is carved deeper, and the root segment, which keeps the
+// anchors, goes on emitting after the intervals it carved off. Storing,
+// untruncated runs on pools of 2 and 4, with and without delay-injected
+// split and steal sites, must split, resume a segment below the root, and
+// return the serial embeddings in the serial order.
+TEST(ParallelEnumTest, SplitsBelowASingleRootCandidateMergeInSerialOrder) {
+  Graph data;
+  const PreparedQuery pq = PrepareHubQuery(&data, 61, 200, 10.0, 4);
+  ASSERT_EQ(pq.candidates.candidates(pq.order[0]).size(), 1u);
+  ASSERT_EQ(pq.candidates.candidates(pq.order[1]).size(), 3u);
+  EnumerateOptions opts;
+  opts.match_limit = 0;
+  opts.store_embeddings = true;
+  const EnumerateResult serial = RunSerial(data, pq, opts);
+  ASSERT_GT(serial.num_matches, 1000u);
+
+  for (const bool delayed : {false, true}) {
+    if (delayed) {
+      ASSERT_TRUE(failpoint::Activate("enumerate.steal", "delay:1").ok());
+      ASSERT_TRUE(failpoint::Activate("enumerate.split", "delay:1").ok());
+    }
+    for (uint32_t threads : {2u, 4u}) {
+      for (int attempt = 0; attempt < 3; ++attempt) {
+        SCOPED_TRACE("delayed " + std::to_string(delayed) + " attempt " +
+                     std::to_string(attempt));
+        ThreadPool pool(threads);
+        std::vector<EnumeratorWorkspace> workspaces(pool.size());
+        EnumeratorWorkspace caller_ws;
+        const EnumerateResult parallel = RunParallelWith(
+            data, pq, opts, threads, &pool, &workspaces, &caller_ws);
+        EXPECT_GT(parallel.num_splits, 0u);
+        EXPECT_GE(parallel.max_segment_depth, 1u);
+        ExpectBitIdentical(serial, parallel, threads);
+      }
+    }
+  }
+  failpoint::DeactivateAll();
+}
+
 // A finite match_limit stays exact while stealing is active: the shared
 // budget hands out claims, so concurrent segments can never over- or
 // under-emit no matter how work migrated between workers. On the
