@@ -49,11 +49,16 @@ int main(int argc, char** argv) {
       }
       pattern_text = argv[2];
     } else {
-      const int parsed = std::atoi(argv[1]);
-      if (parsed < 1) {
+      // Each engine worker is an OS thread, so the count is bounded before
+      // the engine is built.
+      constexpr long kMaxThreads = 256;
+      char* end = nullptr;
+      const long parsed = std::strtol(argv[1], &end, 10);
+      if (*end != '\0' || parsed < 1 || parsed > kMaxThreads) {
         std::fprintf(stderr,
-                     "usage: batch_serve [num_threads >= 1 | --pattern "
-                     "'<pattern>' | --list-failpoints]\n");
+                     "usage: batch_serve [num_threads in 1..%ld | --pattern "
+                     "'<pattern>' | --list-failpoints]\n",
+                     kMaxThreads);
         return 2;
       }
       num_threads = static_cast<uint32_t>(parsed);

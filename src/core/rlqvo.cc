@@ -1,6 +1,7 @@
 #include "core/rlqvo.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/timer.h"
 #include "nn/serialize.h"
@@ -17,47 +18,6 @@ RLQVOOrdering::RLQVOOrdering(std::shared_ptr<const PolicyNetwork> policy,
       rng_(seed) {
   RLQVO_CHECK(policy_ != nullptr);
 }
-
-namespace {
-
-/// Last-resort fallback when even RI refuses the query (it requires a
-/// connected query graph): greedily complete the partial policy order into
-/// a full permutation — prefer vertices adjacent to an already-ordered one
-/// (most backward neighbors, then higher degree, then lower id), seeding a
-/// fresh component by (degree, id) when no vertex connects. Since PR 2 the
-/// enumerator accepts any permutation, so this keeps disconnected queries
-/// servable.
-std::vector<VertexId> GreedyConnectedCompletion(const Graph& query,
-                                                std::vector<VertexId> order) {
-  const uint32_t n = query.num_vertices();
-  std::vector<bool> ordered(n, false);
-  for (VertexId u : order) ordered[u] = true;
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    uint32_t best_backward = 0;
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      uint32_t backward = 0;
-      for (VertexId w : query.neighbors(u)) {
-        if (ordered[w]) ++backward;
-      }
-      const bool better =
-          best == kInvalidVertex || backward > best_backward ||
-          (backward == best_backward &&
-           (query.degree(u) > query.degree(best) ||
-            (query.degree(u) == query.degree(best) && u < best)));
-      if (better) {
-        best = u;
-        best_backward = backward;
-      }
-    }
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
-}
-
-}  // namespace
 
 VertexId RLQVOOrdering::ChooseAction(const nn::Matrix& log_probs,
                                      const std::vector<bool>& mask,
@@ -137,13 +97,21 @@ Result<std::vector<VertexId>> RLQVOOrdering::MakeOrder(
 
   // Fallback contract: never fail the query because of the policy. Prefer
   // the RI baseline; when RI itself refuses (disconnected query), complete
-  // the partial policy order greedily.
+  // the partial policy order greedily: most backward neighbors, then
+  // higher degree, then lower id, and GreedyOrder seeds each further
+  // component by the same key. The enumerator accepts any permutation, so
+  // this keeps disconnected queries servable.
   ++fallback_count_;
   RIOrdering baseline;
   Result<std::vector<VertexId>> ri_order = baseline.MakeOrder(ctx);
   last_inference_seconds_ = watch.ElapsedSeconds();
   if (ri_order.ok()) return ri_order;
-  return GreedyConnectedCompletion(*ctx.query, env.order());
+  OrderPrefix prefix = env.prefix();
+  GreedyOrder(&prefix, [&](VertexId u) {
+    return std::make_pair(-static_cast<int64_t>(prefix.backward(u)),
+                          -static_cast<int64_t>(ctx.query->degree(u)));
+  });
+  return prefix.order();
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -889,6 +890,12 @@ Result<EnumerateResult> Enumerator::RunParallel(
     const Graph& query, const Graph& data, const CandidateSet& candidates,
     const std::vector<VertexId>& order, const EnumerateOptions& options,
     const ParallelEnumResources& resources, const Deadline* deadline) const {
+  if (options.parallel_threads > EnumerateOptions::kMaxParallelThreads) {
+    return Status::InvalidArgument(
+        "parallel_threads " + std::to_string(options.parallel_threads) +
+        " exceeds the maximum of " +
+        std::to_string(EnumerateOptions::kMaxParallelThreads));
+  }
   if (resources.pool == nullptr || options.parallel_threads == 0) {
     EnumeratorWorkspace throwaway;
     EnumeratorWorkspace* ws = resources.caller_workspace != nullptr

@@ -52,8 +52,11 @@ struct EnumerateOptions {
   /// EnumBudget. See Enumerator::RunParallel for the determinism contract.
   /// Enumerator::RunParallel and QueryEngine (which owns the pool) honor
   /// this field; Enumerator::Run ignores it, and SubgraphMatcher, the
-  /// serial reference pipeline, rejects a non-zero value.
+  /// serial reference pipeline, rejects a non-zero value. RunParallel
+  /// rejects values above kMaxParallelThreads with InvalidArgument before
+  /// it allocates anything, since it sizes one deque per worker.
   uint32_t parallel_threads = 0;
+  static constexpr uint32_t kMaxParallelThreads = 256;
 };
 
 /// \brief The work and scheduler counters of an enumeration: #enum and the

@@ -1,59 +1,43 @@
 #include "matching/optimal_order.h"
 
+#include "matching/ordering.h"
+
 namespace rlqvo {
 
 namespace {
 
 /// The recursion behind ForEachConnectedOrder: extends `prefix` by every
-/// unused vertex adjacent to a placed one, and runs the enumeration once
-/// the prefix covers V(q).
+/// selectable vertex, and runs the enumeration once the prefix covers V(q).
 struct ConnectedOrderWalk {
   ConnectedOrderWalk(const Graph& q, const Graph& g, const CandidateSet& c,
                      const EnumerateOptions& opts,
                      const ConnectedOrderVisitor& v)
-      : query(q),
-        data(g),
-        candidates(c),
-        options(opts),
-        visit(v),
-        used(q.num_vertices(), false) {}
+      : data(g), candidates(c), options(opts), visit(v), prefix(q) {}
 
-  const Graph& query;
   const Graph& data;
   const CandidateSet& candidates;
   const EnumerateOptions& options;
   const ConnectedOrderVisitor& visit;
   Enumerator enumerator;
   EnumeratorWorkspace workspace;  // reused across the factorial Run calls
-  std::vector<VertexId> prefix;
-  std::vector<bool> used;
+  OrderPrefix prefix;
 
   Status Recurse() {
-    const uint32_t n = query.num_vertices();
-    if (prefix.size() == n) {
+    if (prefix.full()) {
       Result<EnumerateResult> run =
-          enumerator.Run(query, data, candidates, prefix, options, &workspace);
+          enumerator.Run(prefix.query(), data, candidates, prefix.order(),
+                         options, &workspace);
       RLQVO_RETURN_NOT_OK(run.status());
-      visit(prefix, *run);
+      visit(prefix.order(), *run);
       return Status::OK();
     }
-    for (VertexId u = 0; u < n; ++u) {
-      if (used[u] || (!prefix.empty() && !Attached(u))) continue;
-      used[u] = true;
-      prefix.push_back(u);
+    for (VertexId u = 0; u < prefix.num_vertices(); ++u) {
+      if (!prefix.Selectable(u)) continue;
+      prefix.Push(u);
       RLQVO_RETURN_NOT_OK(Recurse());
-      prefix.pop_back();
-      used[u] = false;
+      prefix.Pop();
     }
     return Status::OK();
-  }
-
-  bool Attached(VertexId u) const {
-    // neighbors-ok: connectivity check over the symmetric skeleton.
-    for (VertexId w : query.neighbors(u)) {
-      if (used[w]) return true;
-    }
-    return false;
   }
 };
 

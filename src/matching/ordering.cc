@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "graph/graph_algorithms.h"
 
@@ -70,77 +71,74 @@ std::vector<uint32_t> ComputeNecClasses(const Graph& query) {
   return cls;
 }
 
+OrderPrefix::OrderPrefix(const Graph& query)
+    : query_(&query),
+      ordered_(query.num_vertices(), false),
+      backward_(query.num_vertices(), 0) {
+  order_.reserve(query.num_vertices());
+}
+
+void OrderPrefix::Push(VertexId u) {
+  RLQVO_DCHECK(!ordered_[u]);
+  order_.push_back(u);
+  ordered_[u] = true;
+  // neighbors-ok: connectivity over the symmetric skeleton.
+  for (VertexId w : query_->neighbors(u)) ++backward_[w];
+}
+
+void OrderPrefix::Pop() {
+  const VertexId u = order_.back();
+  order_.pop_back();
+  ordered_[u] = false;
+  // neighbors-ok: connectivity over the symmetric skeleton.
+  for (VertexId w : query_->neighbors(u)) --backward_[w];
+}
+
+void OrderPrefix::Clear() {
+  order_.clear();
+  ordered_.assign(ordered_.size(), false);
+  backward_.assign(backward_.size(), 0);
+}
+
 Result<std::vector<VertexId>> RIOrdering::MakeOrder(
     const OrderingContext& ctx) {
   RLQVO_RETURN_NOT_OK(ValidateQuery(ctx));
   const Graph& q = *ctx.query;
   const uint32_t n = q.num_vertices();
 
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-
   // Start: maximum degree.
   VertexId start = 0;
   for (VertexId u = 1; u < n; ++u) {
     if (q.degree(u) > q.degree(start)) start = u;
   }
-  order.push_back(start);
-  ordered[start] = true;
-
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    int best_backward = -1, best_neig = -1, best_unv = -1;
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      // |N(u) ∩ φ_t|
-      int backward = 0;
+  OrderPrefix prefix(q);
+  prefix.Push(start);
+  // Most backward neighbors first, then the largest |u_neig|, then the
+  // largest |u_unv|.
+  GreedyOrder(&prefix, [&](VertexId u) {
+    // |u_neig|: ordered vertices u' with an unordered neighbor u'' that is
+    // also adjacent to u.
+    int neig = 0;
+    for (VertexId up : prefix.order()) {
       // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) backward += ordered[w];
-      if (backward == 0) continue;  // keep the order connected
-      // |u_neig|: ordered vertices u' with an unordered neighbor u'' that is
-      // also adjacent to u.
-      int neig = 0;
-      for (VertexId up : order) {
-        bool found = false;
-        // neighbors-ok: ordering heuristic over the symmetric skeleton.
-        for (VertexId upp : q.neighbors(up)) {
-          if (!ordered[upp] && upp != u && q.HasEdge(u, upp)) {
-            found = true;
-            break;
-          }
+      for (VertexId upp : q.neighbors(up)) {
+        if (!prefix.IsOrdered(upp) && upp != u && q.HasEdge(u, upp)) {
+          ++neig;
+          break;
         }
-        neig += found;
-      }
-      // |u_unv|: neighbors of u that are unordered and not adjacent to any
-      // ordered vertex.
-      int unv = 0;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (ordered[w]) continue;
-        bool adjacent_to_ordered = false;
-        // neighbors-ok: ordering heuristic over the symmetric skeleton.
-        for (VertexId x : q.neighbors(w)) {
-          if (ordered[x]) {
-            adjacent_to_ordered = true;
-            break;
-          }
-        }
-        unv += !adjacent_to_ordered;
-      }
-      if (std::tie(backward, neig, unv) >
-          std::tie(best_backward, best_neig, best_unv)) {
-        best = u;
-        best_backward = backward;
-        best_neig = neig;
-        best_unv = unv;
       }
     }
-    RLQVO_CHECK(best != kInvalidVertex);
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
+    // |u_unv|: neighbors of u that are unordered and not adjacent to any
+    // ordered vertex.
+    int unv = 0;
+    // neighbors-ok: ordering heuristic over the symmetric skeleton.
+    for (VertexId w : q.neighbors(u)) {
+      unv += !prefix.IsOrdered(w) && prefix.backward(w) == 0;
+    }
+    return std::make_tuple(-static_cast<int>(prefix.backward(u)), -neig,
+                           -unv);
+  });
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> QSIOrdering::MakeOrder(
@@ -177,31 +175,20 @@ Result<std::vector<VertexId>> QSIOrdering::MakeOrder(
     std::swap(seed_a, seed_b);
   }
 
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order{seed_a, seed_b};
-  ordered[seed_a] = ordered[seed_b] = true;
-
-  // Prim-style growth over the infrequent-edge weights.
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    uint64_t best_w = std::numeric_limits<uint64_t>::max();
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (!ordered[w]) continue;
-        const uint64_t weight = edge_weight(u, w);
-        if (weight < best_w) {
-          best_w = weight;
-          best = u;
-        }
-      }
+  OrderPrefix prefix(q);
+  prefix.Push(seed_a);
+  prefix.Push(seed_b);
+  // Prim-style growth over the infrequent-edge weights: the cheapest edge
+  // from u into φ_t.
+  GreedyOrder(&prefix, [&](VertexId u) {
+    uint64_t cheapest = std::numeric_limits<uint64_t>::max();
+    // neighbors-ok: ordering heuristic over the symmetric skeleton.
+    for (VertexId w : q.neighbors(u)) {
+      if (prefix.IsOrdered(w)) cheapest = std::min(cheapest, edge_weight(u, w));
     }
-    RLQVO_CHECK(best != kInvalidVertex);
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
+    return cheapest;
+  });
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> VF2PPOrdering::MakeOrder(
@@ -239,8 +226,8 @@ Result<std::vector<VertexId>> VF2PPOrdering::MakeOrder(
     }
     if (!next.empty()) levels.push_back(std::move(next));
   }
-  std::vector<VertexId> order;
-  order.reserve(n);
+  std::vector<uint32_t> rank(n);
+  uint32_t next_rank = 0;
   for (auto& lvl : levels) {
     std::sort(lvl.begin(), lvl.end(), [&](VertexId a, VertexId b) {
       const uint32_t fa = g.LabelFrequency(q.label(a));
@@ -249,33 +236,14 @@ Result<std::vector<VertexId>> VF2PPOrdering::MakeOrder(
       if (q.degree(a) != q.degree(b)) return q.degree(a) > q.degree(b);
       return a < b;
     });
-    for (VertexId u : lvl) order.push_back(u);
+    for (VertexId u : lvl) rank[u] = next_rank++;
   }
-  // BFS level order is connected only level-by-level as a whole; repair any
-  // within-level violations by a stable connectivity-respecting insertion.
-  std::vector<VertexId> repaired;
-  std::vector<bool> placed(n, false);
-  repaired.push_back(order[0]);
-  placed[order[0]] = true;
-  while (repaired.size() < n) {
-    for (VertexId u : order) {
-      if (placed[u]) continue;
-      bool attached = false;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (placed[w]) {
-          attached = true;
-          break;
-        }
-      }
-      if (attached) {
-        repaired.push_back(u);
-        placed[u] = true;
-        break;
-      }
-    }
-  }
-  return repaired;
+  // The level order is connected only level by level as a whole, so each
+  // step takes the connected vertex that comes first in it.
+  OrderPrefix prefix(q);
+  prefix.Push(root);
+  GreedyOrder(&prefix, [&](VertexId u) { return rank[u]; });
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> GQLOrdering::MakeOrder(
@@ -284,39 +252,12 @@ Result<std::vector<VertexId>> GQLOrdering::MakeOrder(
   RLQVO_RETURN_NOT_OK(RequireCandidates(ctx, "GQL"));
   const Graph& q = *ctx.query;
   const CandidateSet& cs = *ctx.candidates;
-  const uint32_t n = q.num_vertices();
 
-  VertexId start = 0;
-  for (VertexId u = 1; u < n; ++u) {
-    if (cs.candidates(u).size() < cs.candidates(start).size()) start = u;
-  }
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order{start};
-  ordered[start] = true;
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    size_t best_size = std::numeric_limits<size_t>::max();
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      bool attached = false;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (ordered[w]) {
-          attached = true;
-          break;
-        }
-      }
-      if (!attached) continue;
-      if (cs.candidates(u).size() < best_size) {
-        best_size = cs.candidates(u).size();
-        best = u;
-      }
-    }
-    RLQVO_CHECK(best != kInvalidVertex);
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
+  // From the empty prefix, where every vertex is selectable, the first
+  // pick is the smallest candidate set overall.
+  OrderPrefix prefix(q);
+  GreedyOrder(&prefix, [&](VertexId u) { return cs.candidates(u).size(); });
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> VEQOrdering::MakeOrder(
@@ -353,34 +294,10 @@ Result<std::vector<VertexId>> VEQOrdering::MakeOrder(
                        -static_cast<double>(q.degree(start)));
     if (u_better) start = u;
   }
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order{start};
-  ordered[start] = true;
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    double best_score = std::numeric_limits<double>::max();
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      bool attached = false;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (ordered[w]) {
-          attached = true;
-          break;
-        }
-      }
-      if (!attached) continue;
-      const double s = penalized_score(u);
-      if (s < best_score) {
-        best_score = s;
-        best = u;
-      }
-    }
-    RLQVO_CHECK(best != kInvalidVertex);
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
+  OrderPrefix prefix(q);
+  prefix.Push(start);
+  GreedyOrder(&prefix, penalized_score);
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> CFLOrdering::MakeOrder(
@@ -389,7 +306,6 @@ Result<std::vector<VertexId>> CFLOrdering::MakeOrder(
   RLQVO_RETURN_NOT_OK(RequireCandidates(ctx, "CFL"));
   const Graph& q = *ctx.query;
   const CandidateSet& cs = *ctx.candidates;
-  const uint32_t n = q.num_vertices();
 
   const std::vector<uint32_t> core = CoreNumbers(q);
   // Stratum per vertex: 0 = core (2-core), 1 = forest (internal tree
@@ -402,46 +318,13 @@ Result<std::vector<VertexId>> CFLOrdering::MakeOrder(
     if (q.degree(u) > 1) return 1;
     return 2;
   };
-
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  // Start: the smallest-candidate vertex within the best present stratum.
-  VertexId start = 0;
-  auto start_key = [&](VertexId u) {
+  // The smallest candidate set within the best present stratum, for the
+  // start (from the empty prefix) and for every later step.
+  OrderPrefix prefix(q);
+  GreedyOrder(&prefix, [&](VertexId u) {
     return std::make_pair(stratum(u), cs.candidates(u).size());
-  };
-  for (VertexId u = 1; u < n; ++u) {
-    if (start_key(u) < start_key(start)) start = u;
-  }
-  order.push_back(start);
-  ordered[start] = true;
-  while (order.size() < n) {
-    VertexId best = kInvalidVertex;
-    std::pair<int, size_t> best_key{std::numeric_limits<int>::max(),
-                                    std::numeric_limits<size_t>::max()};
-    for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      bool attached = false;
-      // neighbors-ok: ordering heuristic over the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (ordered[w]) {
-          attached = true;
-          break;
-        }
-      }
-      if (!attached) continue;
-      const auto key = start_key(u);
-      if (key < best_key) {
-        best_key = key;
-        best = u;
-      }
-    }
-    RLQVO_CHECK(best != kInvalidVertex);
-    order.push_back(best);
-    ordered[best] = true;
-  }
-  return order;
+  });
+  return prefix.order();
 }
 
 Result<std::vector<VertexId>> RandomOrdering::MakeOrder(
@@ -452,29 +335,16 @@ Result<std::vector<VertexId>> RandomOrdering::MakeOrder(
   Rng local_rng(12345);
   Rng* rng = ctx.rng ? ctx.rng : &local_rng;
 
-  std::vector<bool> ordered(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  order.push_back(static_cast<VertexId>(rng->NextBounded(n)));
-  ordered[order[0]] = true;
-  while (order.size() < n) {
-    std::vector<VertexId> frontier;
+  OrderPrefix prefix(q);
+  std::vector<VertexId> frontier;
+  while (!prefix.full()) {
+    frontier.clear();
     for (VertexId u = 0; u < n; ++u) {
-      if (ordered[u]) continue;
-      // neighbors-ok: connectivity repair walks the symmetric skeleton.
-      for (VertexId w : q.neighbors(u)) {
-        if (ordered[w]) {
-          frontier.push_back(u);
-          break;
-        }
-      }
+      if (prefix.Selectable(u)) frontier.push_back(u);
     }
-    RLQVO_CHECK(!frontier.empty());
-    const VertexId pick = rng->Choice(frontier);
-    order.push_back(pick);
-    ordered[pick] = true;
+    prefix.Push(rng->Choice(frontier));
   }
-  return order;
+  return prefix.order();
 }
 
 Result<std::shared_ptr<Ordering>> MakeOrdering(const std::string& name) {

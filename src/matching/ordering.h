@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -22,6 +24,76 @@ struct OrderingContext {
   /// which case ties break deterministically by vertex id.
   Rng* rng = nullptr;
 };
+
+/// \brief The ordered prefix φ_t of a matching order: the state of the
+/// paper's ordering MDP (Sec III-C), shared by every built-in ordering, the
+/// RL environment and the exhaustive order walk. Push and Pop keep each
+/// query vertex's backward count |N(u) ∩ φ_t| up to date over the query's
+/// skeleton, so the connected frontier N(φ_t) — the MDP's action space — is
+/// an O(1) test per vertex.
+class OrderPrefix {
+ public:
+  /// \param query must outlive the prefix.
+  explicit OrderPrefix(const Graph& query);
+
+  const Graph& query() const { return *query_; }
+  uint32_t num_vertices() const { return query_->num_vertices(); }
+  /// t = |φ_t|.
+  size_t size() const { return order_.size(); }
+  bool full() const { return order_.size() == query_->num_vertices(); }
+  const std::vector<VertexId>& order() const { return order_; }
+  /// Ordered flag per query vertex.
+  const std::vector<bool>& ordered() const { return ordered_; }
+  bool IsOrdered(VertexId u) const { return ordered_[u]; }
+  /// |N(u) ∩ φ_t|.
+  uint32_t backward(VertexId u) const { return backward_[u]; }
+  /// True iff u is unordered and adjacent to φ_t: u ∈ N(φ_t). Every vertex
+  /// is selectable while φ_t is empty.
+  bool Selectable(VertexId u) const {
+    return !ordered_[u] && (order_.empty() || backward_[u] > 0);
+  }
+
+  /// Appends unordered vertex u to φ_t.
+  void Push(VertexId u);
+  /// Removes the last vertex of φ_t.
+  void Pop();
+  /// Empties φ_t.
+  void Clear();
+
+ private:
+  const Graph* query_;
+  std::vector<VertexId> order_;
+  std::vector<bool> ordered_;
+  std::vector<uint32_t> backward_;
+};
+
+/// \brief Completes `prefix` greedily: appends the selectable vertex with
+/// the smallest `key(u)` until the order is full; ties go to the lowest id.
+/// When no vertex is selectable (only a disconnected query gets there), the
+/// smallest key among all unordered vertices is taken instead.
+template <typename KeyFn>
+void GreedyOrder(OrderPrefix* prefix, const KeyFn& key) {
+  using Key = std::invoke_result_t<const KeyFn&, VertexId>;
+  const uint32_t n = prefix->num_vertices();
+  while (!prefix->full()) {
+    VertexId best = kInvalidVertex;
+    Key best_key{};
+    for (const bool connected : {true, false}) {
+      for (VertexId u = 0; u < n; ++u) {
+        if (connected ? !prefix->Selectable(u) : prefix->IsOrdered(u)) {
+          continue;
+        }
+        Key k = key(u);
+        if (best == kInvalidVertex || k < best_key) {
+          best = u;
+          best_key = std::move(k);
+        }
+      }
+      if (best != kInvalidVertex) break;
+    }
+    prefix->Push(best);
+  }
+}
 
 /// \brief Phase-2 interface: produce a matching order — a permutation of
 /// V(q) (Definition II.3) in which every vertex after the first is adjacent

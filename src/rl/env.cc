@@ -4,10 +4,11 @@ namespace rlqvo {
 
 OrderingEnv::OrderingEnv(const Graph* query, const Graph* data,
                          const FeatureConfig& feature_config)
-    : query_(query),
-      feature_builder_(query, data, feature_config),
+    : feature_builder_(query, data, feature_config),
       tensors_(BuildGraphTensors(*query)),
-      features_(query->num_vertices(), feature_builder_.feature_dim()) {
+      features_(query->num_vertices(), feature_builder_.feature_dim()),
+      prefix_(*query),
+      action_mask_(query->num_vertices()) {
   // The tensors and the static feature columns are per-query constants;
   // Reset (once per episode) and Step (once per ordering step) only touch
   // the order state and the step columns h(6..7).
@@ -16,49 +17,33 @@ OrderingEnv::OrderingEnv(const Graph* query, const Graph* data,
 }
 
 void OrderingEnv::Reset() {
-  order_.clear();
-  ordered_.assign(query_->num_vertices(), false);
-  feature_builder_.UpdateStepFeatures(ordered_, 0, &features_);
+  prefix_.Clear();
+  feature_builder_.UpdateStepFeatures(prefix_.ordered(), 0, &features_);
   RecomputeMask();
 }
 
 VertexId OrderingEnv::SoleAction() const {
   if (num_actions_ != 1) return kInvalidVertex;
-  for (VertexId u = 0; u < query_->num_vertices(); ++u) {
+  for (VertexId u = 0; u < prefix_.num_vertices(); ++u) {
     if (action_mask_[u]) return u;
   }
   return kInvalidVertex;
 }
 
 void OrderingEnv::Step(VertexId u) {
-  RLQVO_CHECK_LT(u, query_->num_vertices());
+  RLQVO_CHECK_LT(u, prefix_.num_vertices());
   RLQVO_CHECK(action_mask_[u]) << "action " << u << " not in action space";
-  order_.push_back(u);
-  ordered_[u] = true;
-  feature_builder_.UpdateStepFeatures(ordered_, order_.size(), &features_);
+  prefix_.Push(u);
+  feature_builder_.UpdateStepFeatures(prefix_.ordered(), prefix_.size(),
+                                      &features_);
   RecomputeMask();
 }
 
 void OrderingEnv::RecomputeMask() {
-  const uint32_t n = query_->num_vertices();
-  action_mask_.assign(n, false);
   num_actions_ = 0;
-  if (order_.empty()) {
-    // Before the first selection every vertex is selectable.
-    action_mask_.assign(n, true);
-    num_actions_ = n;
-    return;
-  }
-  if (Done()) return;
-  for (VertexId u = 0; u < n; ++u) {
-    if (ordered_[u]) continue;
-    for (VertexId w : query_->neighbors(u)) {
-      if (ordered_[w]) {
-        action_mask_[u] = true;
-        ++num_actions_;
-        break;
-      }
-    }
+  for (VertexId u = 0; u < prefix_.num_vertices(); ++u) {
+    action_mask_[u] = prefix_.Selectable(u);
+    num_actions_ += action_mask_[u];
   }
 }
 

@@ -3,16 +3,17 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "matching/ordering.h"
 #include "rl/features.h"
 
 namespace rlqvo {
 
 /// \brief The query-vertex-ordering MDP of Sec III-C.
 ///
-/// State: the partial order φ_t plus the feature matrix H_t (whose step
-/// features evolve). Action space: the unordered neighbors of ordered
-/// vertices, N(φ_t) — all vertices before the first selection. An episode
-/// ends when φ is a full permutation.
+/// State: the partial order φ_t, held as an OrderPrefix, plus the feature
+/// matrix H_t (whose step features evolve). Action space: the prefix's
+/// selectable vertices, N(φ_t) — all vertices before the first selection.
+/// An episode ends when φ is a full permutation.
 ///
 /// Everything that depends only on (query, data) — the GraphTensors and the
 /// static feature columns h(1..5) — is computed once at construction and
@@ -29,10 +30,10 @@ class OrderingEnv {
   /// Clears the order and restores the initial state.
   void Reset();
 
-  const Graph& query() const { return *query_; }
+  const Graph& query() const { return prefix_.query(); }
   /// t = number of ordered vertices so far.
-  size_t step() const { return order_.size(); }
-  bool Done() const { return order_.size() == query_->num_vertices(); }
+  size_t step() const { return prefix_.size(); }
+  bool Done() const { return prefix_.full(); }
 
   /// Action mask over query vertices: true = selectable at this step.
   const std::vector<bool>& ActionMask() const { return action_mask_; }
@@ -60,17 +61,17 @@ class OrderingEnv {
   void Step(VertexId u);
 
   /// The order built so far (complete permutation once Done()).
-  const std::vector<VertexId>& order() const { return order_; }
+  const std::vector<VertexId>& order() const { return prefix_.order(); }
+  /// The ordered prefix φ_t behind order() and the action mask.
+  const OrderPrefix& prefix() const { return prefix_; }
 
  private:
   void RecomputeMask();
 
-  const Graph* query_;
   FeatureBuilder feature_builder_;
   nn::GraphTensors tensors_;  // built once per query, shared by all episodes
   nn::Matrix features_;  // (|V(q)|, feature_dim), maintained in place
-  std::vector<VertexId> order_;
-  std::vector<bool> ordered_;
+  OrderPrefix prefix_;
   std::vector<bool> action_mask_;
   size_t num_actions_ = 0;
 };

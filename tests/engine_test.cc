@@ -396,6 +396,35 @@ TEST(QueryEngineTest, BatchWithInvalidQueryReturnsPartialResults) {
   EXPECT_FALSE(engine->Match(Graph()).ok());
 }
 
+TEST(QueryEngineTest, OversizedPerQueryFanOutFailsOnlyThatQuery) {
+  Graph data = RandomData(61, 100, 5.0, 2);
+  std::vector<Graph> queries = MakeQueries(data, 400, 4, 5);
+
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  auto engine = MakeEngineByName("Hybrid", std::make_shared<const Graph>(data),
+                                 engine_options)
+                    .ValueOrDie();
+
+  BatchOptions options;
+  options.per_query.resize(queries.size());
+  options.per_query[1].parallel_threads = 4294967295u;
+  options.per_query[2].parallel_threads = 2;
+  auto batch = engine->MatchBatch(queries, options).ValueOrDie();
+  ASSERT_EQ(batch.statuses.size(), queries.size());
+  EXPECT_TRUE(batch.statuses[1].IsInvalidArgument())
+      << batch.statuses[1].ToString();
+  EXPECT_EQ(batch.failed, 1u);
+  auto matcher = MakeMatcherByName("Hybrid").ValueOrDie();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (i == 1) continue;
+    ASSERT_TRUE(batch.statuses[i].ok()) << "query " << i;
+    EXPECT_EQ(batch.per_query[i].num_matches,
+              matcher->Match(queries[i], data).ValueOrDie().num_matches)
+        << "query " << i;
+  }
+}
+
 TEST(QueryEngineTest, PerQueryOptionsSizeMismatchIsRejected) {
   Graph data = RandomData(71);
   auto engine =

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <string_view>
@@ -9,6 +12,9 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "core/rlqvo.h"
+#include "graph/generators.h"
+#include "graph/graph_algorithms.h"
 #include "matching/enumerator.h"
 #include "matching/filters.h"
 #include "matching/ordering.h"
@@ -223,6 +229,96 @@ TEST_P(EnumeratorPropertyTest, AgreesWithBruteForceForAllOrdersAndFilters) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnumeratorPropertyTest,
                          ::testing::Range<uint64_t>(1, 16));
+
+/// ROADMAP item 7(i) at bench scale, with no brute force: the embedding
+/// set of a query does not depend on the matching order. On a Chung-Lu
+/// power-law graph and a directed Erdős-Rényi graph with 2 edge labels,
+/// every order — the 7 orderings, untrained RL-QVO, and seeded random
+/// connected and disconnected permutations — yields RI's sorted embedding
+/// set under LDF and GQL candidates.
+TEST(EnumeratorTest, EmbeddingSetDoesNotDependOnTheOrderAtBenchScale) {
+  LabelConfig power_law_labels;
+  power_law_labels.num_labels = 20;
+  LabelConfig directed_labels;
+  directed_labels.num_labels = 2;
+  directed_labels.num_edge_labels = 2;
+  directed_labels.directed = true;
+  const Graph graphs[] = {
+      GeneratePowerLaw(800, 4.0, 2.5, power_law_labels, 71).ValueOrDie(),
+      GenerateErdosRenyi(400, 12.0, directed_labels, 72).ValueOrDie()};
+  RLQVOModel model;  // untrained: deterministic, and a real policy order
+  std::shared_ptr<Ordering> rlqvo = model.MakeOrdering();
+  Enumerator enumerator;
+  EnumeratorWorkspace workspace;
+  EnumerateOptions opts = Unlimited();
+  opts.store_embeddings = true;
+  uint64_t runs = 0, disconnected_orders = 0;
+  for (size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& data = graphs[gi];
+    QuerySampler sampler(&data, 100 + gi);
+    for (uint32_t size = 5; size <= 8; ++size) {
+      const Graph query = sampler.SampleQuery(size).ValueOrDie();
+      for (const char* filter_name : {"LDF", "GQL"}) {
+        const CandidateSet cs = MakeFilter(filter_name)
+                                    .ValueOrDie()
+                                    ->Filter(query, data)
+                                    .ValueOrDie();
+        std::vector<std::pair<std::string, std::vector<VertexId>>> orders;
+        OrderingContext ctx;
+        ctx.query = &query;
+        ctx.data = &data;
+        ctx.candidates = &cs;
+        Rng rng(size * 31 + gi);
+        ctx.rng = &rng;
+        for (const char* name :
+             {"RI", "QSI", "VF2PP", "GQL", "VEQ", "CFL", "Random"}) {
+          orders.emplace_back(name, MakeOrdering(name)
+                                        .ValueOrDie()
+                                        ->MakeOrder(ctx)
+                                        .ValueOrDie());
+        }
+        orders.emplace_back("RL-QVO", rlqvo->MakeOrder(ctx).ValueOrDie());
+        // Disconnected permutations: a seeded random connected order with
+        // the first adjacent pair whose swap breaks connectivity swapped.
+        // That opens a product over one level only, so the run stays
+        // cheap; a fully shuffled permutation can open several and cost
+        // seconds on these graphs.
+        for (int k = 0; k < 3; ++k) {
+          std::vector<VertexId> perm = MakeOrdering("Random")
+                                           .ValueOrDie()
+                                           ->MakeOrder(ctx)
+                                           .ValueOrDie();
+          for (size_t i = 1; i + 1 < perm.size(); ++i) {
+            std::swap(perm[i], perm[i + 1]);
+            if (!IsValidMatchingOrder(query, perm)) break;
+            std::swap(perm[i], perm[i + 1]);
+          }
+          disconnected_orders += !IsValidMatchingOrder(query, perm);
+          orders.emplace_back("disconnected" + std::to_string(k), perm);
+        }
+
+        std::vector<std::vector<VertexId>> reference;
+        for (const auto& [name, order] : orders) {
+          auto result = enumerator.Run(query, data, cs, order, opts, &workspace)
+                            .ValueOrDie();
+          ASSERT_FALSE(result.hit_match_limit);
+          std::sort(result.embeddings.begin(), result.embeddings.end());
+          ++runs;
+          if (name == "RI") {
+            ASSERT_GT(result.embeddings.size(), 0u);
+            reference = std::move(result.embeddings);
+            continue;
+          }
+          EXPECT_EQ(result.embeddings, reference)
+              << "graph " << gi << " size " << size << " filter "
+              << filter_name << " order " << name;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 2u * 4u * 2u * 11u);
+  EXPECT_GT(disconnected_orders, 0u);
+}
 
 /// The intersection core's work counters: no backward neighbors means no
 /// intersections; a cycle query must intersect at its closing vertex.

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/rlqvo.h"
 #include "graph/graph_algorithms.h"
 #include "matching/filters.h"
 #include "matching/ordering.h"
@@ -278,6 +284,172 @@ TEST(RandomOrderingTest, SeededRngReproduces) {
   ctx2.rng = &rng2;
   EXPECT_EQ(random.MakeOrder(ctx1).ValueOrDie(),
             random.MakeOrder(ctx2).ValueOrDie());
+}
+
+Graph BuildQuery(std::initializer_list<Label> labels,
+                 std::initializer_list<std::pair<VertexId, VertexId>> edges) {
+  GraphBuilder b;
+  for (Label l : labels) b.AddVertex(l);
+  for (auto [u, v] : edges) b.AddEdge(u, v);
+  return b.Build();
+}
+
+/// Equal labels and degrees: every ordering meets a tie at every step.
+Graph Cycle6() {
+  return BuildQuery({0, 0, 0, 0, 0, 0},
+                    {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+}
+
+/// Center 0; three interchangeable label-1 leaves and one label-0 leaf.
+Graph Star5() {
+  return BuildQuery({0, 1, 1, 1, 0}, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+}
+
+/// An equal-label K4 {0..3} with the path 3-4-5 hanging off it.
+Graph CliqueWithTail() {
+  return BuildQuery({0, 0, 0, 0, 0, 1}, {{0, 1},
+                                         {0, 2},
+                                         {0, 3},
+                                         {1, 2},
+                                         {1, 3},
+                                         {2, 3},
+                                         {3, 4},
+                                         {4, 5}});
+}
+
+/// Every ordering's full order on the tie-heavy queries above, LDF
+/// candidates, Random seeded with 7. Each query meets ties, so a changed
+/// tie rule (e.g. the highest id winning one) changes these orders.
+TEST(OrderingTest, PinnedOrdersOnTies) {
+  const Graph data = RandomData(31, 60, 4.0, 2);
+  using Orders = std::map<std::string, std::vector<VertexId>>;
+  const std::vector<std::pair<Graph, Orders>> cases = {
+      {Cycle6(),
+       {{"RI", {0, 1, 2, 3, 4, 5}},
+        {"QSI", {0, 1, 2, 3, 4, 5}},
+        {"VF2PP", {0, 1, 5, 2, 4, 3}},
+        {"GQL", {0, 1, 2, 3, 4, 5}},
+        {"VEQ", {0, 1, 2, 3, 4, 5}},
+        {"CFL", {0, 1, 2, 3, 4, 5}},
+        {"Random", {0, 1, 2, 3, 4, 5}}}},
+      {Star5(),
+       {{"RI", {0, 1, 2, 3, 4}},
+        {"QSI", {0, 4, 1, 2, 3}},
+        {"VF2PP", {1, 0, 2, 3, 4}},
+        {"GQL", {0, 1, 2, 3, 4}},
+        {"VEQ", {0, 1, 2, 3, 4}},
+        {"CFL", {0, 1, 2, 3, 4}},
+        {"Random", {4, 0, 1, 2, 3}}}},
+      {CliqueWithTail(),
+       {{"RI", {3, 0, 1, 2, 4, 5}},
+        {"QSI", {0, 1, 2, 3, 4, 5}},
+        {"VF2PP", {5, 4, 3, 0, 1, 2}},
+        {"GQL", {3, 0, 1, 2, 4, 5}},
+        {"VEQ", {3, 0, 1, 2, 4, 5}},
+        {"CFL", {3, 0, 1, 2, 4, 5}},
+        {"Random", {0, 3, 1, 2, 4, 5}}}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Graph& q = cases[c].first;
+    const CandidateSet cs = LDFFilter().Filter(q, data).ValueOrDie();
+    for (const auto& [name, expected] : cases[c].second) {
+      auto ctx = MakeContext(&q, &data, &cs);
+      Rng rng(7);
+      ctx.rng = &rng;
+      auto order = MakeOrdering(name).ValueOrDie()->MakeOrder(ctx);
+      ASSERT_TRUE(order.ok()) << name << ": " << order.status().ToString();
+      EXPECT_EQ(*order, expected) << name << " on case " << c;
+    }
+  }
+}
+
+/// Untrained RL-QVO on a disconnected query: the policy orders the
+/// isolated vertex 5, the action space empties, RI refuses the query, and
+/// the greedy completion seeds each further component by degree.
+TEST(OrderingTest, PinnedRlqvoFallbackOnDisconnectedQuery) {
+  const Graph data = RandomData(31, 60, 4.0, 2);
+  const Graph q =
+      BuildQuery({0, 0, 1, 0, 1, 0}, {{0, 1}, {1, 2}, {2, 0}, {3, 4}});
+  RLQVOModel model;
+  EXPECT_EQ(model.MakeOrder(q, data).ValueOrDie(),
+            (std::vector<VertexId>{5, 0, 1, 2, 3, 4}));
+}
+
+TEST(OrderPrefixTest, BackwardCountsFollowPushAndPop) {
+  const Graph q = CliqueWithTail();
+  OrderPrefix prefix(q);
+  prefix.Push(3);
+  EXPECT_EQ(prefix.order(), (std::vector<VertexId>{3}));
+  EXPECT_EQ(prefix.backward(0), 1u);
+  EXPECT_EQ(prefix.backward(4), 1u);
+  EXPECT_EQ(prefix.backward(5), 0u);
+  prefix.Push(4);
+  EXPECT_EQ(prefix.backward(3), 1u);
+  EXPECT_EQ(prefix.backward(5), 1u);
+  prefix.Push(0);
+  EXPECT_EQ(prefix.backward(1), 2u);
+  EXPECT_EQ(prefix.backward(2), 2u);
+  EXPECT_EQ(prefix.backward(3), 2u);
+  prefix.Pop();
+  EXPECT_EQ(prefix.order(), (std::vector<VertexId>{3, 4}));
+  EXPECT_FALSE(prefix.IsOrdered(0));
+  EXPECT_EQ(prefix.backward(1), 1u);
+  EXPECT_EQ(prefix.backward(3), 1u);
+  prefix.Clear();
+  EXPECT_EQ(prefix.size(), 0u);
+  for (VertexId u = 0; u < q.num_vertices(); ++u) {
+    EXPECT_EQ(prefix.backward(u), 0u) << u;
+    EXPECT_FALSE(prefix.IsOrdered(u)) << u;
+  }
+}
+
+TEST(OrderPrefixTest, SelectableOnEmptyPartialAndFullPrefixes) {
+  const Graph q = CliqueWithTail();
+  OrderPrefix prefix(q);
+  for (VertexId u = 0; u < q.num_vertices(); ++u) {
+    EXPECT_TRUE(prefix.Selectable(u)) << u;
+  }
+  prefix.Push(4);
+  std::vector<VertexId> selectable;
+  for (VertexId u = 0; u < q.num_vertices(); ++u) {
+    if (prefix.Selectable(u)) selectable.push_back(u);
+  }
+  EXPECT_EQ(selectable, (std::vector<VertexId>{3, 5}));
+  for (VertexId u : {3u, 5u, 0u, 1u, 2u}) prefix.Push(u);
+  EXPECT_TRUE(prefix.full());
+  for (VertexId u = 0; u < q.num_vertices(); ++u) {
+    EXPECT_FALSE(prefix.Selectable(u)) << u;
+  }
+}
+
+TEST(GreedyOrderTest, LowestIdWinsATie) {
+  const Graph q = Cycle6();
+  OrderPrefix prefix(q);
+  prefix.Push(3);
+  // Every vertex has the same key: each step takes the lowest selectable
+  // id.
+  GreedyOrder(&prefix, [](VertexId) { return 0; });
+  EXPECT_EQ(prefix.order(), (std::vector<VertexId>{3, 2, 1, 0, 4, 5}));
+}
+
+TEST(GreedyOrderTest, SmallestKeyAmongSelectableVertices) {
+  const Graph q = Cycle6();
+  OrderPrefix prefix(q);
+  // Key = -id: the largest selectable id wins, never a non-adjacent one.
+  GreedyOrder(&prefix, [](VertexId u) { return -static_cast<int>(u); });
+  EXPECT_EQ(prefix.order(), (std::vector<VertexId>{5, 4, 3, 2, 1, 0}));
+  EXPECT_TRUE(IsValidMatchingOrder(q, prefix.order()));
+}
+
+TEST(GreedyOrderTest, DisconnectedQueryTakesTheUnorderedFallback) {
+  // Components {0, 1} and {2, 3, 4}.
+  const Graph q = BuildQuery({0, 0, 0, 0, 0}, {{0, 1}, {2, 3}, {3, 4}});
+  OrderPrefix prefix(q);
+  prefix.Push(1);
+  // Key = -id: after 0, no vertex is selectable, so the smallest key among
+  // all unordered vertices (4) seeds the next component.
+  GreedyOrder(&prefix, [](VertexId u) { return -static_cast<int>(u); });
+  EXPECT_EQ(prefix.order(), (std::vector<VertexId>{1, 0, 4, 3, 2}));
 }
 
 /// Property sweep: every ordering method emits a valid matching order — a

@@ -616,6 +616,20 @@ TEST(ParallelEnumTest, RejectsInvalidInputsLikeSerial) {
                    .RunParallel(pq.query, data, pq.candidates, bad_order,
                                 opts, resources)
                    .ok());
+  // A fan-out above the bound is rejected before any per-worker state is
+  // allocated (2^32-1 deques would throw std::bad_alloc on a pool worker).
+  for (uint32_t threads : {257u, 4294967295u}) {
+    opts.parallel_threads = threads;
+    auto run = enumerator.RunParallel(pq.query, data, pq.candidates,
+                                      pq.order, opts, resources);
+    ASSERT_FALSE(run.ok()) << threads;
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << threads;
+  }
+  opts.parallel_threads = EnumerateOptions::kMaxParallelThreads;
+  EXPECT_TRUE(enumerator
+                  .RunParallel(pq.query, data, pq.candidates, pq.order, opts,
+                               resources)
+                  .ok());
 }
 
 }  // namespace
