@@ -38,6 +38,15 @@
 // of this check to bound memory, and the run says so; no smoke query
 // comes near it.
 //
+// A last, ungated section measures the deadline overshoot, how far past
+// its time limit a cut run returns (enum_time_seconds minus the limit), for
+// the bound EnumerateOptions::time_limit_seconds states: one work quantum
+// plus one slice intersection or one last-position count. It takes one
+// power-law query whose full serial run outlasts 20x the largest limit and
+// cuts it at 1, 2 and 5 ms, serially and at 2 and 4 threads, 20 runs each,
+// and prints the median and the maximum overshoot. It runs in both modes
+// and adds about a second.
+//
 // --smoke shrinks everything for CI: a seconds-long run that still
 // verifies serial/parallel agreement and JSON emission (into
 // BENCH_parallel_enum_smoke.json, so the committed default-run file is
@@ -47,8 +56,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -265,6 +276,92 @@ CaseResult RunCase(const WorkloadCase& c, const BenchOptions& opts,
   return out;
 }
 
+/// The deadline overshoot section (see the file comment). Prints only.
+void MeasureDeadlineOvershoot(const BenchOptions& opts) {
+  constexpr double kLimitsMs[] = {1.0, 2.0, 5.0};
+  constexpr int kRuns = 20;
+  constexpr double kMinFullRunMs = 20 * 5.0;
+  LabelConfig labels;
+  labels.num_labels = 16;
+  labels.zipf_exponent = 1.2;
+  const Graph data =
+      MustOk(GeneratePowerLaw(1400, 16.0, 2.2, labels, opts.seed), "generate");
+  // The first sampled query that a serial run cannot finish within
+  // kMinFullRunMs.
+  QuerySampler sampler(&data, opts.seed + 11);
+  Enumerator enumerator;
+  EnumeratorWorkspace serial_ws;
+  PreparedQuery pq;
+  bool found = false;
+  for (int attempt = 0; attempt < 20 && !found; ++attempt) {
+    pq.query = MustOk(sampler.SampleQuery(7), "sample");
+    pq.candidates = MustOk(LDFFilter().Filter(pq.query, data), "filter");
+    OrderingContext octx;
+    octx.query = &pq.query;
+    octx.data = &data;
+    octx.candidates = &pq.candidates;
+    pq.order = MustOk(RIOrdering().MakeOrder(octx), "order");
+    EnumerateOptions probe;
+    probe.match_limit = 0;
+    probe.time_limit_seconds = kMinFullRunMs * 1e-3;
+    auto run = enumerator.Run(pq.query, data, pq.candidates, pq.order, probe,
+                              &serial_ws);
+    found = MustOk(std::move(run), "overshoot probe").timed_out;
+  }
+  std::printf("\n-- deadline overshoot: enum_time_seconds - limit (us) --\n");
+  if (!found) {
+    std::printf("# no sampled query outlasted %.0f ms; section skipped\n",
+                kMinFullRunMs);
+    return;
+  }
+  std::printf("# one power-law query (full serial run > %.0f ms), %d runs\n",
+              kMinFullRunMs, kRuns);
+  // quantum_us is the bound's work quantum (2^14 units,
+  // kDeadlineCheckWorkQuantum in enumerator.cc) in time, at the busiest
+  // worker's work rate up to the cut. The rate varies along the search
+  // tree, so each cell has its own.
+  std::printf("%8s %9s %10s %10s %10s %10s\n", "threads", "limit_ms", "median",
+              "max", "quantum_us", "timed_out");
+  for (const uint32_t threads : {0u, 2u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    std::vector<EnumeratorWorkspace> workspaces;
+    ParallelEnumResources resources;
+    resources.caller_workspace = &serial_ws;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      workspaces.resize(pool->size());
+      resources.pool = pool.get();
+      resources.worker_workspaces = &workspaces;
+    }
+    for (const double limit_ms : kLimitsMs) {
+      const double limit_s = limit_ms * 1e-3;
+      EnumerateOptions eopts;
+      eopts.match_limit = 0;
+      eopts.time_limit_seconds = limit_s;
+      eopts.parallel_threads = threads;
+      std::vector<double> overshoot_us;
+      int timed_out = 0;
+      uint64_t busiest_work = 0;
+      double seconds = 0.0;
+      for (int r = 0; r < kRuns; ++r) {
+        auto run = enumerator.RunParallel(pq.query, data, pq.candidates,
+                                          pq.order, eopts, resources);
+        const EnumerateResult res = MustOk(std::move(run), "overshoot run");
+        timed_out += res.timed_out;
+        busiest_work += res.max_worker_work;
+        seconds += res.enum_time_seconds;
+        overshoot_us.push_back((res.enum_time_seconds - limit_s) * 1e6);
+      }
+      std::sort(overshoot_us.begin(), overshoot_us.end());
+      const double quantum_us =
+          16384.0 * 1e6 * seconds / static_cast<double>(busiest_work);
+      std::printf("%8u %9.0f %10.1f %10.1f %10.1f %7d/%d\n", threads, limit_ms,
+                  overshoot_us[kRuns / 2], overshoot_us.back(), quantum_us,
+                  timed_out, kRuns);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -354,6 +451,7 @@ int main(int argc, char** argv) {
                  hw);
     std::exit(1);
   }
+  MeasureDeadlineOvershoot(opts);
   WriteBenchJson(smoke ? "parallel_enum_smoke" : "parallel_enum", opts,
                  metrics);
   return 0;

@@ -4,12 +4,27 @@
 
 namespace rlqvo {
 
-Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
-                                    const CandidateSet& candidates,
-                                    const std::vector<VertexId>& order) {
+Status ValidateEnumerationInputs(const Graph& query, const Graph& data,
+                                 const CandidateSet& candidates,
+                                 const std::vector<VertexId>& order) {
   const uint32_t nq = query.num_vertices();
-  const size_t nv = data.num_vertices();
-
+  if (nq == 0) return Status::InvalidArgument("query graph is empty");
+  if (candidates.num_query_vertices() != nq) {
+    return Status::InvalidArgument("candidate set size mismatch");
+  }
+  // Connectivity is not required: a position with no mapped backward
+  // neighbor iterates its whole candidate list.
+  std::vector<bool> seen(nq, false);
+  size_t distinct = 0;
+  for (const VertexId u : order) {
+    if (u >= nq || seen[u]) break;
+    seen[u] = true;
+    ++distinct;
+  }
+  if (order.size() != nq || distinct != nq) {
+    return Status::InvalidArgument(
+        "order is not a permutation of the query vertices");
+  }
   // Directedness is part of the matching semantics (an undirected query
   // edge means "one symmetric edge", a directed one means "this arc"), so a
   // mixed pair has no well-defined answer — reject instead of guessing.
@@ -19,21 +34,24 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
         std::string(query.directed() ? "directed" : "undirected") +
         ", data is " + std::string(data.directed() ? "directed" : "undirected"));
   }
-
-  // Any fresh Prepare invalidates a parallel run's "already prepared on
-  // this worker" stamp (see parallel_run_token()).
-  parallel_run_token_ = 0;
-
-  // Candidate lists are sorted ascending, so range validation is one
-  // tail check per query vertex; total size feeds the density decision.
-  size_t total_candidates = 0;
+  // Candidate lists are sorted ascending, so range validation is one tail
+  // check per query vertex.
   for (VertexId u = 0; u < nq; ++u) {
     const std::vector<VertexId>& c = candidates.candidates(u);
-    if (!c.empty() && c.back() >= nv) {
+    if (!c.empty() && c.back() >= data.num_vertices()) {
       return Status::InvalidArgument("candidate vertex out of range");
     }
-    total_candidates += c.size();
   }
+  return Status::OK();
+}
+
+Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
+                                    const CandidateSet& candidates,
+                                    const std::vector<VertexId>& order) {
+  RLQVO_RETURN_NOT_OK(
+      ValidateEnumerationInputs(query, data, candidates, order));
+  const uint32_t nq = query.num_vertices();
+  const size_t nv = data.num_vertices();
 #ifndef NDEBUG
   // The intersection core derives local candidates from label(u) adjacency
   // slices, so it requires label-consistent candidate sets (which every
@@ -53,6 +71,7 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
   if (backward_.size() < nq) backward_.resize(nq);
   if (slice_memo_.size() < nq) slice_memo_.resize(nq);
   if (local_.size() < nq) local_.resize(nq);
+  if (bounds_.size() < nq) bounds_.resize(nq);
   placed_.assign(nq, 0);
   const bool degenerate = query.degenerate();
   for (size_t i = 0; i < order.size(); ++i) {
@@ -92,6 +111,7 @@ Status EnumeratorWorkspace::Prepare(const Graph& query, const Graph& data,
 
   // The density rule: stamp on small graphs, or where the candidates fill
   // enough of the nq·|V(G)| cells to pay for their scattered writes.
+  const size_t total_candidates = candidates.TotalSize();
   const size_t cells = static_cast<size_t>(nq) * nv;
   const bool dense = nv <= kDenseVertexCutoff ||
                      static_cast<double>(total_candidates) >=

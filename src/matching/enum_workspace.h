@@ -24,10 +24,11 @@ namespace rlqvo {
 /// - **Visited marks.** A plain 0/1 array over V(G). It is all-clear
 ///   between runs: every mark is undone by the Descend or
 ///   RemoveSegmentPrefix that set it, so Prepare never clears it.
-/// - **Preallocated buffers.** The mapping, backward-neighbor and per-depth
+/// - **Preallocated buffers.** The mapping, backward-neighbor, per-depth
 ///   local-candidate buffers (the materialization target of the
-///   intersection core, see intersect.h) are kept across runs and only
-///   grow, so batch serving never reallocates in steady state.
+///   intersection core, see intersect.h) and per-depth loop bounds are kept
+///   across runs and only grow, so batch serving never reallocates in
+///   steady state.
 /// - **Slice memo.** Each backward constraint remembers the anchor vertex
 ///   of its last slice lookup and the slice it got, so an anchor mapped
 ///   several levels up is looked up once, not once per extension below it
@@ -73,12 +74,11 @@ class EnumeratorWorkspace {
   EnumeratorWorkspace& operator=(EnumeratorWorkspace&&) = default;
 
   /// Readies the workspace for one enumeration of (query, data, candidates,
-  /// order): rebuilds the backward-neighbor lists for `order` with empty
-  /// slice memos and the last vertex's label mates, resets the mapping, and
-  /// binds `candidates` to the membership, stamped or for binary search.
-  /// Validates that every candidate vertex is in range for `data`. `order`
-  /// must be a permutation of V(q) (checked by Enumerator::Run).
-  /// `candidates` must outlive the enumeration.
+  /// order): checks the inputs (ValidateEnumerationInputs), rebuilds the
+  /// backward-neighbor lists for `order` with empty slice memos and the last
+  /// vertex's label mates, resets the mapping, and binds `candidates` to the
+  /// membership, stamped or for binary search. `candidates` must outlive
+  /// the enumeration.
   Status Prepare(const Graph& query, const Graph& data,
                  const CandidateSet& candidates,
                  const std::vector<VertexId>& order);
@@ -171,6 +171,23 @@ class EnumeratorWorkspace {
     return local_[depth];
   }
 
+  /// \brief The bounds of the live candidate loop at one order position:
+  /// it walks `cands[next, end)`. A work-stealing split shortens `end` from
+  /// a poll deeper in the same worker's recursion, which is why the bounds
+  /// live here rather than only in the loop's registers. The loop stores
+  /// `next` before each descent; `active` marks the positions whose loops
+  /// are running (always a contiguous prefix of a segment's positions).
+  struct LoopBounds {
+    const VertexId* cands = nullptr;
+    size_t next = 0;
+    size_t end = 0;
+    bool active = false;
+  };
+  LoopBounds& bounds(size_t depth) {
+    RLQVO_DCHECK_LT(depth, bounds_.size());
+    return bounds_[depth];
+  }
+
   /// Scratch for gathering the backward neighbors' label slices before
   /// intersecting. Shared across depths — safe because every Extend consumes
   /// it (materializes the intersection into its depth's LocalBuffers) before
@@ -191,20 +208,6 @@ class EnumeratorWorkspace {
             .last_dense = membership_.stamped()};
   }
 
-  /// \name Parallel-run prepare dedupe (used by Enumerator::RunParallel).
-  /// A parallel run prepares each per-worker workspace at most once: after
-  /// a successful Prepare the run stamps its unique token here, and later
-  /// worker-loop tasks of the same run landing on the same worker skip the
-  /// re-Prepare while the token still matches. Prepare() always resets the
-  /// token to 0, so any interleaved use for another query (e.g. a batch
-  /// worker serving a different query between two loop tasks) invalidates
-  /// the stamp and forces a fresh Prepare. Tokens are process-unique per
-  /// run, never reused.
-  /// @{
-  uint64_t parallel_run_token() const { return parallel_run_token_; }
-  void set_parallel_run_token(uint64_t token) { parallel_run_token_ = token; }
-  /// @}
-
  private:
   CandidateMembership membership_;
   std::vector<uint8_t> visited_;  // |V(G)|, 1 = mapped in the current path
@@ -214,12 +217,24 @@ class EnumeratorWorkspace {
   std::vector<VertexId> last_label_mates_;
   std::vector<std::pair<EdgeDir, EdgeLabel>> edge_scratch_;  // backward build
   std::vector<LocalBuffers> local_;  // one pair per recursion depth
+  std::vector<LoopBounds> bounds_;   // one per recursion depth
   std::vector<std::span<const VertexId>> slice_scratch_;
   std::vector<uint8_t> placed_;  // scratch for the backward build
 
-  uint64_t parallel_run_token_ = 0;  // see parallel_run_token()
   uint64_t prepares_ = 0;
   uint64_t dense_prepares_ = 0;
 };
+
+/// Checks everything an enumeration of (query, data, candidates, order)
+/// requires, in this order: a non-empty query, one candidate list per query
+/// vertex, an order that is a permutation of V(q) (connectivity is not
+/// required), equal directedness of query and data, and candidates inside
+/// V(data). Returns InvalidArgument naming the first failed check.
+/// EnumeratorWorkspace::Prepare calls it first; Enumerator::RunParallel
+/// calls it before any early return, so serial and parallel runs reject the
+/// same inputs.
+Status ValidateEnumerationInputs(const Graph& query, const Graph& data,
+                                 const CandidateSet& candidates,
+                                 const std::vector<VertexId>& order);
 
 }  // namespace rlqvo

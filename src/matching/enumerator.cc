@@ -38,9 +38,8 @@ constexpr uint64_t kDeadlineCheckWorkQuantum = uint64_t{1} << 14;
 /// path. Finer than the deadline quantum so a heavy subtree sheds work to
 /// a freshly-idle worker within ~2k units, but each poll is just two
 /// relaxed loads (hungry-worker count, own-deque size) on the no-split
-/// path, so the serial-equivalent overhead stays far below 1%. The serial
-/// recursion does not poll for splits at all — EnumContext<false> compiles
-/// this away, keeping the one-compare fast path of PR 4.
+/// path, so the serial-equivalent overhead stays far below 1%. A serial
+/// run has no scheduler, so its split poll never comes due.
 constexpr uint64_t kSplitCheckWorkQuantum = uint64_t{1} << 11;
 
 /// Minimum remaining-sibling-range width an owner will split off. Below
@@ -240,7 +239,7 @@ class SegmentScheduler {
     // slot yet, but an idle pool worker will start one as soon as work
     // exists for it to find.
     return unclaimed_slots_.load(std::memory_order_relaxed) > 0 &&
-           pool_ != nullptr && pool_->ApproxIdleWorkers() > 0;
+           pool_->ApproxIdleWorkers() > 0;
   }
 
   /// Records a worker loop's cumulative charged work on exit.
@@ -321,29 +320,28 @@ class SegmentScheduler {
   std::atomic<uint32_t> unclaimed_slots_;
 };
 
-/// Recursion state for one enumeration worker (the whole query in the
-/// serial path, a sequence of frontier segments in the work-stealing
-/// path). All per-query buffers live in the EnumeratorWorkspace; this
-/// carries the loop bookkeeping plus the work-metered stop checks against
-/// the shared budget. `kStealable == false` compiles to exactly PR 4's
-/// serial recursion — no spine bookkeeping, no split polling, the same
-/// single compare on the hot path.
-template <bool kStealable>
+/// Recursion state for one enumeration worker: the whole query in a
+/// serial run, a sequence of frontier segments in a work-stealing run. All
+/// per-query buffers, the loop bounds included, live in the
+/// EnumeratorWorkspace; this carries the work meter and its stop checks
+/// against the shared budget. A serial run has no scheduler (and slot -1),
+/// so its split poll never comes due and its poll is the deadline check
+/// alone.
 struct EnumContext {
   EnumContext(const Graph& q, const Graph& g, const CandidateSet& c,
               const std::vector<VertexId>& o, const EnumerateOptions& opts,
-              EnumeratorWorkspace* workspace, EnumBudget* shared_budget)
+              EnumeratorWorkspace* workspace, EnumBudget* shared_budget,
+              SegmentScheduler* segment_scheduler, int worker_slot)
       : query(&q),
         data(&g),
         candidates(&c),
         order(&o),
         options(&opts),
         ws(workspace),
-        budget(shared_budget) {
-    if constexpr (kStealable) {
-      spine_.resize(order->size());
-      next_check = std::min(next_deadline_check, next_split_check);
-    }
+        budget(shared_budget),
+        scheduler(segment_scheduler),
+        slot(worker_slot) {
+    ArmPolls();
   }
 
   const Graph* query;
@@ -353,35 +351,43 @@ struct EnumContext {
   const EnumerateOptions* options;
   EnumeratorWorkspace* ws;
   EnumBudget* budget;
+  SegmentScheduler* scheduler;     // null in a serial run
+  int slot;                        // -1 in a serial run
+  FrontierSegment* seg = nullptr;  // the segment RunSegment is running
 
   EnumerateResult result;
   uint64_t work = 0;  // charged work units (calls, comparisons, scans)
-  uint64_t next_deadline_check = kDeadlineCheckWorkQuantum;
-  uint64_t next_split_check = kSplitCheckWorkQuantum;  // stealable only
-  uint64_t next_check = kDeadlineCheckWorkQuantum;     // min of the above
+  uint64_t next_deadline_check = 0;
+  uint64_t next_split_check = 0;
+  uint64_t next_check = 0;  // min of the above
   bool stopped = false;
 
-  // Work-stealing state (set by RunParallel's worker loop; unused and
-  // empty in the serial instantiation).
-  SegmentScheduler* scheduler = nullptr;
-  int slot = -1;
-  FrontierSegment* seg = nullptr;
+  /// Starts both polling quanta at the current work. Without a scheduler
+  /// the split poll never comes due.
+  void ArmPolls() {
+    next_deadline_check = work + kDeadlineCheckWorkQuantum;
+    next_split_check = scheduler != nullptr
+                           ? work + kSplitCheckWorkQuantum
+                           : std::numeric_limits<uint64_t>::max();
+    next_check = std::min(next_deadline_check, next_split_check);
+  }
 
-  /// One live candidate loop of the current segment. The spine is the
-  /// single source of truth for the loop ranges: TrySplit shrinks
-  /// `end` (same thread — a split happens inside a CheckStop poll of a
-  /// deeper frame) and the loop in RunLevel re-reads it every iteration.
-  struct SpineLevel {
-    const VertexId* cands = nullptr;
-    size_t next = 0;
-    size_t end = 0;
-    bool active = false;
-  };
+  /// Stops on an expired deadline, recording the timeout and broadcasting
+  /// the stop, or on a stop another worker requested.
+  void CheckDeadline() {
+    if (budget->deadline().Expired()) {
+      result.timed_out = true;
+      budget->RequestStop();
+      stopped = true;
+    } else if (budget->StopRequested()) {
+      stopped = true;
+    }
+  }
 
   /// The per-iteration stop test: one compare on the fast path. Once the
   /// charged work crosses the next quantum boundary it re-checks the
-  /// shared deadline / stop broadcast and (stealable only, on a finer
-  /// quantum) the split trigger.
+  /// shared deadline / stop broadcast and, on a finer quantum, the split
+  /// trigger.
   bool CheckStop() {
     if (stopped) return true;
     if (work >= next_check) Poll();
@@ -391,23 +397,13 @@ struct EnumContext {
   void Poll() {
     if (work >= next_deadline_check) {
       next_deadline_check = work + kDeadlineCheckWorkQuantum;
-      if (budget->deadline().Expired()) {
-        result.timed_out = true;
-        budget->RequestStop();
-        stopped = true;
-      } else if (budget->StopRequested()) {
-        stopped = true;
-      }
+      CheckDeadline();
     }
-    if constexpr (kStealable) {
-      if (!stopped && work >= next_split_check) {
-        next_split_check = work + kSplitCheckWorkQuantum;
-        if (scheduler->ShouldSplit(slot)) TrySplit();
-      }
-      next_check = std::min(next_deadline_check, next_split_check);
-    } else {
-      next_check = next_deadline_check;
+    if (!stopped && work >= next_split_check) {
+      next_split_check = work + kSplitCheckWorkQuantum;
+      if (scheduler->ShouldSplit(slot)) TrySplit();
     }
+    next_check = std::min(next_deadline_check, next_split_check);
   }
 
   /// Splits the shallowest active level with enough remaining iterations:
@@ -417,9 +413,8 @@ struct EnumContext {
   /// emissions remain one ascending run (see RunParallel's merge). One
   /// split per poll.
   void TrySplit() {
-    static_assert(kStealable);
     for (size_t d = seg->depth; d < order->size(); ++d) {
-      SpineLevel& lvl = spine_[d];
+      EnumeratorWorkspace::LoopBounds& lvl = ws->bounds(d);
       if (!lvl.active) return;  // active frames are a contiguous prefix
       const size_t remaining = lvl.end - lvl.next;
       if (remaining < kMinSplitWidth) continue;
@@ -478,8 +473,8 @@ struct EnumContext {
   /// what per-candidate Descend + EmitMatch would: per granted match one
   /// terminating call, one match and two work units; a claim that finds
   /// the budget already exhausted charges the one call whose claim failed.
-  /// The level never enters the spine, so splits carve only internal
-  /// levels.
+  /// The level never marks its loop bounds active, so splits carve only
+  /// internal levels.
   void CountLastPosition(VertexId u, std::span<const VertexId> cands) {
     uint64_t k = cands.size();
     for (const VertexId w : ws->last_label_mates()) {
@@ -544,10 +539,12 @@ struct EnumContext {
   /// position takes the membership test: full candidate lists (the root
   /// and component breaks) are members by construction, and at the last
   /// position a complete filter makes every unvisited slice vertex a member
-  /// (CountLastPosition; debug builds check it in EmitMatch). In the
-  /// stealable instantiation the loop bounds live in the spine so TrySplit
-  /// can shed the tail. A count-only run counts its last order position
-  /// instead of descending it (CountLastPosition).
+  /// (CountLastPosition; debug builds check it in EmitMatch). A count-only
+  /// run counts its last order position instead of descending it
+  /// (CountLastPosition). The position and the end stay in registers; the
+  /// workspace's bounds get the position before each descent, and the end
+  /// is re-read after each stop check, the only place where TrySplit can
+  /// shorten it.
   void RunLevel(size_t depth, std::span<const VertexId> cands) {
     const VertexId u = (*order)[depth];
     const bool last = depth + 1 == order->size();
@@ -556,28 +553,22 @@ struct EnumContext {
       return;
     }
     const bool membership = !last && !ws->backward()[depth].empty();
-    if constexpr (kStealable) {
-      SpineLevel& lvl = spine_[depth];
-      lvl.cands = cands.data();
-      lvl.next = 0;
-      lvl.end = cands.size();
-      lvl.active = true;
-      while (lvl.next < lvl.end) {
-        const VertexId v = lvl.cands[lvl.next++];
-        if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(u, v)) continue;
-        Descend(depth, u, v);
-        if (CheckStop()) break;
-      }
-      lvl.active = false;
-    } else {
-      for (const VertexId v : cands) {
-        if (ws->Visited(v)) continue;
-        if (membership && !ws->InCandidates(u, v)) continue;
-        Descend(depth, u, v);
-        if (CheckStop()) return;
-      }
+    EnumeratorWorkspace::LoopBounds& lvl = ws->bounds(depth);
+    lvl.cands = cands.data();
+    lvl.end = cands.size();
+    lvl.active = true;
+    size_t next = 0;
+    size_t end = cands.size();
+    while (next < end) {
+      const VertexId v = cands[next++];
+      if (ws->Visited(v)) continue;
+      if (membership && !ws->InCandidates(u, v)) continue;
+      lvl.next = next;
+      Descend(depth, u, v);
+      if (CheckStop()) break;
+      end = lvl.end;
     }
+    lvl.active = false;
   }
 
   /// The serial entry point: the root level of Algorithm 2 over the whole
@@ -598,7 +589,6 @@ struct EnumContext {
   /// segment is a piece of; that is what makes the counter sums
   /// schedule-independent.
   void RunSegment(FrontierSegment* segment) {
-    static_assert(kStealable);
     seg = segment;
     result = EnumerateResult();
     stopped = false;
@@ -606,16 +596,8 @@ struct EnumContext {
     // inherit the victim's partially-burned quantum (stale-quantum
     // deadline overshoot), and the immediate check below catches a
     // deadline that expired while the segment sat queued.
-    next_deadline_check = work + kDeadlineCheckWorkQuantum;
-    next_split_check = work + kSplitCheckWorkQuantum;
-    next_check = std::min(next_deadline_check, next_split_check);
-    if (budget->deadline().Expired()) {
-      result.timed_out = true;
-      budget->RequestStop();
-      stopped = true;
-    } else if (budget->StopRequested()) {
-      stopped = true;
-    }
+    ArmPolls();
+    CheckDeadline();
     if (!stopped) {
       const std::span<const VertexId> prefix(segment->prefix);
       ws->InstallSegmentPrefix(*order, prefix);
@@ -716,46 +698,7 @@ struct EnumContext {
     ws->UnmarkVisited(v);
     ws->mapping()[u] = kInvalidVertex;
   }
-
- private:
-  std::vector<SpineLevel> spine_;  // sized |order| in the stealable path
 };
-
-/// True iff `order` is a permutation of [0, n). Connectivity is not
-/// required — Extend handles backward-free positions.
-bool IsPermutationOrder(uint32_t n, const std::vector<VertexId>& order) {
-  if (order.size() != n) return false;
-  std::vector<bool> seen(n, false);
-  for (VertexId u : order) {
-    if (u >= n || seen[u]) return false;
-    seen[u] = true;
-  }
-  return true;
-}
-
-Status ValidateEnumerationInputs(const Graph& query,
-                                 const CandidateSet& candidates,
-                                 const std::vector<VertexId>& order) {
-  if (query.num_vertices() == 0) {
-    return Status::InvalidArgument("query graph is empty");
-  }
-  if (candidates.num_query_vertices() != query.num_vertices()) {
-    return Status::InvalidArgument("candidate set size mismatch");
-  }
-  if (!IsPermutationOrder(query.num_vertices(), order)) {
-    return Status::InvalidArgument(
-        "order is not a permutation of the query vertices");
-  }
-  return Status::OK();
-}
-
-/// Process-unique token per RunParallel invocation, for the once-per-run
-/// per-worker Prepare dedupe (see EnumeratorWorkspace::parallel_run_token).
-/// fetch_add with relaxed order: uniqueness is all that matters (the
-/// token's *value* is compared, never used to order other memory — the
-/// workspace it stamps is only touched by one thread at a time via the
-/// pool's per-worker handoff).
-std::atomic<uint64_t> g_parallel_run_counter{0};
 
 /// The reusable workspace a worker loop may use on the thread it happens
 /// to execute on, or nullptr when only a throwaway will do. Pool workers of
@@ -856,7 +799,6 @@ Result<EnumerateResult> Enumerator::Run(const Graph& query, const Graph& data,
                                         EnumeratorWorkspace* workspace,
                                         const Deadline* deadline) const {
   RLQVO_CHECK(workspace != nullptr);
-  RLQVO_RETURN_NOT_OK(ValidateEnumerationInputs(query, candidates, order));
 
   // The deadline starts before workspace setup so setup time counts against
   // the per-query budget (callers with a whole-pipeline budget pass their
@@ -865,14 +807,17 @@ Result<EnumerateResult> Enumerator::Run(const Graph& query, const Graph& data,
   const Deadline local_deadline(options.time_limit_seconds);
   if (deadline == nullptr) deadline = &local_deadline;
 
+  // Prepare checks the inputs (ValidateEnumerationInputs) before the
+  // expired-deadline and empty-candidate returns below, as RunParallel does.
   RLQVO_RETURN_NOT_OK(workspace->Prepare(query, data, candidates, order));
 
-  // The serial path runs on the same budget machinery as the parallel one:
-  // emission claims are what make match_limit exact (see EnumBudget), and
-  // with match_limit == 0 the claim path never touches the atomic.
+  // The serial path runs on the same budget machinery and the same context
+  // as the parallel one, without a scheduler: emission claims are what make
+  // match_limit exact (see EnumBudget), and with match_limit == 0 the claim
+  // path never touches the atomic.
   EnumBudget budget(options.match_limit, deadline);
-  EnumContext<false> ctx(query, data, candidates, order, options, workspace,
-                         &budget);
+  EnumContext ctx(query, data, candidates, order, options, workspace, &budget,
+                  /*segment_scheduler=*/nullptr, /*worker_slot=*/-1);
   if (deadline->Expired()) {
     ctx.result.timed_out = true;
   } else if (!candidates.AnyEmpty()) {
@@ -903,7 +848,8 @@ Result<EnumerateResult> Enumerator::RunParallel(
                                   : &throwaway;
     return Run(query, data, candidates, order, options, ws, deadline);
   }
-  RLQVO_RETURN_NOT_OK(ValidateEnumerationInputs(query, candidates, order));
+  RLQVO_RETURN_NOT_OK(
+      ValidateEnumerationInputs(query, data, candidates, order));
 
   Stopwatch watch;
   const Deadline local_deadline(options.time_limit_seconds);
@@ -925,8 +871,6 @@ Result<EnumerateResult> Enumerator::RunParallel(
   const uint32_t num_workers = options.parallel_threads;
 
   EnumBudget budget(options.match_limit, deadline);
-  const uint64_t run_token =
-      g_parallel_run_counter.fetch_add(1, std::memory_order_relaxed) + 1;
 
   // Seed the scheduler with up to num_workers contiguous root pieces, one
   // per worker deque, so every loop starts with local work.
@@ -962,35 +906,27 @@ Result<EnumerateResult> Enumerator::RunParallel(
     EnumeratorWorkspace throwaway;
     EnumeratorWorkspace* ws = PickWorkerWorkspace(resources);
     if (ws == nullptr) ws = &throwaway;
-    // Prepare once per (run, workspace): consecutive loop tasks of this
-    // run on the same worker reuse the prepared state; any interleaved
-    // use for another query resets the token and forces a fresh Prepare.
-    bool usable = true;
-    if (ws->parallel_run_token() != run_token) {
-      Status prepared = ws->Prepare(query, data, candidates, order);
-      if (!prepared.ok()) {
-        worker_status[slot] = std::move(prepared);
-        // The run is doomed; stop sibling workers at their next
-        // checkpoint and drain the queue without executing.
-        budget.RequestStop();
-        usable = false;
-      } else {
-        ws->set_parallel_run_token(run_token);
-      }
-    }
-    EnumContext<true> ctx(query, data, candidates, order, options, ws,
-                          &budget);
-    ctx.scheduler = &scheduler;
-    ctx.slot = slot;
-    bool participated = false;
+    EnumContext ctx(query, data, candidates, order, options, ws, &budget,
+                    &scheduler, slot);
+    // The workspace is prepared when the loop acquires its first segment.
+    // A loop exits only when Acquire returns null, which it does only once
+    // the run has drained, so a later loop of this run on the same thread
+    // acquires nothing: no thread prepares twice in one run, and a loop
+    // that finds no work prepares nothing.
+    Status& status = worker_status[slot];
+    bool prepared = false;
     while (FrontierSegment* seg = scheduler.Acquire(slot)) {
-      if (usable) {
-        ctx.RunSegment(seg);
-        participated = true;
+      if (!prepared) {
+        prepared = true;
+        status = ws->Prepare(query, data, candidates, order);
+        // A failed prepare dooms the run: stop sibling workers at their
+        // next checkpoint and drain the queue without executing.
+        if (!status.ok()) budget.RequestStop();
       }
+      if (status.ok()) ctx.RunSegment(seg);
       scheduler.FinishSegment();
     }
-    scheduler.RecordWorker(slot, ctx.work, participated);
+    scheduler.RecordWorker(slot, ctx.work, prepared && status.ok());
   };
 
   // Loop tasks are tagged with this run's budget address so the

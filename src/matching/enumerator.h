@@ -32,7 +32,9 @@ struct EnumerateOptions {
   /// is bounded by one work quantum plus one slice intersection or one
   /// last-position count — O(s log L) for s label mates of the last vertex
   /// and a list of L candidates — not by how many recursive calls the
-  /// slices amortize.
+  /// slices amortize. A parallel run adds the time its other workers take
+  /// to reach their next poll and the merge (docs/BENCHMARKS.md, "Deadline
+  /// overshoot: measured").
   double time_limit_seconds = 0.0;
   /// Keep the embeddings in EnumerateResult::embeddings. When false, only
   /// counts are tracked, and the last order position is counted instead of
@@ -242,7 +244,10 @@ class Enumerator {
   /// caller starts it before Run — per-query setup time counts against the
   /// budget; otherwise a fresh deadline of options.time_limit_seconds starts
   /// at the top of Run (which still covers setup). Always serial; the
-  /// options.parallel_threads field is ignored here.
+  /// options.parallel_threads field is ignored here. Inputs that
+  /// ValidateEnumerationInputs (enum_workspace.h) rejects return its
+  /// InvalidArgument, here and from RunParallel alike, even under an
+  /// expired deadline or with an empty candidate list.
   Result<EnumerateResult> Run(const Graph& query, const Graph& data,
                               const CandidateSet& candidates,
                               const std::vector<VertexId>& order,

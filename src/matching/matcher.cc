@@ -55,8 +55,8 @@ Result<MatchRunStats> RunOrderedEnumeration(
 
   // The enumeration budget is whatever remains of the query's time limit.
   // The deadline starts ticking here — before the enumerator's per-query
-  // workspace setup — so setup cost counts against the budget.
-  EnumerateOptions enum_options = options;
+  // workspace setup — so setup cost counts against the budget. Given a
+  // deadline, the enumerator does not read options.time_limit_seconds.
   Deadline deadline = Deadline::Unlimited();
   const double limit = options.time_limit_seconds;
   if (limit > 0.0) {
@@ -66,14 +66,13 @@ Result<MatchRunStats> RunOrderedEnumeration(
       stats.total_time_seconds = total.ElapsedSeconds();
       return stats;
     }
-    enum_options.time_limit_seconds = remaining;
     deadline = Deadline(remaining);
   }
 
   Enumerator enumerator;  // stateless: all scratch lives in the workspaces
   RLQVO_ASSIGN_OR_RETURN(
       EnumerateResult enum_result,
-      enumerator.RunParallel(query, data, candidates, order, enum_options,
+      enumerator.RunParallel(query, data, candidates, order, options,
                              resources, &deadline));
   static_cast<EnumWorkCounters&>(stats) = enum_result;
   stats.enum_time_seconds = enum_result.enum_time_seconds;

@@ -630,6 +630,93 @@ TEST(ParallelEnumTest, RejectsInvalidInputsLikeSerial) {
                   .RunParallel(pq.query, data, pq.candidates, pq.order, opts,
                                resources)
                   .ok());
+
+  // Inputs that only reach the enumerator directly (the filters reject a
+  // directedness mismatch first and emit no out-of-range candidate), where
+  // an empty candidate list or an expired deadline would return before a
+  // late check. Run and a 2-thread RunParallel must fail them alike.
+  opts.parallel_threads = 2;
+  auto expect_same_rejection = [&](const char* what, const Graph& query,
+                                   const CandidateSet& candidates,
+                                   const Deadline* deadline) {
+    SCOPED_TRACE(what);
+    EnumeratorWorkspace ws;
+    const auto serial = enumerator.Run(query, data, candidates, pq.order,
+                                       opts, &ws, deadline);
+    const auto parallel = enumerator.RunParallel(
+        query, data, candidates, pq.order, opts, resources, deadline);
+    ASSERT_FALSE(serial.ok());
+    ASSERT_FALSE(parallel.ok());
+    EXPECT_TRUE(serial.status().IsInvalidArgument());
+    EXPECT_EQ(parallel.status().code(), serial.status().code());
+  };
+  const VertexId n = pq.query.num_vertices();
+  GraphBuilder directed;
+  directed.set_directed(true);
+  for (VertexId u = 0; u < n; ++u) directed.AddVertex(pq.query.label(u));
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId w : pq.query.neighbors(u)) {
+      if (u < w) directed.AddEdge(u, w);
+    }
+  }
+  const Graph directed_query = directed.Build();
+  CandidateSet one_empty(n);
+  CandidateSet out_of_range(n);
+  CandidateSet out_of_range_one_empty(n);
+  for (VertexId u = 0; u < n; ++u) {
+    one_empty.Set(u, pq.candidates.candidates(u));
+    std::vector<VertexId> with_bad = pq.candidates.candidates(u);
+    if (u == pq.order[0]) with_bad.push_back(data.num_vertices());
+    out_of_range.Set(u, with_bad);
+    out_of_range_one_empty.Set(u, with_bad);
+  }
+  one_empty.Set(pq.order.back(), {});
+  out_of_range_one_empty.Set(pq.order.back(), {});
+  const Deadline expired(1e-12);
+  while (!expired.Expired()) {
+  }
+  expect_same_rejection("directed query, undirected data, one empty list",
+                        directed_query, one_empty, nullptr);
+  expect_same_rejection("candidate out of range, one empty list", pq.query,
+                        out_of_range_one_empty, nullptr);
+  expect_same_rejection("candidate out of range, expired deadline", pq.query,
+                        out_of_range, &expired);
+}
+
+// A worker loop prepares its workspace when it acquires its first segment,
+// and a thread's later loops of the same run acquire nothing (a loop exits
+// only once the run has drained). So however many segments a run splits
+// into, it prepares each workspace at most once: with 8 loop tasks on a
+// 2-worker pool, the pool's workers and the help-waiting caller prepare at
+// most pool.size() + 1 times per run. A per-segment prepare would add about
+// as many as the run has segments (about 25 splits per run on this query).
+TEST(ParallelEnumTest, EachThreadPreparesAtMostOncePerRun) {
+  Graph data;
+  const PreparedQuery pq = PrepareHubQuery(&data, 63, 200, 10.0, 5);
+  EnumerateOptions opts;
+  opts.match_limit = 0;
+  const EnumerateResult serial = RunSerial(data, pq, opts);
+  ThreadPool pool(2);
+  std::vector<EnumeratorWorkspace> workspaces(pool.size());
+  EnumeratorWorkspace caller_ws;
+  auto prepares = [&] {
+    uint64_t sum = caller_ws.stats().prepares;
+    for (const EnumeratorWorkspace& ws : workspaces) {
+      sum += ws.stats().prepares;
+    }
+    return sum;
+  };
+  uint64_t splits = 0;
+  for (int run = 0; run < 50; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const uint64_t before = prepares();
+    const EnumerateResult parallel =
+        RunParallelWith(data, pq, opts, 8, &pool, &workspaces, &caller_ws);
+    EXPECT_LE(prepares() - before, uint64_t{pool.size()} + 1);
+    ExpectBitIdentical(serial, parallel, 8);
+    splits += parallel.num_splits;
+  }
+  EXPECT_GT(splits, 0u);
 }
 
 }  // namespace
